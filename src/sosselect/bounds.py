@@ -9,7 +9,7 @@ value kept alongside. All logarithms are natural.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import DomainError
 
@@ -113,42 +113,11 @@ class BoundInput:
                 raise ValueError(f"{name} must be nonnegative")
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "p": self.p,
-            "t": self.t,
-            "s": self.s,
-            "sigma2": self.sigma2,
-            "r": self.r,
-            "r_l": self.r_l,
-            "a": self.a,
-            "delta_s": self.delta_s,
-            "delta_t": self.delta_t,
-            "delta_p": self.delta_p,
-            "kappa_T3": self.kappa_T3,
-            "kappa_t3": self.kappa_t3,
-            "theta_min": self.theta_min,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, blob):
-        ints = {k: int(blob[k]) for k in ("n", "p", "t", "s")}
-        reals = {
-            k: float(blob[k])
-            for k in (
-                "sigma2",
-                "r",
-                "r_l",
-                "a",
-                "delta_s",
-                "delta_t",
-                "delta_p",
-                "kappa_T3",
-                "kappa_t3",
-                "theta_min",
-            )
-        }
-        return cls(**ints, **reals)
+        return cls(**{f.name: f.type(blob[f.name]) for f in fields(cls)})
 
 
 def derived_screen_size(t, kappa):

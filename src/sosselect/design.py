@@ -16,6 +16,12 @@ columns. Residual sums of squares of a model are always computed on the
 standardized data; for any column subset they agree with the residual of the
 corresponding raw-data fit (with intercept, in practical mode), which is the
 link checked by :func:`projection_link_check`.
+
+The least-squares primitives share one factorization, :func:`_factor`: a
+single column-pivoted thin QR of the relevant columns, which gives the
+numerical rank, the orthonormal basis of the span and the triangular factor
+for coefficients at once. :func:`rss`, :func:`ls_fit`, :func:`span_basis`,
+the greedy path in ``selection`` and the margins in ``identify`` all use it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import csv
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.linalg
@@ -280,32 +286,27 @@ def _check_indices(design: StandardizedDesign, model: ModelSet) -> None:
         raise ValueError(f"column index {model.indices[-1]} out of range for p={design.p}")
 
 
-def _pivoted_rank(x: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Numerical rank from the diagonal of a column-pivoted QR."""
-    if x.shape[1] == 0:
-        return 0
-    r = scipy.linalg.qr(x, mode="r", pivoting=True)[0]
+def _factor(x: np.ndarray, tol: float = RANK_TOL):
+    """The one factorization: pivoted thin QR ``x[:, perm] = q @ r`` and the
+    numerical rank, the count of ``|r_kk| > tol * |r_00|``."""
+    q, r, perm = scipy.linalg.qr(x, mode="economic", pivoting=True)
     d = np.abs(np.diag(r))
-    if d.size == 0 or d[0] <= 0.0:
-        return 0
-    return int(np.sum(d > tol * d[0]))
-
-def _require_full_rank(design: StandardizedDesign, model: ModelSet) -> None:
-    cols = design.columns(model)
-    if _pivoted_rank(cols) < len(model):
-        raise RankDeficient(model)
+    rank = int(np.sum(d > tol * d[0])) if d.size and d[0] > 0.0 else 0
+    return q, r, perm, rank
 
 
 def span_basis(x: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column span, tolerant to rank deficiency."""
-    if x.shape[1] == 0:
-        return np.zeros((x.shape[0], 0))
-    q, r, _ = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    d = np.abs(np.diag(r))
-    if d.size == 0 or d[0] <= 0.0:
-        return np.zeros((x.shape[0], 0))
-    rank = int(np.sum(d > tol * d[0]))
+    q, _, _, rank = _factor(x, tol)
     return q[:, :rank]
+
+
+def _full_rank_factor(cols: np.ndarray, model: ModelSet):
+    """``_factor`` of a model's columns; rank-deficient sets raise."""
+    q, r, perm, rank = _factor(cols)
+    if rank < len(model):
+        raise RankDeficient(model)
+    return q, r, perm
 
 
 def rss(design: StandardizedDesign, model) -> float:
@@ -318,8 +319,7 @@ def rss(design: StandardizedDesign, model) -> float:
     _check_indices(design, model)
     if not model:
         return float(design.y0 @ design.y0)
-    _require_full_rank(design, model)
-    q = np.linalg.qr(design.columns(model))[0]
+    q = _full_rank_factor(design.columns(model), model)[0]
     resid = design.y0 - q @ (q.T @ design.y0)
     return float(resid @ resid)
 
@@ -372,11 +372,10 @@ def ls_fit(design: StandardizedDesign, model, *, allow_degenerate: bool = False)
     if k == 0:
         r0 = float(design.y0 @ design.y0)
         return LsFit(model, np.zeros(0), np.zeros(0), r0, n_eff, np.zeros(0))
-    _require_full_rank(design, model)
-    cols = design.columns(model)
-    q, rmat = np.linalg.qr(cols)
+    q, rmat, perm = _full_rank_factor(design.columns(model), model)
     qty = q.T @ design.y0
-    theta = scipy.linalg.solve_triangular(rmat, qty)
+    theta = np.empty(k)
+    theta[perm] = scipy.linalg.solve_triangular(rmat, qty)
     resid = design.y0 - q @ qty
     rss_val = float(resid @ resid)
     df = n_eff - k
@@ -386,7 +385,8 @@ def ls_fit(design: StandardizedDesign, model, *, allow_degenerate: bool = False)
         t2 = None
     else:
         rinv = scipy.linalg.solve_triangular(rmat, np.eye(k))
-        unit_var = np.sum(rinv * rinv, axis=1)  # diag of (X'X)^{-1}
+        unit_var = np.empty(k)
+        unit_var[perm] = np.sum(rinv * rinv, axis=1)  # diag of (X'X)^{-1}
         t2 = theta * theta / (unit_var * (rss_val / df))
     beta = theta / design.scales[list(model.indices)]
     return LsFit(model, theta, beta, rss_val, df, t2)
@@ -403,28 +403,22 @@ def projection_link_check(design: StandardizedDesign, model, *, tol: float = 1e-
     """
     model = ModelSet.of(model)
     _check_indices(design, model)
-    if model:
-        _require_full_rank(design, model)
+    cols = design.columns(model)
+    qb = span_basis(cols)
+    if qb.shape[1] < len(model):
+        raise RankDeficient(model)
     rng = np.random.default_rng(314159)
     probes = rng.standard_normal((design.n, 16))
 
-    cols = design.columns(model)
     if design.mode is Parametrization.PRACTICAL:
         raw_span = np.hstack([np.ones((design.n, 1)), cols])
         centered = probes - probes.mean(axis=0)
     else:
         raw_span = cols
         centered = probes
-    if raw_span.shape[1]:
-        qa = np.linalg.qr(raw_span)[0]
-        res_a = probes - qa @ (qa.T @ probes)
-    else:
-        res_a = probes
-    if cols.shape[1]:
-        qb = np.linalg.qr(cols)[0]
-        res_b = centered - qb @ (qb.T @ centered)
-    else:
-        res_b = centered
+    qa = span_basis(raw_span)
+    res_a = probes - qa @ (qa.T @ probes)
+    res_b = centered - qb @ (qb.T @ centered)
     norms = np.linalg.norm(probes, axis=0)
     gaps = np.linalg.norm(res_a - res_b, axis=0)
     return bool(np.all(gaps <= tol * norms))

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .design import ModelSet, StandardizedDesign, span_basis
-from .errors import EnumerationTooLarge, RankDeficient
+from .design import ModelSet, StandardizedDesign, _full_rank_factor, span_basis
+from .errors import EnumerationTooLarge
 
 DELTA_BUDGET = 1_000_000
 KAPPA_BUDGET = 10_000
@@ -121,12 +121,12 @@ def delta_pair(design: StandardizedDesign, truth: TruthSpec, competitor) -> floa
     comp = ModelSet.of(competitor)
     if comp and comp.indices[-1] >= design.p:
         raise ValueError("competitor index out of range")
-    if comp:
-        from .design import _pivoted_rank
-
-        if _pivoted_rank(design.columns(comp)) < len(comp):
-            raise RankDeficient(comp)
-    return _residual_sq(design, _signal(design, truth), comp.indices)
+    v = _signal(design, truth)
+    if not comp:
+        return float(v @ v)
+    q = _full_rank_factor(design.columns(comp), comp)[0]
+    w = v - q @ (q.T @ v)
+    return float(w @ w)
 
 
 def delta_scaled(design: StandardizedDesign, truth: TruthSpec, s: int) -> float:
@@ -137,28 +137,16 @@ def delta_scaled(design: StandardizedDesign, truth: TruthSpec, s: int) -> float:
     minimum over sizes <= s is attained at size exactly s; only extensions
     ``E`` of size ``s - t`` are enumerated.
     """
-    t = truth.t
-    p = design.p
-    if not t <= s <= p:
-        raise ValueError(f"need t={t} <= s <= p={p}, got s={s}")
-    others = [j for j in range(p) if j not in truth.support]
-    count = math.comb(len(others), s - t) * t
-    if count > DELTA_BUDGET:
-        raise EnumerationTooLarge(f"{count} projections exceed budget {DELTA_BUDGET}")
-    v = _signal(design, truth)
-    best = math.inf
-    tset = truth.support.indices
-    for extra in itertools.combinations(others, s - t):
-        for j in tset:
-            keep = [i for i in tset if i != j] + list(extra)
-            best = min(best, _residual_sq(design, v, keep))
-    return best
+    return delta_scaled_argmin(design, truth, s)[0]
 
 
 def delta_scaled_argmin(design: StandardizedDesign, truth: TruthSpec, s: int):
     """Like :func:`delta_scaled` but also returns the minimizing (j, J)."""
     t = truth.t
-    others = [j for j in range(design.p) if j not in truth.support]
+    p = design.p
+    if not t <= s <= p:
+        raise ValueError(f"need t={t} <= s <= p={p}, got s={s}")
+    others = [j for j in range(p) if j not in truth.support]
     count = math.comb(len(others), s - t) * t
     if count > DELTA_BUDGET:
         raise EnumerationTooLarge(f"{count} projections exceed budget {DELTA_BUDGET}")
@@ -174,6 +162,17 @@ def delta_scaled_argmin(design: StandardizedDesign, truth: TruthSpec, s: int):
     return best
 
 
+def _competitor_margins(design: StandardizedDesign, truth: TruthSpec) -> dict:
+    """Margin against every competing set of size <= t other than T."""
+    v = _signal(design, truth)
+    return {
+        ModelSet(combo): _residual_sq(design, v, combo)
+        for size in range(0, truth.t + 1)
+        for combo in itertools.combinations(range(design.p), size)
+        if combo != truth.support.indices
+    }
+
+
 def delta_identifiability(design: StandardizedDesign, truth: TruthSpec) -> float:
     """Smallest margin against any competing set of size <= t missing truth.
 
@@ -184,13 +183,7 @@ def delta_identifiability(design: StandardizedDesign, truth: TruthSpec) -> float
     total = sum(math.comb(p, k) for k in range(0, t + 1))
     if total > DELTA_BUDGET:
         raise EnumerationTooLarge(f"{total} competitors exceed budget {DELTA_BUDGET}")
-    v = _signal(design, truth)
-    best = math.inf
-    for size in range(0, t + 1):
-        for combo in itertools.combinations(range(p), size):
-            if ModelSet.of(combo) == truth.support:
-                continue
-            best = min(best, _residual_sq(design, v, combo))
+    best = min(_competitor_margins(design, truth).values())
     d_p = delta_scaled(design, truth, p)
     if d_p > best + 1e-9 * max(1.0, best):
         raise AssertionError(
@@ -630,16 +623,8 @@ def check_propositions(
     * ``scale_chain``: ``delta(T, p) <= delta(T)``.
     """
     p, t = design.p, truth.t
-    v = _signal(design, truth)
-
-    pairwise = {}
-    for size in range(0, t + 1):
-        for combo in itertools.combinations(range(p), size):
-            m = ModelSet.of(combo)
-            if m == truth.support:
-                continue
-            pairwise[m] = _residual_sq(design, v, combo)
-    delta_t_val = min(pairwise.values()) if pairwise else float(v @ v)
+    pairwise = _competitor_margins(design, truth)
+    delta_t_val = min(pairwise.values())
 
     scaled = {}
     argmins = {}
@@ -647,7 +632,7 @@ def check_propositions(
         val, j_rm, kept = delta_scaled_argmin(design, truth, s)
         scaled[s] = val
         argmins[s] = (j_rm, kept)
-    delta_p_val = delta_scaled(design, truth, p)
+    delta_p_val = scaled[p] if p in scaled else delta_scaled(design, truth, p)
 
     sigma = design.gram
     flags = {}

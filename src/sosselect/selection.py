@@ -3,11 +3,13 @@ exhaustive subset search under the same information criterion.
 
 The criterion throughout is ``crit(J) = rss(J) + r * |J|`` with a fixed
 penalty ``r >= 0``. The greedy path evaluates it only on prefixes of a fixed
-predictor ordering; the prefix residuals come from one thin QR of the
-ordered columns (each orthonormal column removes its squared inner product
-with the response). Exhaustive search walks the subset lattice depth-first,
-extending a Gram-Schmidt basis by one column per node, so every subset costs
-one orthogonalization instead of a fresh factorization.
+predictor ordering. The prefix residuals come from the design module's one
+pivoted QR of the ordered columns: its R, re-ordered to the ordering and
+re-triangularized by a k x k QR, gives the orthonormal prefix directions, and
+each removes its squared inner product with the response. Exhaustive search
+walks the subset lattice depth-first, extending a Gram-Schmidt basis by one
+column per node, so every subset costs one orthogonalization instead of a
+fresh factorization.
 
 Tie rules are exact (no tolerance): equal criterion values resolve to the
 smaller model, then to the lexicographically smallest index tuple; equal
@@ -26,14 +28,13 @@ from .design import (
     ModelSet,
     Parametrization,
     StandardizedDesign,
-    _pivoted_rank,
+    _full_rank_factor,
     ls_fit,
     rss,
     standardize,
 )
 from .errors import (
     EnumerationTooLarge,
-    RankDeficient,
     ScreenTooLarge,
     TooManyPredictors,
 )
@@ -116,8 +117,9 @@ class GicPath:
 def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPath:
     """Evaluate the criterion on every prefix of ``ordering``.
 
-    One thin QR of the ordered columns yields all prefix residuals: the k-th
-    orthonormal direction removes ``(q_k' y0)^2`` from the running RSS.
+    One factorization of the ordered columns yields all prefix residuals:
+    the k-th orthonormal prefix direction removes ``(q_k' y0)^2`` from the
+    running RSS.
     """
     if r < 0:
         raise ValueError("penalty r must be nonnegative")
@@ -131,12 +133,12 @@ def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPat
         raise ValueError("ordering contains repeated indices")
     if model.indices[-1] >= design.p:
         raise ValueError("ordering index out of range")
-    cols = design.x0[:, seq]
     # a rank-deficient prefix would contribute a spurious ~0 direction
-    if _pivoted_rank(cols) < len(seq):
-        raise RankDeficient(model)
-    q, _ = np.linalg.qr(cols)
-    contrib = (q.T @ design.y0) ** 2
+    q, rmat, perm = _full_rank_factor(design.x0[:, seq], model)
+    # R back in the ordering, re-triangularized: its Q turns q into the
+    # orthonormal prefix directions
+    q2 = np.linalg.qr(rmat[:, np.argsort(perm)])[0]
+    contrib = (q2.T @ (q.T @ design.y0)) ** 2
     rss_path = np.maximum(r_empty - np.concatenate([[0.0], np.cumsum(contrib)]), 0.0)
     values = rss_path + r * np.arange(len(seq) + 1)
     selected = int(np.argmin(values))  # first minimum = smallest size on ties

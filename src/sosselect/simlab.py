@@ -18,7 +18,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -114,28 +114,7 @@ class ScenarioConfig:
         return PenaltyPair(r=self.r, r_l=self.r_l)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "t": self.t,
-            "design_kind": self.design_kind,
-            "rho": self.rho,
-            "copies": self.copies,
-            "beta_pattern": self.beta_pattern,
-            "b": self.b,
-            "ratio": self.ratio,
-            "sigma2": self.sigma2,
-            "mode": self.mode,
-            "penalty_rule": self.penalty_rule,
-            "a": self.a,
-            "r": self.r,
-            "r_l": self.r_l,
-            "algorithm": self.algorithm,
-            "replicates": self.replicates,
-            "master_seed": self.master_seed,
-            "fixed_design": self.fixed_design,
-            "compare_exhaustive": self.compare_exhaustive,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, blob: dict) -> "ScenarioConfig":
@@ -166,7 +145,7 @@ def _beta_values(config: ScenarioConfig) -> np.ndarray:
 
 
 def generate_trial(config: ScenarioConfig, index: int):
-    """Build (dataset, truth, noise) for one replicate.
+    """Build (dataset, standardized design, truth, noise) for one replicate.
 
     The truth support is the first t entries of a seeded permutation of the
     base columns; the duplicated_spurious kind appends exact copies of the
@@ -188,7 +167,7 @@ def generate_trial(config: ScenarioConfig, index: int):
     dataset = Dataset(x=x, y=mu + eps)
     design = standardize(dataset, config.mode)
     truth = TruthSpec.from_beta(design, support, beta, sigma2=config.sigma2)
-    return dataset, truth, eps
+    return dataset, design, truth, eps
 
 
 @dataclass(frozen=True)
@@ -292,8 +271,7 @@ def _f_stat(dataset: Dataset, mode: str, model: ModelSet, mu: np.ndarray):
 
 
 def _single_trial(config: ScenarioConfig, index: int, penalties: PenaltyPair, want_bounds: bool):
-    dataset, truth, eps = generate_trial(config, index)
-    design = standardize(dataset, config.mode)
+    dataset, design, truth, eps = generate_trial(config, index)
     true_set = set(truth.support.indices)
     t = truth.t
     mu = dataset.x[:, list(truth.support.indices)] @ truth.beta_star
@@ -506,8 +484,7 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
     ledger = None
     if want_bounds:
         if config.fixed_design:
-            dataset, truth, _ = generate_trial(config, 0)
-            design = standardize(dataset, config.mode)
+            _, design, truth, _ = generate_trial(config, 0)
             inp = bound_input_from_design(design, truth, penalties, config.a, restarts=64)
             once = _evaluate_bounds(config, inp)
             ledger = _worst_bounds([once])
@@ -546,13 +523,7 @@ class FPivotReport:
     denominator_dof: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "ks_distance": self.ks_distance,
-            "degenerate_count": self.degenerate_count,
-            "used": self.used,
-            "dim": self.dim,
-            "denominator_dof": self.denominator_dof,
-        }
+        return asdict(self)
 
 
 def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1) -> FPivotReport:
@@ -571,7 +542,7 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
         f_vals = []
         degenerate = 0
         for i in range(config.replicates):
-            dataset, truth, _ = generate_trial(config, i)
+            dataset, _, truth, _ = generate_trial(config, i)
             mu = dataset.x[:, list(truth.support.indices)] @ truth.beta_star
             val = _f_stat(dataset, config.mode, truth.support, mu)
             if val is None:

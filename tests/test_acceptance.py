@@ -305,7 +305,7 @@ def test_09_realized_oracle_inequalities_on_quiet_noise():
         replicates=2000, master_seed=77, fixed_design=True,
     )
     penalties = cfg.penalties()
-    dataset0, truth, _ = generate_trial(cfg, 0)
+    dataset0, _, truth, _ = generate_trial(cfg, 0)
     design0 = standardize(dataset0, cfg.mode)
     est = kappa(design0, truth.support, 3.0, restarts=64)
     beta_full = np.zeros(cfg.p)
@@ -313,7 +313,7 @@ def test_09_realized_oracle_inequalities_on_quiet_noise():
 
     held = violations = 0
     for i in range(cfg.replicates):
-        dataset, truth_i, eps = generate_trial(cfg, i)
+        dataset, _, truth_i, eps = generate_trial(cfg, i)
         design = standardize(dataset, cfg.mode)
         witness = event_a(design, eps, penalties.r_l)
         if not witness.holds:

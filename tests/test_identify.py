@@ -442,6 +442,19 @@ def test_check_propositions_duplicated_spurious_column():
     assert rep.kappa_support.value > 0.01
 
 
+@pytest.mark.parametrize("p, t", [(6, 2), (7, 1)])
+def test_check_propositions_reports_the_single_enumerations(p, t):
+    # p <= 4t takes delta(T, p) from the scaled margins; p > 4t enumerates it
+    rng = np.random.default_rng(111)
+    d, truth = random_instance(rng, 30, p, t)
+    rep = check_propositions(d, truth, restarts=4)
+    assert (p in rep.delta_scaled) == (p <= 4 * t)
+    assert rep.delta_t == delta_identifiability(d, truth) == min(rep.delta_pairwise.values())
+    assert rep.delta_p == delta_scaled(d, truth, p)
+    for s, val in rep.delta_scaled.items():
+        assert val == delta_scaled(d, truth, s)
+
+
 def test_identifiability_report_serialization():
     d = one_hot_design(8, 5)
     truth = TruthSpec.from_beta(d, [0, 1], [1.0, 2.0])

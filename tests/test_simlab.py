@@ -37,19 +37,19 @@ def strong_config(**over):
 
 def test_generate_trial_is_deterministic():
     cfg = strong_config(fixed_design=False)
-    d1, t1, e1 = generate_trial(cfg, 3)
-    d2, t2, e2 = generate_trial(cfg, 3)
+    d1, _, t1, e1 = generate_trial(cfg, 3)
+    d2, _, t2, e2 = generate_trial(cfg, 3)
     assert np.array_equal(d1.x, d2.x) and np.array_equal(d1.y, d2.y)
     assert np.array_equal(e1, e2)
     assert t1.support == t2.support
-    d3, _, e3 = generate_trial(cfg, 4)
+    d3, _, _, e3 = generate_trial(cfg, 4)
     assert not np.array_equal(d3.x, d1.x) and not np.array_equal(e3, e1)
 
 
 def test_fixed_design_shares_x_but_not_noise():
     cfg = strong_config(fixed_design=True)
-    d1, t1, e1 = generate_trial(cfg, 0)
-    d2, t2, e2 = generate_trial(cfg, 5)
+    d1, _, t1, e1 = generate_trial(cfg, 0)
+    d2, _, t2, e2 = generate_trial(cfg, 5)
     assert np.array_equal(d1.x, d2.x)
     assert t1.support == t2.support
     assert not np.array_equal(e1, e2)
@@ -57,7 +57,7 @@ def test_fixed_design_shares_x_but_not_noise():
 
 def test_noiseless_trials_and_recovery():
     cfg = strong_config(sigma2=0.0, replicates=5, penalty_rule="explicit", r=1.0, r_l=0.5)
-    dataset, truth, eps = generate_trial(cfg, 0)
+    dataset, _, truth, eps = generate_trial(cfg, 0)
     assert np.array_equal(eps, np.zeros(cfg.n))
     mu = dataset.x[:, list(truth.support.indices)] @ truth.beta_star
     assert np.array_equal(dataset.y, mu)
@@ -72,7 +72,7 @@ def test_iid_columns_have_small_sample_correlation():
     ok = 0
     for seed in range(100):
         cfg = ScenarioConfig(n=50, p=10, t=2, b=1.0, master_seed=seed)
-        dataset, _, _ = generate_trial(cfg, 0)
+        dataset, _, _, _ = generate_trial(cfg, 0)
         x = dataset.x - dataset.x.mean(axis=0)
         x /= np.linalg.norm(x, axis=0)
         corr = x.T @ x - np.eye(10)
@@ -84,7 +84,7 @@ def test_ar1_design_matches_target_correlation():
     cfg = ScenarioConfig(
         n=4000, p=3, t=1, b=1.0, design_kind="ar1", rho=0.6, master_seed=11
     )
-    dataset, _, _ = generate_trial(cfg, 0)
+    dataset, _, _, _ = generate_trial(cfg, 0)
     x = dataset.x - dataset.x.mean(axis=0)
     x /= np.linalg.norm(x, axis=0)
     gram = x.T @ x
@@ -96,7 +96,7 @@ def test_duplicated_spurious_appends_exact_copies():
     cfg = ScenarioConfig(
         n=30, p=7, t=2, b=2.0, design_kind="duplicated_spurious", copies=2, master_seed=3
     )
-    dataset, truth, _ = generate_trial(cfg, 0)
+    dataset, _, truth, _ = generate_trial(cfg, 0)
     assert dataset.x.shape == (30, 7)
     base_p = 5
     spurious = [j for j in range(base_p) if j not in truth.support]
@@ -135,10 +135,10 @@ def test_config_json_roundtrip_and_penalties():
 
 def test_beta_patterns():
     cfg = ScenarioConfig(n=20, p=5, t=3, b=4.0, beta_pattern="decaying", ratio=0.5, master_seed=2)
-    _, truth, _ = generate_trial(cfg, 0)
+    _, _, truth, _ = generate_trial(cfg, 0)
     assert truth.beta_star == pytest.approx([4.0, 2.0, 1.0])
     cfg2 = ScenarioConfig(n=20, p=5, t=3, b=4.0, master_seed=2)
-    _, truth2, _ = generate_trial(cfg2, 0)
+    _, _, truth2, _ = generate_trial(cfg2, 0)
     assert truth2.beta_star == pytest.approx([4.0, 4.0, 4.0])
 
 
