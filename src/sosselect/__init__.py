@@ -62,7 +62,6 @@ from .lasso import (
     default_penalties,
     event_a,
     kkt_gap,
-    lasso_objective,
     screen,
     solve_lasso,
     verify_oracle_inequalities,
@@ -86,7 +85,6 @@ from .simlab import (
     TrialRecord,
     f_pivot_check,
     generate_trial,
-    load_summary,
     persist,
     pivot_dimension,
     run_experiment,

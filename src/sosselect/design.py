@@ -270,15 +270,23 @@ def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
     mode = Parametrization.parse(mode)
     if mode is Parametrization.PRACTICAL:
         xc = data.x - data.x.mean(axis=0)
-        y0 = data.y - data.y.mean()
     else:
         xc = data.x.copy()
-        y0 = data.y.copy()
     scales = np.linalg.norm(xc, axis=0)
     bad = np.nonzero(scales < _ZERO_NORM_TOL)[0]
     if bad.size:
         raise ZeroNormColumn(int(bad[0]), float(scales[bad[0]]))
-    return StandardizedDesign(x0=xc / scales, y0=y0, scales=scales, mode=mode)
+    return StandardizedDesign(
+        x0=xc / scales, y0=_center_response(data.y, mode), scales=scales, mode=mode
+    )
+
+
+def _center_response(y: np.ndarray, mode) -> np.ndarray:
+    """The response half of :func:`standardize`: centered in the practical
+    mode, copied in the formal one."""
+    if Parametrization.parse(mode) is Parametrization.PRACTICAL:
+        return y - y.mean()
+    return y.copy()
 
 
 def _check_indices(design: StandardizedDesign, model: ModelSet) -> None:

@@ -82,11 +82,6 @@ class LassoFit:
         }
 
 
-def lasso_objective(design: StandardizedDesign, theta: np.ndarray, r_l: float) -> float:
-    resid = design.y0 - design.x0 @ theta
-    return float(resid @ resid) + 2.0 * r_l * float(np.sum(np.abs(theta)))
-
-
 def kkt_gap(design: StandardizedDesign, theta: np.ndarray, r_l: float) -> float:
     """Max violation of the stationarity conditions (0 at an exact solution)."""
     grad = design.x0.T @ (design.y0 - design.x0 @ theta)

@@ -9,7 +9,10 @@ re-triangularized by a k x k QR, gives the orthonormal prefix directions, and
 each removes its squared inner product with the response. Exhaustive search
 walks the subset lattice depth-first, extending a Gram-Schmidt basis by one
 column per node, so every subset costs one orthogonalization instead of a
-fresh factorization.
+fresh factorization. The walk depends on the design alone, so one walk
+serves a block of responses on the same design (the replicates of a
+fixed-design experiment); each response's result is exactly that of its own
+walk.
 
 Tie rules are exact (no tolerance): equal criterion values resolve to the
 smaller model, then to the lexicographically smallest index tuple; equal
@@ -179,28 +182,38 @@ def exhaustive_gic(
     dependent). Raises :class:`EnumerationTooLarge` when the subset count
     exceeds the 1e6 budget.
     """
+    if max_size is None:
+        max_size = min(design.p, design.n_effective)
+    return _exhaustive_block(design.x0, [design.y0], r, max_size)[0]
+
+
+def _exhaustive_block(x0: np.ndarray, responses, r: float, max_size: int) -> list:
+    """:func:`exhaustive_gic` for several responses on one design.
+
+    One depth-first walk extends the Gram-Schmidt basis once per node; each
+    response then removes its own squared inner product with the new
+    direction. Every result equals the one-response walk's exactly.
+    """
     if r < 0:
         raise ValueError("penalty r must be nonnegative")
-    p = design.p
-    if max_size is None:
-        max_size = min(p, design.n_effective)
+    n, p = x0.shape
     max_size = min(max_size, p)
     total = _enumeration_size(p, max_size)
     if total > ENUMERATION_BUDGET:
         raise EnumerationTooLarge(f"{total} subsets exceed budget {ENUMERATION_BUDGET}")
 
-    x0, y0 = design.x0, design.y0
-    r_empty = float(y0 @ y0)
-    best_val = r_empty
-    best_key = (0, ())
-    best_rss = r_empty
-    qbasis = np.zeros((design.n, max_size))
+    ys = list(responses)
+    r_empty = [float(y @ y) for y in ys]
+    best_val = list(r_empty)
+    best_key = [(0, ())] * len(ys)
+    best_rss = list(r_empty)
+    qbasis = np.zeros((n, max_size))
     stack = [0] * (max_size + 1)
     evaluated = 1  # empty model
     skipped = 0
 
-    def visit(start: int, depth: int, cur_rss: float):
-        nonlocal best_val, best_key, best_rss, evaluated, skipped
+    def visit(start: int, depth: int, cur_rss: list):
+        nonlocal evaluated, skipped
         if depth == max_size:
             return
         for j in range(start, p):
@@ -215,24 +228,30 @@ def exhaustive_gic(
                 )
                 continue
             qbasis[:, depth] = w / nw
+            q = qbasis[:, depth]
             stack[depth] = j
-            child_rss = max(cur_rss - float(qbasis[:, depth] @ y0) ** 2, 0.0)
             size = depth + 1
-            val = child_rss + r * size
-            evaluated += 1
+            penalty = r * size
             key = (size, tuple(stack[:size]))
-            if val < best_val or (val == best_val and key < best_key):
-                best_val, best_key, best_rss = val, key, child_rss
+            evaluated += 1
+            child_rss = [max(c - float(q @ y) ** 2, 0.0) for c, y in zip(cur_rss, ys)]
+            for k, rss_k in enumerate(child_rss):
+                val = rss_k + penalty
+                if val < best_val[k] or (val == best_val[k] and key < best_key[k]):
+                    best_val[k], best_key[k], best_rss[k] = val, key, rss_k
             visit(j + 1, depth + 1, child_rss)
 
     visit(0, 0, r_empty)
-    return ExhaustiveResult(
-        model=ModelSet.of(best_key[1]),
-        value=best_val,
-        rss=best_rss,
-        evaluated=evaluated,
-        skipped=skipped,
-    )
+    return [
+        ExhaustiveResult(
+            model=ModelSet.of(key[1]),
+            value=val,
+            rss=rss_k,
+            evaluated=evaluated,
+            skipped=skipped,
+        )
+        for key, val, rss_k in zip(best_key, best_val, best_rss)
+    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,13 +12,20 @@ numpy's SeedSequence((master_seed, 1, i)) (index 0 for every replicate in
 fixed-design mode) and the noise stream is SeedSequence((master_seed, 2, i)),
 so any subset of replicates is reproducible in isolation and results are
 independent of the parallelism degree.
+
+A replicate splits into an X side (the design draw, its standardized
+columns, the truth, the noiseless mean and the pivot's per-model
+projections) and a y side (noise, response, centered response). A fixed
+design's X side is built once per block of replicates, and their exhaustive
+searches share one subset-lattice walk; the seed streams, and so every
+record, are exactly those of drawing each replicate on its own.
 """
 
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -33,15 +40,26 @@ from .bounds import (
     theorem1_bounds,
     theorem2_bound,
 )
-from .design import DEGENERATE_RSS, Dataset, ModelSet, Parametrization, standardize
+from .design import (
+    DEGENERATE_RSS,
+    Dataset,
+    ModelSet,
+    Parametrization,
+    StandardizedDesign,
+    _center_response,
+    standardize,
+)
 from .errors import DegenerateSelection, ScreenTooLarge
 from .identify import TruthSpec
 from .lasso import PenaltyPair, default_penalties, event_a
-from .selection import exhaustive_gic, run_os, run_sos
+from .selection import ExhaustiveResult, _exhaustive_block, run_os, run_sos
 
 _DESIGN_STREAM = 1
 _NOISE_STREAM = 2
 _BOUND_GUARD_P = 12  # per-replicate margin/eigenvalue work only below this
+# replicates of a fixed design that share one exhaustive-search walk; bounds
+# the responses held at once and the pivot's cached projections
+_RESPONSE_BLOCK = 128
 
 _DESIGN_KINDS = ("iid_gaussian", "ar1", "duplicated_spurious")
 _BETA_PATTERNS = ("constant", "decaying")
@@ -144,13 +162,19 @@ def _beta_values(config: ScenarioConfig) -> np.ndarray:
     return config.b * config.ratio ** np.arange(config.t)
 
 
-def generate_trial(config: ScenarioConfig, index: int):
-    """Build (dataset, standardized design, truth, noise) for one replicate.
+@dataclass(frozen=True, eq=False)
+class _DesignDraw:
+    """The X side of a replicate: everything drawn from its design stream,
+    and a cache of the pivot's per-model projections."""
 
-    The truth support is the first t entries of a seeded permutation of the
-    base columns; the duplicated_spurious kind appends exact copies of the
-    first spurious base columns, which therefore never enter the truth.
-    """
+    x: np.ndarray
+    mu: np.ndarray
+    noiseless: StandardizedDesign  # the standardized design with y = mu
+    truth: TruthSpec
+    projections: dict = field(default_factory=dict)
+
+
+def _draw_design(config: ScenarioConfig, index: int) -> _DesignDraw:
     rng = _design_rng(config, index)
     base_p = config.p - (config.copies if config.design_kind == "duplicated_spurious" else 0)
     x = rng.standard_normal((config.n, base_p))
@@ -163,11 +187,28 @@ def generate_trial(config: ScenarioConfig, index: int):
         x = np.hstack([x, x[:, spurious[: config.copies]]])
     beta = _beta_values(config)
     mu = x[:, support] @ beta
+    noiseless = standardize(Dataset(x=x, y=mu), config.mode)
+    truth = TruthSpec.from_beta(noiseless, support, beta, sigma2=config.sigma2)
+    return _DesignDraw(x=x, mu=mu, noiseless=noiseless, truth=truth)
+
+
+def _draw_response(config: ScenarioConfig, draw: _DesignDraw, index: int):
+    """The y side of replicate ``index`` on its design ``draw``: (dataset,
+    standardized design, truth, noise)."""
     eps = _noise_rng(config, index).standard_normal(config.n) * math.sqrt(config.sigma2)
-    dataset = Dataset(x=x, y=mu + eps)
-    design = standardize(dataset, config.mode)
-    truth = TruthSpec.from_beta(design, support, beta, sigma2=config.sigma2)
-    return dataset, design, truth, eps
+    dataset = Dataset(x=draw.x, y=draw.mu + eps)
+    y0 = _center_response(dataset.y, draw.noiseless.mode)
+    return dataset, replace(draw.noiseless, y0=y0), draw.truth, eps
+
+
+def generate_trial(config: ScenarioConfig, index: int):
+    """Build (dataset, standardized design, truth, noise) for one replicate.
+
+    The truth support is the first t entries of a seeded permutation of the
+    base columns; the duplicated_spurious kind appends exact copies of the
+    first spurious base columns, which therefore never enter the truth.
+    """
+    return _draw_response(config, _draw_design(config, index), index)
 
 
 @dataclass(frozen=True)
@@ -248,33 +289,61 @@ def _order_correct(sequence, true_set) -> bool:
     return True
 
 
-def _f_stat(dataset: Dataset, mode: str, model: ModelSet, mu: np.ndarray):
+def _f_stat(draw: _DesignDraw, y: np.ndarray, mode: str, model: ModelSet):
     """Post-selection pivot: (distance of the fit from the projected truth
     per model dimension) over (residual mean square). None when the model is
     empty, saturated, or the residual is numerically zero."""
-    n = dataset.n
-    cols = [dataset.x[:, j] for j in model.indices]
-    if Parametrization.parse(mode) is Parametrization.PRACTICAL:
-        cols = [np.ones(n)] + cols
-    d = len(cols)
-    if len(model) == 0 or d == 0 or d >= n:
+    n = len(y)
+    practical = Parametrization.parse(mode) is Parametrization.PRACTICAL
+    d = len(model) + (1 if practical else 0)
+    if len(model) == 0 or d >= n:
         return None
-    a = np.column_stack(cols)
-    qmat, _ = np.linalg.qr(a)
-    fit = qmat @ (qmat.T @ dataset.y)
-    target = qmat @ (qmat.T @ mu)
-    rss = float(np.sum((dataset.y - fit) ** 2))
+    if model not in draw.projections:
+        cols = [draw.x[:, j] for j in model.indices]
+        if practical:
+            cols = [np.ones(n)] + cols
+        qmat, _ = np.linalg.qr(np.column_stack(cols))
+        draw.projections[model] = (qmat, qmat @ (qmat.T @ draw.mu))
+    qmat, target = draw.projections[model]
+    fit = qmat @ (qmat.T @ y)
+    rss = float(np.sum((y - fit) ** 2))
     if rss <= DEGENERATE_RSS:
         return None
     num = float(np.sum((fit - target) ** 2)) / d
     return num / (rss / (n - d))
 
 
-def _single_trial(config: ScenarioConfig, index: int, penalties: PenaltyPair, want_bounds: bool):
-    dataset, design, truth, eps = generate_trial(config, index)
+def _response_blocks(config: ScenarioConfig, lo: int, hi: int):
+    """Replicates ``lo..hi-1`` in blocks that share one design draw, as
+    ``(draw, [(index, trial), ...])``. A fixed design is drawn once and its
+    replicates come ``_RESPONSE_BLOCK`` at a time, each block with its own
+    projection cache; a fresh design per replicate makes blocks of one.
+    Callers drop a block before asking for the next, so at most one fresh
+    design is held at a time."""
+    shared = _draw_design(config, 0) if config.fixed_design else None
+    step = _RESPONSE_BLOCK if config.fixed_design else 1
+    for start in range(lo, hi, step):
+        if shared is None:
+            draw = _draw_design(config, start)
+        else:
+            draw = replace(shared, projections={})
+        stop = min(start + step, hi)
+        yield draw, [(i, _draw_response(config, draw, i)) for i in range(start, stop)]
+        del draw
+
+
+def _single_trial(
+    config: ScenarioConfig,
+    draw: _DesignDraw,
+    index: int,
+    trial: tuple,
+    best: "ExhaustiveResult | None",
+    penalties: PenaltyPair,
+    want_bounds: bool,
+):
+    dataset, design, truth, eps = trial
     true_set = set(truth.support.indices)
     t = truth.t
-    mu = dataset.x[:, list(truth.support.indices)] @ truth.beta_star
 
     screen_ok = True
     order_ok = False
@@ -304,13 +373,8 @@ def _single_trial(config: ScenarioConfig, index: int, penalties: PenaltyPair, wa
 
     witness = event_a(design, eps, penalties.r_l)
 
-    exhaustive_exact = None
-    if config.compare_exhaustive:
-        limit = min(config.p, design.n_effective - 1)
-        best = exhaustive_gic(design, penalties.r, max_size=limit)
-        exhaustive_exact = best.model == truth.support
-
-    f_val = _f_stat(dataset, config.mode, selected, mu)
+    exhaustive_exact = None if best is None else best.model == truth.support
+    f_val = _f_stat(draw, dataset.y, config.mode, selected)
 
     record = TrialRecord(
         index=index,
@@ -374,7 +438,19 @@ def _worst_bounds(blobs) -> "dict | None":
 def _run_block(config_blob: dict, lo: int, hi: int, want_bounds: bool):
     config = ScenarioConfig.from_json_dict(config_blob)
     penalties = config.penalties()
-    return [_single_trial(config, i, penalties, want_bounds) for i in range(lo, hi)]
+    pairs = []
+    for draw, trials in _response_blocks(config, lo, hi):
+        bests = [None] * len(trials)
+        if config.compare_exhaustive:
+            limit = min(config.p, draw.noiseless.n_effective - 1)
+            responses = [trial[1].y0 for _, trial in trials]
+            bests = _exhaustive_block(draw.noiseless.x0, responses, penalties.r, limit)
+        pairs += [
+            _single_trial(config, draw, i, trial, best, penalties, want_bounds)
+            for (i, trial), best in zip(trials, bests)
+        ]
+        del draw, trials
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -539,16 +615,12 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
     if config.n - d < 1:
         raise ValueError("reference needs n larger than the model dimension")
     if oracle:
-        f_vals = []
-        degenerate = 0
-        for i in range(config.replicates):
-            dataset, _, truth, _ = generate_trial(config, i)
-            mu = dataset.x[:, list(truth.support.indices)] @ truth.beta_star
-            val = _f_stat(dataset, config.mode, truth.support, mu)
-            if val is None:
-                degenerate += 1
-            else:
-                f_vals.append(val)
+        vals = []
+        for draw, trials in _response_blocks(config, 0, config.replicates):
+            vals += [_f_stat(draw, ds.y, config.mode, tr.support) for _, (ds, _, tr, _) in trials]
+            del draw, trials
+        f_vals = [v for v in vals if v is not None]
+        degenerate = len(vals) - len(f_vals)
         if not f_vals:
             raise DegenerateSelection("every replicate was degenerate")
         ref = scipy.stats.f(d, config.n - d)
@@ -616,8 +688,3 @@ def persist(summary: ExperimentSummary, out_dir) -> dict:
         )
         fh.write("\n")
     return {k: str(v) for k, v in paths.items()}
-
-
-def load_summary(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

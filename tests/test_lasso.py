@@ -20,11 +20,16 @@ from sosselect.lasso import (
     default_penalties,
     event_a,
     kkt_gap,
-    lasso_objective,
     screen,
     solve_lasso,
     verify_oracle_inequalities,
 )
+
+
+def lasso_objective(design, theta, r_l):
+    """||y0 - X0 theta||^2 + 2 r_l |theta|_1, the objective every solver here minimizes."""
+    resid = design.y0 - design.x0 @ theta
+    return float(resid @ resid) + 2.0 * r_l * float(np.sum(np.abs(theta)))
 
 
 def oracle_prox_gradient(design, r_l, iters=8000):

@@ -21,6 +21,7 @@ from sosselect.errors import (
 from sosselect.lasso import PenaltyPair, default_penalties
 from sosselect.selection import (
     Ordering,
+    _exhaustive_block,
     exhaustive_gic,
     gic_path,
     order_by_t,
@@ -203,6 +204,29 @@ def test_exhaustive_tie_rules():
     # penalty exactly 1.0 ties every subset with the empty model
     res2 = exhaustive_gic(d, 1.0)
     assert res2.model == ModelSet.empty()
+
+
+@pytest.mark.parametrize("max_size", [None, 2])
+@pytest.mark.parametrize("responses", [1, 7])
+def test_exhaustive_block_rows_equal_separate_searches(max_size, responses):
+    rng = np.random.default_rng(66)
+    x = rng.standard_normal((18, 5))
+    x = np.hstack([x, x[:, 1:2]])  # column 5 duplicates column 1: subtrees skipped
+    ys = rng.standard_normal((responses, 18)) + 0.8 * x[:, 1]
+    ys[0] = x[:, 0] + x[:, 2]  # noiseless on {0, 2}: the rss clamps at 0.0
+    designs = [standardize(Dataset(x=x, y=y), "practical") for y in ys]
+    limit = min(6, designs[0].n_effective) if max_size is None else max_size
+    block = _exhaustive_block(designs[0].x0, [d.y0 for d in designs], 0.7, limit)
+    assert len(block) == responses
+    for d, got in zip(designs, block):
+        want = exhaustive_gic(d, 0.7, max_size)
+        assert got.model == want.model
+        assert got.value == want.value and got.rss == want.rss
+        assert got.evaluated == want.evaluated and got.skipped == want.skipped
+        assert got.skipped > 0
+    if responses > 1 and max_size is None:
+        # {1} and {5} tie exactly; the rule keeps the smaller index
+        assert block[3].model == ModelSet.of([1])
 
 
 def test_exhaustive_huge_penalty_gives_empty_model():

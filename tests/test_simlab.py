@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from sosselect import simlab
 from sosselect.errors import DegenerateSelection
 from sosselect.simlab import (
     ExperimentSummary,
@@ -17,11 +18,15 @@ from sosselect.simlab import (
     _tsv_cell,
     f_pivot_check,
     generate_trial,
-    load_summary,
     persist,
     pivot_dimension,
     run_experiment,
 )
+
+
+def load_summary(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def strong_config(**over):
@@ -205,6 +210,70 @@ def test_jobs_do_not_change_results():
     one.pop("meta")
     three.pop("meta")
     assert one == three
+
+
+def exhaustive_race_config(**over):
+    base = dict(
+        n=30, p=6, t=1, b=3.0, sigma2=1.0, algorithm="os", compare_exhaustive=True,
+        penalty_rule="explicit", r=2.0, r_l=2.0 * math.sqrt(2.0),
+        replicates=23, master_seed=37, fixed_design=True,
+    )
+    base.update(over)
+    return ScenarioConfig(**base)
+
+
+def test_jobs_and_block_size_do_not_change_fixed_design_races(monkeypatch):
+    cfg = exhaustive_race_config()
+    one = run_experiment(cfg, jobs=1)
+    three = run_experiment(cfg, jobs=3)
+    monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", 5)
+    small_blocks = run_experiment(cfg, jobs=1)
+    blobs = [s.to_json_dict() for s in (one, three, small_blocks)]
+    for blob in blobs:
+        blob.pop("meta")
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert one.records == three.records == small_blocks.records
+    assert {r.exhaustive_exact for r in one.records} == {True, False}
+
+
+def test_engine_replicates_equal_generate_trial(monkeypatch):
+    cfg = exhaustive_race_config(replicates=9, mode="formal")
+    seen = {}
+    inner = simlab._single_trial
+
+    def spy(config, draw, index, trial, *rest):
+        seen[index] = trial
+        return inner(config, draw, index, trial, *rest)
+
+    monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", 4)
+    monkeypatch.setattr(simlab, "_single_trial", spy)
+    run_experiment(cfg)
+    assert sorted(seen) == list(range(9))
+    for i, (_, design, truth, eps) in seen.items():
+        _, want, want_truth, want_eps = generate_trial(cfg, i)
+        for attr in ("x0", "y0", "scales"):
+            assert np.array_equal(getattr(design, attr), getattr(want, attr))
+        assert np.array_equal(truth.theta_star, want_truth.theta_star)
+        assert np.array_equal(eps, want_eps)
+
+
+@pytest.mark.parametrize("compare_exhaustive", [False, True])
+def test_fixed_design_is_standardized_once_per_experiment(monkeypatch, compare_exhaustive):
+    calls = []
+    inner = simlab.standardize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(simlab, "standardize", counted)
+    counts = []
+    for reps in (4, 40):
+        calls.clear()
+        run_experiment(exhaustive_race_config(replicates=reps, compare_exhaustive=compare_exhaustive))
+        counts.append(len(calls))
+    # one design draw plus one for the bound ledger, whatever the replicate count
+    assert counts == [2, 2]
 
 
 def test_rerun_is_bit_identical_except_meta(tmp_path):
