@@ -5,7 +5,6 @@ Carlo lab."""
 from .bounds import (
     BoundInput,
     BoundResult,
-    alternate_constants,
     bound_input_from_design,
     chi2_tail_sandwich,
     corollary_bounds,
@@ -22,7 +21,6 @@ from .design import (
     Parametrization,
     StandardizedDesign,
     ls_fit,
-    projection_link_check,
     rss,
     span_basis,
     standardize,

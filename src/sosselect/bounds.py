@@ -18,16 +18,6 @@ C1_CONST = 1.0 / (3.0 + 6.0 * math.sqrt(2.0))  # ~0.08713
 C2_CONST = 1.0 / (6.0 + 4.0 * math.sqrt(2.0))  # ~0.08579
 
 
-def alternate_constants():
-    """Exchanged assignment of the two constants.
-
-    The pair also circulates with the two values swapped; the evaluators
-    here always use C1_CONST/C2_CONST as defined above, and this helper is
-    kept only for sensitivity checks against the other convention.
-    """
-    return {"c1": C2_CONST, "c2": C1_CONST}
-
-
 def chi2_tail_sandwich(k, x):
     """Two-sided bracket (lower, upper) for P(W >= x), W chi-square with k df.
 

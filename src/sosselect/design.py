@@ -14,8 +14,7 @@ Coefficients live on two scales. ``theta`` denotes coefficients of the
 standardized columns, ``beta = theta / scales`` the coefficients of the raw
 columns. Residual sums of squares of a model are always computed on the
 standardized data; for any column subset they agree with the residual of the
-corresponding raw-data fit (with intercept, in practical mode), which is the
-link checked by :func:`projection_link_check`.
+corresponding raw-data fit (with intercept, in practical mode).
 
 The least-squares primitives share one factorization, :func:`_factor`: a
 single column-pivoted thin QR of the relevant columns, which gives the
@@ -398,35 +397,3 @@ def ls_fit(design: StandardizedDesign, model, *, allow_degenerate: bool = False)
         t2 = theta * theta / (unit_var * (rss_val / df))
     beta = theta / design.scales[list(model.indices)]
     return LsFit(model, theta, beta, rss_val, df, t2)
-
-
-def projection_link_check(design: StandardizedDesign, model, *, tol: float = 1e-8) -> bool:
-    """Verify that standardized-scale residuals match raw-scale residuals.
-
-    For 16 fixed pseudo-random probe vectors v, compares (a) the residual of
-    v after projecting onto the raw fitting span (intercept column plus the
-    model's columns in practical mode; just the columns in formal mode)
-    against (b) the mode's centering of v followed by projection onto the
-    standardized columns. Both must agree to ``tol`` relative per probe.
-    """
-    model = ModelSet.of(model)
-    _check_indices(design, model)
-    cols = design.columns(model)
-    qb = span_basis(cols)
-    if qb.shape[1] < len(model):
-        raise RankDeficient(model)
-    rng = np.random.default_rng(314159)
-    probes = rng.standard_normal((design.n, 16))
-
-    if design.mode is Parametrization.PRACTICAL:
-        raw_span = np.hstack([np.ones((design.n, 1)), cols])
-        centered = probes - probes.mean(axis=0)
-    else:
-        raw_span = cols
-        centered = probes
-    qa = span_basis(raw_span)
-    res_a = probes - qa @ (qa.T @ probes)
-    res_b = centered - qb @ (qb.T @ centered)
-    norms = np.linalg.norm(probes, axis=0)
-    gaps = np.linalg.norm(res_a - res_b, axis=0)
-    return bool(np.all(gaps <= tol * norms))

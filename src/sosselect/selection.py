@@ -16,7 +16,10 @@ walk.
 
 Tie rules are exact (no tolerance): equal criterion values resolve to the
 smaller model, then to the lexicographically smallest index tuple; equal
-t-statistics order by ascending column index.
+t-statistics order by ascending column index. They act on computed values:
+subsets with the same span in exact arithmetic (one holds a copy of a column
+of the other) can differ in the last bits of their RSS, and then need not
+resolve lexicographically.
 """
 
 from __future__ import annotations

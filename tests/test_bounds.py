@@ -12,7 +12,6 @@ from sosselect.bounds import (
     C2_CONST,
     a_below_one_minus_c1,
     a_below_two_c2,
-    alternate_constants,
     beta_min_margin,
     bound_input_from_design,
     chi2_tail_sandwich,
@@ -39,6 +38,12 @@ from sosselect.design import Dataset, ModelSet, standardize
 from sosselect.errors import DomainError
 from sosselect.identify import TruthSpec
 from sosselect.lasso import PenaltyPair, default_penalties
+
+
+def alternate_constants():
+    """The two constants with their values exchanged, the other convention
+    in circulation; the evaluators always use C1_CONST/C2_CONST."""
+    return {"c1": C2_CONST, "c2": C1_CONST}
 
 
 def make_input(**over):

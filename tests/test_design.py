@@ -16,8 +16,8 @@ from sosselect.design import (
     ModelSet,
     Parametrization,
     ls_fit,
-    projection_link_check,
     rss,
+    span_basis,
     standardize,
 )
 from sosselect.errors import (
@@ -53,6 +53,32 @@ def oracle_raw_rss(data, indices, mode):
     coef, *_ = np.linalg.lstsq(a, data.y, rcond=None)
     resid = data.y - a @ coef
     return float(resid @ resid)
+
+
+def projection_link_check(design, model, *, tol=1e-8):
+    """Standardized-scale residuals match raw-scale residuals.
+
+    For 16 fixed pseudo-random probe vectors v, compares (a) the residual of
+    v after projecting onto the raw fitting span (intercept column plus the
+    model's columns in practical mode; just the columns in formal mode)
+    against (b) the mode's centering of v followed by projection onto the
+    standardized columns. Both must agree to ``tol`` relative per probe.
+    """
+    cols = design.columns(model)
+    qb = span_basis(cols)
+    assert qb.shape[1] == len(model)
+    probes = np.random.default_rng(314159).standard_normal((design.n, 16))
+    if design.mode is Parametrization.PRACTICAL:
+        raw_span = np.hstack([np.ones((design.n, 1)), cols])
+        centered = probes - probes.mean(axis=0)
+    else:
+        raw_span = cols
+        centered = probes
+    qa = span_basis(raw_span)
+    res_a = probes - qa @ (qa.T @ probes)
+    res_b = centered - qb @ (qb.T @ centered)
+    gaps = np.linalg.norm(res_a - res_b, axis=0)
+    return bool(np.all(gaps <= tol * np.linalg.norm(probes, axis=0)))
 
 
 def random_dataset(rng, n, p):

@@ -54,6 +54,28 @@ def oracle_prox_gradient(design, r_l, iters=8000):
     return best[1], best[0]
 
 
+def full_sweep_lasso(design, r_l, *, tol=1e-8, max_iter=10_000, theta0=None):
+    """Coordinate descent that visits every coordinate on every sweep, the
+    loop ``solve_lasso`` must reproduce bit for bit; returns
+    (theta, sweeps, gap)."""
+    x0, y0 = design.x0, design.y0
+    theta = np.zeros(design.p) if theta0 is None else np.asarray(theta0, dtype=float).copy()
+    resid = y0 - x0 @ theta
+    gap = kkt_gap(design, theta, r_l)
+    sweeps = 0
+    while gap > tol and sweeps < max_iter:
+        for j in range(design.p):
+            old = theta[j]
+            z = old + x0[:, j] @ resid
+            new = math.copysign(max(abs(z) - r_l, 0.0), z)
+            if new != old:
+                resid += x0[:, j] * (old - new)
+                theta[j] = new
+        sweeps += 1
+        gap = kkt_gap(design, theta, r_l)
+    return theta, sweeps, gap
+
+
 def orthonormal_design(rng, n, p, y=None):
     q = np.linalg.qr(rng.standard_normal((n, p)))[0]
     y = rng.standard_normal(n) if y is None else y
@@ -131,6 +153,82 @@ def test_warm_start_and_unconverged_flag():
     assert polished.converged
     with pytest.raises(NotConverged):
         screen(rough)
+
+
+def _skip_case(name):
+    """(design, r_l, solver keywords) for one case of the skip-rule check."""
+    if name == "drifting-residual":
+        # Orthonormal columns, x_j' y0 just below r_l for all but the last,
+        # and a huge warm start on the last: it returns to zero in the first
+        # sweep, leaving rounding of order 0.01 in the running residual, so
+        # later sweeps see zero coordinates cross r_l that the gradient of
+        # the recomputed residual keeps below it.
+        q = np.linalg.qr(np.random.default_rng(2).standard_normal((40, 12)))[0]
+        c = np.full(12, 0.995)
+        c[-1] = 0.0
+        huge = np.zeros(12)
+        huge[-1] = 1e15
+        d = standardize(Dataset(x=q, y=q @ c), "formal")
+        return d, 1.0, {"theta0": huge, "max_iter": 6, "tol": 0.0}
+    rng = np.random.default_rng(45)
+    n, p = (60, 400) if name.startswith("wide") else (30, 12)
+    x = rng.standard_normal((n, p))
+    if name == "duplicate":
+        x[:, 11] = x[:, 3]  # exact copy: ties between two columns
+    beta = np.zeros(p)
+    beta[:4] = [3.0, -2.5, 2.0, 1.5]
+    d = standardize(Dataset(x=x, y=x @ beta + rng.standard_normal(n)), "practical")
+    corr = float(np.max(np.abs(d.x0.T @ d.y0)))
+    warm = np.where(rng.random(p) < 0.2, 2.0 * rng.standard_normal(p), 0.0)
+    if name == "wide":
+        return d, default_penalties(n, p, 1.0, 0.5).r_l, {}
+    if name == "wide-small-penalty":
+        return d, 1.0, {}
+    if name == "wide-one-sweep":
+        return d, 1.0, {"max_iter": 1, "tol": 0.0}
+    if name == "wide-zero-penalty":
+        return d, 0.0, {"max_iter": 4, "tol": 0.0}
+    if name == "wide-warm-start":  # warm entries off the support must return to zero
+        return d, 2.0, {"theta0": warm}
+    if name == "wide-huge-warm-start":  # resid keeps rounding far above eta
+        huge = np.zeros(p)
+        huge[[7, 200]] = [1e15, -3e14]
+        return d, 2.0, {"theta0": huge, "max_iter": 25}
+    if name == "wide-above-every-correlation":
+        return d, 1.01 * corr, {"theta0": warm}
+    if name == "wide-at-max-correlation":
+        return d, corr, {"theta0": warm}
+    if name == "duplicate":
+        return d, 0.3, {"theta0": warm}
+    if name == "zero-penalty":
+        return d, 0.0, {"tol": 1e-12}
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "wide",
+        "wide-small-penalty",
+        "wide-one-sweep",
+        "wide-zero-penalty",
+        "wide-warm-start",
+        "wide-huge-warm-start",
+        "drifting-residual",
+        "wide-above-every-correlation",
+        "wide-at-max-correlation",
+        "duplicate",
+        "zero-penalty",
+    ],
+)
+def test_skipping_sweeps_equal_full_sweeps(name):
+    d, r_l, kw = _skip_case(name)
+    fit = solve_lasso(d, r_l, **kw)
+    theta, sweeps, gap = full_sweep_lasso(d, r_l, **kw)
+    assert fit.theta_hat.tobytes() == theta.tobytes()
+    assert fit.iterations == sweeps
+    assert repr(fit.kkt_gap) == repr(gap)
+    assert fit.converged == (gap <= kw.get("tol", 1e-8))
 
 
 def test_default_penalties_corollary_coupling():
