@@ -21,13 +21,21 @@ single column-pivoted thin QR of the relevant columns, which gives the
 numerical rank, the orthonormal basis of the span and the triangular factor
 for coefficients at once. :func:`rss`, :func:`ls_fit`, :func:`span_basis`,
 the greedy path in ``selection`` and the margins in ``identify`` all use it.
+
+Designs sharing their columns (one fixed-design block in ``simlab``) may share
+a :class:`FactorCache` of that X-side work. ``rss`` and ``ls_fit`` key it on
+the sorted model (``q``, ``r``, ``perm``, the diagonal of (X'X)^{-1}, the
+scales slice); ``gic_path`` on the ordered sequence, as pivoting depends on
+column order. A hit returns the very arrays a fresh factorization computes, so
+results are byte-identical; a raise is never stored. A cache serves only the
+``x0`` and ``scales`` arrays it was made for; ``standardize`` attaches none.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -219,12 +227,14 @@ class StandardizedDesign:
     scales : ndarray, shape (p,)
         Norms of the (centered) raw columns; ``beta = theta / scales``.
     mode : Parametrization
+    factors : FactorCache or None
     """
 
     x0: np.ndarray
     y0: np.ndarray
     scales: np.ndarray
     mode: Parametrization
+    factors: "FactorCache | None" = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -316,6 +326,39 @@ def _full_rank_factor(cols: np.ndarray, model: ModelSet):
     return q, r, perm
 
 
+class FactorCache(dict):
+    """X-side least-squares work on one design's ``x0`` and ``scales``."""
+
+    def __init__(self, design: StandardizedDesign):
+        super().__init__()
+        self.x0, self.scales = design.x0, design.scales
+
+
+def _cached(design: StandardizedDesign, key, build):
+    """``build()``, kept under ``key`` in the design's cache if that cache
+    was made for this very ``x0`` and ``scales``."""
+    cache = design.factors
+    if cache is None or cache.x0 is not design.x0 or cache.scales is not design.scales:
+        return build()
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _ls_factors(design: StandardizedDesign, model: ModelSet):
+    """``q, r, perm``, the diagonal of (X'X)^{-1} and the scales of a
+    non-empty model."""
+
+    def build():
+        q, r, perm = _full_rank_factor(design.columns(model), model)
+        rinv = scipy.linalg.solve_triangular(r, np.eye(len(model)))
+        unit_var = np.empty(len(model))
+        unit_var[perm] = np.sum(rinv * rinv, axis=1)
+        return q, r, perm, unit_var, design.scales[list(model.indices)]
+
+    return _cached(design, ("ls", model.indices), build)
+
+
 def rss(design: StandardizedDesign, model) -> float:
     """Residual sum of squares of the least-squares fit on ``model``.
 
@@ -326,7 +369,7 @@ def rss(design: StandardizedDesign, model) -> float:
     _check_indices(design, model)
     if not model:
         return float(design.y0 @ design.y0)
-    q = _full_rank_factor(design.columns(model), model)[0]
+    q = _ls_factors(design, model)[0]
     resid = design.y0 - q @ (q.T @ design.y0)
     return float(resid @ resid)
 
@@ -379,7 +422,7 @@ def ls_fit(design: StandardizedDesign, model, *, allow_degenerate: bool = False)
     if k == 0:
         r0 = float(design.y0 @ design.y0)
         return LsFit(model, np.zeros(0), np.zeros(0), r0, n_eff, np.zeros(0))
-    q, rmat, perm = _full_rank_factor(design.columns(model), model)
+    q, rmat, perm, unit_var, scales = _ls_factors(design, model)
     qty = q.T @ design.y0
     theta = np.empty(k)
     theta[perm] = scipy.linalg.solve_triangular(rmat, qty)
@@ -391,9 +434,5 @@ def ls_fit(design: StandardizedDesign, model, *, allow_degenerate: bool = False)
             raise DegenerateResidual(f"rss={rss_val:.3e} on model {tuple(model)}")
         t2 = None
     else:
-        rinv = scipy.linalg.solve_triangular(rmat, np.eye(k))
-        unit_var = np.empty(k)
-        unit_var[perm] = np.sum(rinv * rinv, axis=1)  # diag of (X'X)^{-1}
         t2 = theta * theta / (unit_var * (rss_val / df))
-    beta = theta / design.scales[list(model.indices)]
-    return LsFit(model, theta, beta, rss_val, df, t2)
+    return LsFit(model, theta, theta / scales, rss_val, df, t2)

@@ -34,6 +34,7 @@ from .design import (
     ModelSet,
     Parametrization,
     StandardizedDesign,
+    _cached,
     _full_rank_factor,
     ls_fit,
     rss,
@@ -139,11 +140,15 @@ def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPat
         raise ValueError("ordering contains repeated indices")
     if model.indices[-1] >= design.p:
         raise ValueError("ordering index out of range")
-    # a rank-deficient prefix would contribute a spurious ~0 direction
-    q, rmat, perm = _full_rank_factor(design.x0[:, seq], model)
-    # R back in the ordering, re-triangularized: its Q turns q into the
-    # orthonormal prefix directions
-    q2 = np.linalg.qr(rmat[:, np.argsort(perm)])[0]
+
+    def build():
+        # a rank-deficient prefix would contribute a spurious ~0 direction
+        q, rmat, perm = _full_rank_factor(design.x0[:, seq], model)
+        # R back in the ordering, re-triangularized: its Q turns q into the
+        # orthonormal prefix directions
+        return q, np.linalg.qr(rmat[:, np.argsort(perm)])[0]
+
+    q, q2 = _cached(design, ("path", tuple(seq)), build)
     contrib = (q2.T @ (q.T @ design.y0)) ** 2
     rss_path = np.maximum(r_empty - np.concatenate([[0.0], np.cumsum(contrib)]), 0.0)
     values = rss_path + r * np.arange(len(seq) + 1)

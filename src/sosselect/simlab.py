@@ -14,18 +14,21 @@ so any subset of replicates is reproducible in isolation and results are
 independent of the parallelism degree.
 
 A replicate splits into an X side (the design draw, its standardized
-columns, the truth, the noiseless mean and the pivot's per-model
-projections) and a y side (noise, response, centered response). A fixed
-design's X side is built once per block of replicates, and their exhaustive
-searches share one subset-lattice walk; the seed streams, and so every
-record, are exactly those of drawing each replicate on its own.
+columns, the truth and the noiseless mean) and a y side (noise, response,
+centered response). A fixed design's X side is built once per block of
+replicates, and their exhaustive searches share one subset-lattice walk; the
+seed streams, and so every record, are exactly those of drawing each
+replicate on its own. Each block's designs share one ``design.FactorCache``,
+so the least-squares factors of each screened set, ordering and refit and the
+pivot's per-model projections are computed once per block (byte-identically,
+see ``design``); the cache dies with the block.
 """
 
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -43,9 +46,11 @@ from .bounds import (
 from .design import (
     DEGENERATE_RSS,
     Dataset,
+    FactorCache,
     ModelSet,
     Parametrization,
     StandardizedDesign,
+    _cached,
     _center_response,
     standardize,
 )
@@ -57,8 +62,9 @@ from .selection import ExhaustiveResult, _exhaustive_block, run_os, run_sos
 _DESIGN_STREAM = 1
 _NOISE_STREAM = 2
 _BOUND_GUARD_P = 12  # per-replicate margin/eigenvalue work only below this
-# replicates of a fixed design that share one exhaustive-search walk; bounds
-# the responses held at once and the pivot's cached projections
+# replicates of a fixed design that share one exhaustive-search walk and one
+# factor cache; bounds the responses held at once and the cache (at most 4
+# entries per replicate: screened set, ordering, refit, pivot)
 _RESPONSE_BLOCK = 128
 
 _DESIGN_KINDS = ("iid_gaussian", "ar1", "duplicated_spurious")
@@ -164,14 +170,12 @@ def _beta_values(config: ScenarioConfig) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _DesignDraw:
-    """The X side of a replicate: everything drawn from its design stream,
-    and a cache of the pivot's per-model projections."""
+    """The X side of a replicate: everything drawn from its design stream."""
 
     x: np.ndarray
     mu: np.ndarray
     noiseless: StandardizedDesign  # the standardized design with y = mu
     truth: TruthSpec
-    projections: dict = field(default_factory=dict)
 
 
 def _draw_design(config: ScenarioConfig, index: int) -> _DesignDraw:
@@ -244,36 +248,10 @@ class TrialRecord:
         return "exact"
 
     def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "screen_ok": self.screen_ok,
-            "order_ok": self.order_ok,
-            "underfit": self.underfit,
-            "overfit": self.overfit,
-            "exact": self.exact,
-            "recovered": self.recovered,
-            "event_a": self.event_a,
-            "selected": list(self.selected),
-            "exhaustive_exact": self.exhaustive_exact,
-            "f_stat": self.f_stat,
-        }
+        return {**asdict(self), "selected": list(self.selected)}
 
 
-_TSV_COLUMNS = (
-    "index",
-    "seed",
-    "screen_ok",
-    "order_ok",
-    "underfit",
-    "overfit",
-    "exact",
-    "recovered",
-    "event_a",
-    "selected",
-    "exhaustive_exact",
-    "f_stat",
-)
+_TSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
 def _order_correct(sequence, true_set) -> bool:
@@ -298,13 +276,15 @@ def _f_stat(draw: _DesignDraw, y: np.ndarray, mode: str, model: ModelSet):
     d = len(model) + (1 if practical else 0)
     if len(model) == 0 or d >= n:
         return None
-    if model not in draw.projections:
+
+    def build():
         cols = [draw.x[:, j] for j in model.indices]
         if practical:
             cols = [np.ones(n)] + cols
         qmat, _ = np.linalg.qr(np.column_stack(cols))
-        draw.projections[model] = (qmat, qmat @ (qmat.T @ draw.mu))
-    qmat, target = draw.projections[model]
+        return qmat, qmat @ (qmat.T @ draw.mu)
+
+    qmat, target = _cached(draw.noiseless, ("pivot", model.indices), build)
     fit = qmat @ (qmat.T @ y)
     rss = float(np.sum((y - fit) ** 2))
     if rss <= DEGENERATE_RSS:
@@ -316,20 +296,19 @@ def _f_stat(draw: _DesignDraw, y: np.ndarray, mode: str, model: ModelSet):
 def _response_blocks(config: ScenarioConfig, lo: int, hi: int):
     """Replicates ``lo..hi-1`` in blocks that share one design draw, as
     ``(draw, [(index, trial), ...])``. A fixed design is drawn once and its
-    replicates come ``_RESPONSE_BLOCK`` at a time, each block with its own
-    projection cache; a fresh design per replicate makes blocks of one.
+    replicates come ``_RESPONSE_BLOCK`` at a time; a fresh design per
+    replicate makes blocks of one. Each block has its own factor cache.
     Callers drop a block before asking for the next, so at most one fresh
-    design is held at a time."""
+    design and one cache are held at a time."""
     shared = _draw_design(config, 0) if config.fixed_design else None
     step = _RESPONSE_BLOCK if config.fixed_design else 1
     for start in range(lo, hi, step):
-        if shared is None:
-            draw = _draw_design(config, start)
-        else:
-            draw = replace(shared, projections={})
+        draw = shared if shared is not None else _draw_design(config, start)
+        cached = replace(draw.noiseless, factors=FactorCache(draw.noiseless))
+        draw = replace(draw, noiseless=cached)
         stop = min(start + step, hi)
         yield draw, [(i, _draw_response(config, draw, i)) for i in range(start, stop)]
-        del draw
+        del draw, cached
 
 
 def _single_trial(
@@ -676,9 +655,7 @@ def persist(summary: ExperimentSummary, out_dir) -> dict:
     with open(paths["trials"], "w") as fh:
         fh.write("\t".join(_TSV_COLUMNS) + "\n")
         for rec in summary.records:
-            blob = rec.to_json_dict()
-            blob["selected"] = rec.selected
-            fh.write("\t".join(_tsv_cell(blob[c]) for c in _TSV_COLUMNS) + "\n")
+            fh.write("\t".join(_tsv_cell(getattr(rec, c)) for c in _TSV_COLUMNS) + "\n")
     with open(paths["bounds"], "w") as fh:
         json.dump(
             summary.bound_ledger if summary.bound_ledger is not None else {"checked": False},

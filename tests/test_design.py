@@ -5,6 +5,8 @@ projection matrices for RSS, and raw-scale lstsq fits (with an intercept
 column in practical mode) for the residual-link identity.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from sosselect.design import (
     Dataset,
+    FactorCache,
     LsFit,
     ModelSet,
     Parametrization,
@@ -257,6 +260,81 @@ def test_ls_fit_too_many_predictors():
     d = standardize(random_dataset(rng, 5, 4), "practical")  # n_effective = 4
     with pytest.raises(TooManyPredictors):
         ls_fit(d, ModelSet.of([0, 1, 2, 3]))
+
+
+# ------------------------------------------------------------ factor cache
+
+
+def fit_fields(fit):
+    """Every field of an LsFit, arrays as bytes and floats by repr."""
+    t2 = None if fit.t_squared is None else fit.t_squared.tobytes()
+    return (
+        fit.model, fit.theta_hat.tobytes(), fit.beta_hat.tobytes(), repr(fit.rss), fit.df_resid, t2
+    )
+
+
+def outcome(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except (RankDeficient, DegenerateResidual) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+def test_factor_cache_hits_are_byte_identical(mode):
+    rng = np.random.default_rng(24)
+    n = 12
+    x = rng.standard_normal((n, 13))
+    x[:, 12] = x[:, 5]  # exact duplicate column
+    # the second response lies in the span of columns 1 and 2: ~0 residual
+    responses = [rng.standard_normal(n), x[:, [1, 2]] @ np.array([1.5, -2.0])]
+    base = standardize(Dataset(x=x, y=responses[0]), mode)
+    k_max = base.n_effective - 1  # largest model with a residual degree of freedom
+    full_rank = [(1, 2), (3, 9), (0, 4, 8), tuple(range(k_max))]
+    models = [()] + full_rank + [(5, 12)]
+    cache = FactorCache(base)
+    for y in responses:
+        y0 = standardize(Dataset(x=x, y=y), mode).y0
+        cold = dataclasses.replace(base, y0=y0)
+        warm = dataclasses.replace(base, y0=y0, factors=cache)
+        for _ in range(2):  # the first response fills the cache, the rest hit it
+            for m in models:
+                for allow in (False, True):
+                    got = outcome(lambda: fit_fields(ls_fit(warm, m, allow_degenerate=allow)))
+                    want = outcome(lambda: fit_fields(ls_fit(cold, m, allow_degenerate=allow)))
+                    assert got == want
+                assert repr(outcome(lambda: rss(warm, m))) == repr(outcome(lambda: rss(cold, m)))
+    assert outcome(lambda: ls_fit(warm, (1, 2)))[0] is DegenerateResidual
+    assert outcome(lambda: rss(warm, (5, 12)))[0] is RankDeficient
+    assert len(cache) == len(full_rank)  # a raise is never stored
+
+
+def test_factor_cache_serves_only_its_own_columns():
+    rng = np.random.default_rng(25)
+    a = standardize(random_dataset(rng, 15, 4), "practical")
+    b = standardize(random_dataset(rng, 15, 4), "practical")
+    warm = dataclasses.replace(a, factors=FactorCache(a))
+    model = ModelSet.of([0, 2])
+    filled = fit_fields(ls_fit(warm, model))
+    for other in (dataclasses.replace(warm, x0=b.x0), dataclasses.replace(warm, scales=b.scales)):
+        got = fit_fields(ls_fit(other, model))
+        assert got != filled
+        assert got == fit_fields(ls_fit(dataclasses.replace(other, factors=None), model))
+        assert rss(other, model) == rss(dataclasses.replace(other, factors=None), model)
+    assert len(warm.factors) == 1
+
+
+def test_standardized_design_keeps_no_factors():
+    data = random_dataset(np.random.default_rng(26), 30, 10)
+    d = standardize(data, "formal")
+    subsets = itertools.islice(
+        (c for k in range(1, 11) for c in itertools.combinations(range(10), k)), 1000
+    )
+    for c in subsets:
+        rss(d, c)
+    assert d.factors is None
+    assert standardize(data, "formal").factors is None
 
 
 @pytest.mark.parametrize("mode", ["practical", "formal"])

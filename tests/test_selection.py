@@ -5,12 +5,13 @@ and a combinations-based exhaustive enumeration (also via design.rss) using
 the same exact tie rules.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from sosselect.design import Dataset, ModelSet, ls_fit, rss, standardize
+from sosselect.design import Dataset, FactorCache, ModelSet, ls_fit, rss, standardize
 from sosselect.errors import (
     DegenerateResidual,
     EnumerationTooLarge,
@@ -154,6 +155,46 @@ def test_gic_path_rejects_rank_deficient_ordering():
     d = standardize(Dataset(x=x, y=rng.standard_normal(10)), "formal")
     with pytest.raises(RankDeficient):
         gic_path(d, Ordering(sequence=(0, 1, 2)), 0.5)
+
+
+def path_fields(ordering_call):
+    """Every field of a GicPath (arrays as bytes), or the type and message
+    of what the call raised."""
+    try:
+        path = ordering_call()
+    except RankDeficient as exc:
+        return type(exc), str(exc)
+    return (
+        path.rss_path.tobytes(), path.values.tobytes(), path.selected_size, repr(path.penalty)
+    )
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+def test_gic_path_factor_cache_hits_are_byte_identical(mode):
+    rng = np.random.default_rng(58)
+    n = 10
+    x = rng.standard_normal((n, 10))
+    x[:, 9] = x[:, 2]  # exact duplicate column
+    # the second response lies in the span of columns 0 and 4: ~0 residual
+    responses = [rng.standard_normal(n), x[:, [0, 4]] @ np.array([2.0, -1.0])]
+    base = standardize(Dataset(x=x, y=responses[0]), mode)
+    # one set in three orders (pivoting depends on the order), and a
+    # prefix family as long as n_effective allows for both modes
+    full_rank = [(4, 0, 3), (0, 3, 4), (3, 4, 0), (7, 6, 5, 4, 3, 2, 1, 0)]
+    orderings = [()] + full_rank + [(2, 9)]
+    cache = FactorCache(base)
+    for y in responses:
+        y0 = standardize(Dataset(x=x, y=y), mode).y0
+        cold = dataclasses.replace(base, y0=y0)
+        warm = dataclasses.replace(base, y0=y0, factors=cache)
+        for _ in range(2):  # the first response fills the cache, the rest hit it
+            for seq in orderings:
+                for r in (0.0, 0.7):
+                    got = path_fields(lambda: gic_path(warm, Ordering(sequence=seq), r))
+                    want = path_fields(lambda: gic_path(cold, Ordering(sequence=seq), r))
+                    assert got == want
+    assert path_fields(lambda: gic_path(warm, Ordering(sequence=(2, 9)), 0.0))[0] is RankDeficient
+    assert len(cache) == len(full_rank)  # one entry per ordering; a raise is never stored
 
 
 def test_exhaustive_orthonormal_closed_form():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from sosselect import design as design_module
 from sosselect import simlab
 from sosselect.errors import DegenerateSelection
 from sosselect.simlab import (
@@ -22,6 +23,7 @@ from sosselect.simlab import (
     pivot_dimension,
     run_experiment,
 )
+from sosselect.selection import run_sos
 
 
 def load_summary(path):
@@ -234,6 +236,49 @@ def test_jobs_and_block_size_do_not_change_fixed_design_races(monkeypatch):
     assert blobs[0] == blobs[1] == blobs[2]
     assert one.records == three.records == small_blocks.records
     assert {r.exhaustive_exact for r in one.records} == {True, False}
+
+
+def test_jobs_and_block_size_do_not_change_fixed_design_sos(monkeypatch):
+    # p above the bound guard, so no ledger; the screen misses the truth in some replicates
+    cfg = strong_config(p=13, b=11.0, a=0.9, replicates=23)
+    one = run_experiment(cfg, jobs=1)
+    three = run_experiment(cfg, jobs=3)
+    monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", 5)
+    small_blocks = run_experiment(cfg, jobs=1)
+    blobs = [s.to_json_dict() for s in (one, three, small_blocks)]
+    for blob in blobs:
+        blob.pop("meta")
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert one.records == three.records == small_blocks.records
+    assert len({r.selected for r in one.records}) > 1
+
+
+def test_fixed_design_block_factors_each_model_once(monkeypatch):
+    cfg = strong_config(n=80, b=40.0, a=0.9, design_kind="ar1", rho=0.2, replicates=40)
+    block = 16
+    # what each replicate factors, from its own uncached design
+    keys = set()
+    for i in range(cfg.replicates):
+        out = run_sos(generate_trial(cfg, i)[1], penalties=cfg.penalties())
+        assert out.ordering.t_squared is not None  # no leave-one-out refits
+        for key in (
+            ("fit", out.screen.s1.indices),
+            ("path", out.ordering.sequence),
+            ("fit", out.selected.indices),
+        ):
+            if key[1]:
+                keys.add((i // block, key))
+    calls = []
+    inner = design_module._factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", block)
+    monkeypatch.setattr(design_module, "_factor", counted)
+    simlab._run_block(cfg.to_json_dict(), 0, cfg.replicates, False)
+    assert len(calls) == len(keys) < cfg.replicates  # was about 3 per replicate
 
 
 def test_engine_replicates_equal_generate_trial(monkeypatch):
