@@ -6,6 +6,7 @@ from .bounds import (
     BoundInput,
     BoundResult,
     bound_input_from_design,
+    bound_report,
     chi2_tail_sandwich,
     corollary_bounds,
     derived_screen_size,

@@ -318,6 +318,28 @@ def corollary_bounds(inp, which):
     return _result(which, _mill_form(coef, (1.0 - inp.a) * q, q), checks)
 
 
+# the displayed bounds that concern each pipeline: screened (sos) and
+# full-design (os); the follow-on steps of both are T3 and T4
+PIPELINE_BOUNDS = {
+    "sos": ("T1", "T2", "T3", "T4", "C1"),
+    "os": ("T2-full", "T3", "T4", "C3"),
+}
+
+
+def bound_report(inp, names=None):
+    """``{"input", "bounds"}`` JSON blob for the bounds in ``names``, in that
+    order, or for every displayed bound when ``names`` is None."""
+    results = {
+        **theorem1_bounds(inp),
+        "T2-full": theorem2_bound(inp),
+        "C1": corollary_bounds(inp, "C1"),
+        "C3": corollary_bounds(inp, "C3"),
+    }
+    if names is None:
+        names = results
+    return {"input": inp.to_json_dict(), "bounds": {k: results[k].to_json_dict() for k in names}}
+
+
 def exhaustive_lower_bound(r, sigma2):
     """Lower bound on the all-subsets search error probability:
     (r/(r+sigma^2)) exp(-q)/sqrt(pi q) with q = r/(2 sigma^2). Holds whenever

@@ -22,14 +22,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (
-    BoundInput,
-    corollary_bounds,
-    event_a_bound,
-    exhaustive_lower_bound,
-    theorem1_bounds,
-    theorem2_bound,
-)
+from .bounds import BoundInput, bound_report, event_a_bound, exhaustive_lower_bound
 from .design import Dataset, ModelSet, ls_fit, standardize
 from .errors import SosSelectError
 from .identify import TruthSpec, check_propositions
@@ -347,15 +340,8 @@ def _cmd_diagnose(args) -> int:
 
 def _cmd_bounds(args) -> int:
     inp = BoundInput.from_json_dict(_load_json(args.input))
-    results = dict(theorem1_bounds(inp))
-    full = theorem2_bound(inp)
-    results[full.name] = full
-    for which in ("C1", "C3"):
-        res = corollary_bounds(inp, which)
-        results[res.name] = res
     blob = {
-        "input": inp.to_json_dict(),
-        "bounds": {name: res.to_json_dict() for name, res in results.items()},
+        **bound_report(inp),
         "event_a_bound": event_a_bound(inp.p, inp.r_l, inp.sigma2),
         "exhaustive_lower_bound": exhaustive_lower_bound(inp.r, inp.sigma2),
     }
@@ -363,10 +349,9 @@ def _cmd_bounds(args) -> int:
         _emit(_json_text(blob), args.out)
         return 0
     lines = ["bound         value       assumptions"]
-    for name in sorted(results):
-        res = results[name]
-        status = "ok" if res.assumptions_ok else "FAIL: " + ",".join(res.failed_assumptions)
-        lines.append(f"{name:<12s}  {_fmt(res.value):<10s}  {status}")
+    for name, res in sorted(blob["bounds"].items()):
+        status = "ok" if res["assumptions_ok"] else "FAIL: " + ",".join(res["failed_assumptions"])
+        lines.append(f"{name:<12s}  {_fmt(res['value']):<10s}  {status}")
     lines.append(f"event A bound: {_fmt(blob['event_a_bound'])}")
     lines.append(f"exhaustive lower bound: {_fmt(blob['exhaustive_lower_bound'])}")
     _emit("\n".join(lines), args.out)

@@ -43,6 +43,8 @@ KAPPA_BUDGET = 10_000
 _KAPPA_BLOCK_ROWS = 4096
 
 _EIG_CLIP = 0.0  # eigenvalues of gram matrices are >= 0 up to fp noise
+_V_ITERS = 40  # accelerated projected-gradient steps per off-J update
+_MAX_OUTER = 50  # alternating rounds before a subset's search stops
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +295,7 @@ def _witness_rows(jj, others, c, extra_starts):
     return eu, ev
 
 
-def _alternating_min(u, v, s_jj, s_oj, s_oo, lip_v, lam_j, c, v_iters, max_outer):
+def _alternating_min(u, v, s_jj, s_oj, s_oo, lip_v, lam_j, c):
     """Alternating minimization of ``nu' Sigma nu`` for B subsets at once.
 
     ``u`` (B, m, k) and ``v`` (B, m, q) hold each subset's m start rows on and
@@ -311,13 +313,13 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, lip_v, lam_j, c, v_iters, max_outer
     best = _batched_objective(u, v, s_jj, s_oj, s_oo)
     prev = best.copy()
     improving = np.ones((n_sub, m), dtype=bool)
-    for _ in range(max_outer):
+    for _ in range(_MAX_OUTER):
         # exact convex step in the off-J block (accelerated projected gradient)
         radii = c * np.abs(u).sum(axis=2)
         u_soj = u @ s_oj.transpose(0, 2, 1)
         z = v.copy()
         t_k = 1.0
-        for _ in range(v_iters):
+        for _ in range(_V_ITERS):
             grad = 2.0 * (u_soj + z @ s_oo)
             w = z - grad / lip
             v_new = _project_l1_rows(w, radii)
@@ -367,59 +369,75 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, lip_v, lam_j, c, v_iters, max_outer
     return best_out, frac_out
 
 
-def _kappa_search(
-    design, subsets, c, lam_full, *, restarts, extra_starts, v_iters=40, max_outer=50
-):
-    """``kappa^2(J, c)`` estimates for equal-size subsets J of fewer than p
-    columns, searched together.
+def _subset_eigh(sigma, jj):
+    """The Gram block Sigma_JJ, its clipped smallest eigenvalue and a unit
+    eigenvector for it; the only eigen-decomposition of a Sigma_JJ block."""
+    sub = sigma[np.ix_(jj, jj)]
+    evals, evecs = scipy.linalg.eigh(sub)
+    return sub, float(max(evals[0], _EIG_CLIP)), evecs[:, 0]
 
-    ``extra_starts`` maps a subset's position to its witness vectors. Every
-    subset starts from the same restart directions plus its own leading
-    eigenvector and witnesses; subsets with the same number of start rows are
-    searched as one batch, in blocks of at most ``_KAPPA_BLOCK_ROWS`` rows;
-    subsets are independent, so blocking cannot change a result.
-    Returns per-subset arrays (value, lambda_min(Sigma_J), converged fraction).
+
+def _estimate(design, subsets, c, restarts, extra_starts) -> KappaEstimate:
+    """``min over J in subsets of kappa^2(J, c)`` for equal-size subsets J.
+
+    With c = 0 or J every column the cone is the c = 0 slice, so each
+    subset's value is exactly ``lambda_min(Sigma_JJ)`` and no restart runs.
+    Otherwise the subsets are searched together. ``extra_starts`` maps a
+    subset's position to its witness vectors. Every subset starts from the
+    same restart directions plus its own leading eigenvector and witnesses;
+    subsets with the same number of start rows are searched as one batch, in
+    blocks of at most ``_KAPPA_BLOCK_ROWS`` rows; subsets are independent, so
+    blocking cannot change a result.
     """
+    if c < 0:
+        raise ValueError("cone constant c must be nonnegative")
     p = design.p
     sigma = design.gram
     k = len(subsets[0])
-    values = np.empty(len(subsets))
-    uppers = np.empty(len(subsets))
-    fracs = np.empty(len(subsets))
-    base = _restart_rows(k, restarts)
+    lam_full = _lam_min(sigma)
+    if c == 0.0 or k == p:
+        uppers = np.array([_subset_eigh(sigma, jj)[1] for jj in subsets])
+        values, fracs, restarts = uppers, np.ones(1), 0
+    else:
+        values = np.empty(len(subsets))
+        uppers = np.empty(len(subsets))
+        fracs = np.empty(len(subsets))
+        base = _restart_rows(k, restarts)
+        starts, groups = [], {}
+        for pos, jj in enumerate(subsets):
+            others = [i for i in range(p) if i not in jj]
+            eu, ev = _witness_rows(jj, others, c, extra_starts.get(pos))
+            starts.append((others, eu, ev))
+            groups.setdefault(len(base) + 1 + len(eu), []).append(pos)
 
-    starts, groups = [], {}
-    for pos, jj in enumerate(subsets):
-        others = [i for i in range(p) if i not in jj]
-        eu, ev = _witness_rows(jj, others, c, extra_starts.get(pos))
-        starts.append((others, eu, ev))
-        groups.setdefault(len(base) + 1 + len(eu), []).append(pos)
-
-    for rows, members in groups.items():
-        per_block = max(_KAPPA_BLOCK_ROWS // (rows + p - k), 1)
-        for lo in range(0, len(members), per_block):
-            block = members[lo : lo + per_block]
-            s_jj, s_oj, s_oo, lip_v, lam_j, u0, v0 = [], [], [], [], [], [], []
-            for pos in block:
-                jj, (others, eu, ev) = subsets[pos], starts[pos]
-                sub = sigma[np.ix_(jj, jj)]
-                evals_j, evecs_j = scipy.linalg.eigh(sub)
-                uppers[pos] = float(max(evals_j[0], _EIG_CLIP))
-                s_jj.append(sub)
-                lam_j.append(uppers[pos])
-                u0.append(np.vstack([base, evecs_j[:, 0][None, :], eu]))
-                v0.append(np.vstack([np.zeros((len(base) + 1, p - k)), ev]))
-                s_oj.append(sigma[np.ix_(others, jj)])
-                oo = sigma[np.ix_(others, others)]
-                s_oo.append(oo)
-                lip_v.append(2.0 * float(max(scipy.linalg.eigvalsh(oo)[-1], 1e-12)))
-            best, frac = _alternating_min(
-                np.stack(u0), np.stack(v0), np.stack(s_jj), np.stack(s_oj),
-                np.stack(s_oo), np.array(lip_v), lam_j, c, v_iters, max_outer,
-            )
-            values[block] = np.maximum(best, lam_full)  # can't undercut the global floor
-            fracs[block] = frac
-    return values, uppers, fracs
+        for rows, members in groups.items():
+            per_block = max(_KAPPA_BLOCK_ROWS // (rows + p - k), 1)
+            for lo in range(0, len(members), per_block):
+                block = members[lo : lo + per_block]
+                s_jj, s_oj, s_oo, lip_v, u0, v0 = [], [], [], [], [], []
+                for pos in block:
+                    jj, (others, eu, ev) = subsets[pos], starts[pos]
+                    sub, uppers[pos], vec = _subset_eigh(sigma, jj)
+                    s_jj.append(sub)
+                    u0.append(np.vstack([base, vec[None, :], eu]))
+                    v0.append(np.vstack([np.zeros((len(base) + 1, p - k)), ev]))
+                    s_oj.append(sigma[np.ix_(others, jj)])
+                    oo = sigma[np.ix_(others, others)]
+                    s_oo.append(oo)
+                    lip_v.append(2.0 * float(max(scipy.linalg.eigvalsh(oo)[-1], 1e-12)))
+                best, frac = _alternating_min(
+                    np.stack(u0), np.stack(v0), np.stack(s_jj), np.stack(s_oj),
+                    np.stack(s_oo), np.array(lip_v), uppers[block], c,
+                )
+                values[block] = np.maximum(best, lam_full)  # can't undercut the global floor
+                fracs[block] = frac
+    return KappaEstimate(
+        value=float(values.min()),
+        lower_cert=lam_full,
+        upper_cert=float(uppers.min()),
+        restarts=restarts,
+        converged_fraction=float(np.mean(fracs)),
+    )
 
 
 def kappa(
@@ -429,8 +447,6 @@ def kappa(
     *,
     restarts: int = 64,
     extra_starts=None,
-    v_iters: int = 40,
-    max_outer: int = 50,
 ) -> KappaEstimate:
     """Estimate ``kappa^2(J, c)`` by batched alternating minimization.
 
@@ -438,41 +454,16 @@ def kappa(
     directions (off-J block zero); `extra_starts` adds full-length witness
     vectors whose initial objective is recorded before any optimization, so
     the returned value never exceeds a supplied witness's objective. The
-    ``c = 0`` case is an exact eigenvalue problem and skips optimization.
+    ``c = 0`` case (and J every column) is an exact eigenvalue problem and
+    skips optimization.
     """
     j_set = ModelSet.of(j_set)
     if not j_set:
         raise ValueError("J must be nonempty")
-    if c < 0:
-        raise ValueError("cone constant c must be nonnegative")
     jj = list(j_set.indices)
     if jj[-1] >= design.p:
         raise ValueError("J index out of range")
-    lam_full = _lam_min(design.gram)
-
-    if c == 0.0 or len(jj) == design.p:
-        evals_j = scipy.linalg.eigh(design.gram[np.ix_(jj, jj)])[0]
-        lam_j = float(max(evals_j[0], _EIG_CLIP))
-        return KappaEstimate(
-            value=lam_j,
-            lower_cert=lam_full,
-            upper_cert=lam_j,
-            restarts=0,
-            converged_fraction=1.0,
-        )
-
-    values, uppers, fracs = _kappa_search(
-        design, [jj], c, lam_full, restarts=restarts,
-        extra_starts={0: extra_starts} if extra_starts else {},
-        v_iters=v_iters, max_outer=max_outer,
-    )
-    return KappaEstimate(
-        value=float(values[0]),
-        lower_cert=lam_full,
-        upper_cert=float(uppers[0]),
-        restarts=restarts,
-        converged_fraction=float(fracs[0]),
-    )
+    return _estimate(design, [jj], c, restarts, {0: extra_starts})
 
 
 def min_subset_eigen(design: StandardizedDesign, size: int):
@@ -487,15 +478,12 @@ def min_subset_eigen(design: StandardizedDesign, size: int):
         raise ValueError("size must be >= 1")
     if math.comb(p, size) > KAPPA_BUDGET:
         raise EnumerationTooLarge(f"C({p},{size}) subsets exceed budget {KAPPA_BUDGET}")
-    sigma = design.gram
     best = (math.inf, None, None)
     for combo in itertools.combinations(range(p), size):
-        sub = sigma[np.ix_(combo, combo)]
-        evals, evecs = scipy.linalg.eigh(sub)
-        lam = float(max(evals[0], _EIG_CLIP))
+        _, lam, vec_j = _subset_eigh(design.gram, combo)
         if lam < best[0]:
             vec = np.zeros(p)
-            vec[list(combo)] = evecs[:, 0]
+            vec[list(combo)] = vec_j
             best = (lam, ModelSet.of(combo), vec)
     return best
 
@@ -520,16 +508,6 @@ def kappa_uniform(
         raise ValueError("s must be >= 1")
     if math.comb(p, s) > KAPPA_BUDGET:
         raise EnumerationTooLarge(f"C({p},{s}) subsets exceed budget {KAPPA_BUDGET}")
-    lam_full = _lam_min(design.gram)
-    if c == 0.0 or s == p:  # with J every column the cone is the c = 0 slice
-        lam, _, _ = min_subset_eigen(design, s)
-        return KappaEstimate(
-            value=lam,
-            lower_cert=lam_full,
-            upper_cert=lam,
-            restarts=0 if c == 0.0 else restarts,
-            converged_fraction=1.0,
-        )
     subsets = [list(combo) for combo in itertools.combinations(range(p), s)]
     position = {ModelSet.of(jj): pos for pos, jj in enumerate(subsets)}
     routed: dict = {}
@@ -537,16 +515,7 @@ def kappa_uniform(
         nu = np.asarray(nu, dtype=float).ravel()
         order = np.lexsort((np.arange(p), -np.abs(nu)))
         routed.setdefault(position[ModelSet.of(order[:s])], []).append(nu)
-    values, uppers, fracs = _kappa_search(
-        design, subsets, c, lam_full, restarts=restarts, extra_starts=routed
-    )
-    return KappaEstimate(
-        value=float(values.min()),
-        lower_cert=lam_full,
-        upper_cert=float(uppers.min()),
-        restarts=restarts,
-        converged_fraction=float(np.mean(fracs)),
-    )
+    return _estimate(design, subsets, c, restarts, routed)
 
 
 def _prop5_witness(design, truth, kept):

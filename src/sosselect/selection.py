@@ -291,11 +291,22 @@ class SelectionOutcome:
         }
 
 
-def _finish(design, ordering, r):
-    path = gic_path(design, ordering, r)
+def _finish(algorithm, design, penalties, scr, fit, ordering) -> SelectionOutcome:
+    """Cut the ordering's criterion path and refit the selected prefix."""
+    path = gic_path(design, ordering, penalties.r)
     selected = ModelSet.of(ordering.sequence[: path.selected_size])
-    refit = ls_fit(design, selected, allow_degenerate=True)
-    return path, selected, refit
+    return SelectionOutcome(
+        algorithm=algorithm,
+        mode=design.mode,
+        penalties=penalties,
+        screen=scr,
+        ordering=ordering,
+        path=path,
+        selected=selected,
+        refit=ls_fit(design, selected, allow_degenerate=True),
+        lasso=fit,
+        design=design,
+    )
 
 
 def run_sos(
@@ -328,19 +339,7 @@ def run_sos(
     if len(scr.s1) >= design.n_effective:
         raise ScreenTooLarge(f"|S1|={len(scr.s1)} >= n_effective={design.n_effective}")
     ordering = order_by_t(design, scr.s1, allow_degenerate=True)
-    path, selected, refit = _finish(design, ordering, penalties.r)
-    return SelectionOutcome(
-        algorithm="sos",
-        mode=design.mode,
-        penalties=penalties,
-        screen=scr,
-        ordering=ordering,
-        path=path,
-        selected=selected,
-        refit=refit,
-        lasso=fit,
-        design=design,
-    )
+    return _finish("sos", design, penalties, scr, fit, ordering)
 
 
 def run_os(
@@ -365,16 +364,4 @@ def run_os(
             f"p={design.p} >= n_effective={design.n_effective}; screen first"
         )
     ordering = order_by_t(design, ModelSet.full(design.p), allow_degenerate=True)
-    path, selected, refit = _finish(design, ordering, penalties.r)
-    return SelectionOutcome(
-        algorithm="os",
-        mode=design.mode,
-        penalties=penalties,
-        screen=None,
-        ordering=ordering,
-        path=path,
-        selected=selected,
-        refit=refit,
-        lasso=None,
-        design=design,
-    )
+    return _finish("os", design, penalties, None, None, ordering)

@@ -35,13 +35,11 @@ import scipy.linalg
 import scipy.stats
 
 from .bounds import (
-    BoundInput,
+    PIPELINE_BOUNDS,
     bound_input_from_design,
-    corollary_bounds,
+    bound_report,
     event_a_bound,
     exhaustive_lower_bound,
-    theorem1_bounds,
-    theorem2_bound,
 )
 from .design import (
     DEGENERATE_RSS,
@@ -373,24 +371,8 @@ def _single_trial(
     bound_blob = None
     if want_bounds:
         inp = bound_input_from_design(design, truth, penalties, config.a, restarts=24)
-        bound_blob = _evaluate_bounds(config, inp)
+        bound_blob = bound_report(inp, PIPELINE_BOUNDS[config.algorithm])
     return record, bound_blob
-
-
-def _evaluate_bounds(config: ScenarioConfig, inp: BoundInput) -> dict:
-    """All bounds relevant to the configured algorithm, keyed by name."""
-    out = {}
-    t1 = theorem1_bounds(inp)
-    if config.algorithm == "sos":
-        for key in ("T1", "T2", "T3", "T4"):
-            out[key] = t1[key]
-        out["C1"] = corollary_bounds(inp, "C1")
-    else:
-        out["T2-full"] = theorem2_bound(inp)
-        out["T3"] = t1["T3"]
-        out["T4"] = t1["T4"]
-        out["C3"] = corollary_bounds(inp, "C3")
-    return {"input": inp.to_json_dict(), "bounds": {k: v.to_json_dict() for k, v in out.items()}}
 
 
 def _worst_bounds(blobs) -> "dict | None":
@@ -469,19 +451,21 @@ def _binomial_se(freq: float, count: int) -> float:
     return math.sqrt(freq * (1.0 - freq) / count)
 
 
-def _ks_distance(values, cdf) -> float:
-    vals = np.sort(np.asarray(values, dtype=float))
-    n = len(vals)
-    ref = cdf(vals)
-    upper = np.max(np.arange(1, n + 1) / n - ref)
-    lower = np.max(ref - np.arange(0, n) / n)
-    return float(max(upper, lower))
-
-
 def pivot_dimension(t: int, mode: str) -> int:
     """Model dimension entering the pivot's reference distribution: the
     intercept counts as a fitted coordinate in the practical parametrization."""
     return t + (1 if Parametrization.parse(mode) is Parametrization.PRACTICAL else 0)
+
+
+def _pivot_ks(config: ScenarioConfig, values) -> float:
+    """Kolmogorov distance of pivot values from their F(d, n - d) reference."""
+    d = pivot_dimension(config.t, config.mode)
+    vals = np.sort(np.asarray(values, dtype=float))
+    n = len(vals)
+    ref = scipy.stats.f(d, config.n - d).cdf(vals)
+    upper = np.max(np.arange(1, n + 1) / n - ref)
+    lower = np.max(ref - np.arange(0, n) / n)
+    return float(max(upper, lower))
 
 
 def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummary:
@@ -529,20 +513,14 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
         exhaustive_error = 1.0 - sum(bool(r.exhaustive_exact) for r in records) / reps
 
     f_vals = [r.f_stat for r in records if r.f_stat is not None]
-    f_degenerate = reps - len(f_vals)
-    ks = None
-    if f_vals:
-        d = pivot_dimension(config.t, config.mode)
-        ref = scipy.stats.f(d, config.n - d)
-        ks = _ks_distance(f_vals, ref.cdf)
+    ks = _pivot_ks(config, f_vals) if f_vals else None
 
     ledger = None
     if want_bounds:
         if config.fixed_design:
             _, design, truth, _ = generate_trial(config, 0)
             inp = bound_input_from_design(design, truth, penalties, config.a, restarts=64)
-            once = _evaluate_bounds(config, inp)
-            ledger = _worst_bounds([once])
+            ledger = _worst_bounds([bound_report(inp, PIPELINE_BOUNDS[config.algorithm])])
         else:
             ledger = _worst_bounds([pair[1] for pair in pairs])
         ledger["event_a_bound"] = event_a_bound(config.p, penalties.r_l, config.sigma2)
@@ -563,7 +541,7 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
         greedy_error=greedy_error,
         exhaustive_error=exhaustive_error,
         ks_distance_f=ks,
-        f_degenerate_count=f_degenerate,
+        f_degenerate_count=reps - len(f_vals),
         bound_ledger=ledger,
         meta=meta,
     )
@@ -598,25 +576,15 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
         for draw, trials in _response_blocks(config, 0, config.replicates):
             vals += [_f_stat(draw, ds.y, config.mode, tr.support) for _, (ds, _, tr, _) in trials]
             del draw, trials
-        f_vals = [v for v in vals if v is not None]
-        degenerate = len(vals) - len(f_vals)
-        if not f_vals:
-            raise DegenerateSelection("every replicate was degenerate")
-        ref = scipy.stats.f(d, config.n - d)
-        return FPivotReport(
-            ks_distance=_ks_distance(f_vals, ref.cdf),
-            degenerate_count=degenerate,
-            used=len(f_vals),
-            dim=d,
-            denominator_dof=config.n - d,
-        )
-    summary = run_experiment(config, jobs=jobs)
-    if summary.ks_distance_f is None:
+    else:
+        vals = [r.f_stat for r in run_experiment(config, jobs=jobs).records]
+    f_vals = [v for v in vals if v is not None]
+    if not f_vals:
         raise DegenerateSelection("every replicate was degenerate")
     return FPivotReport(
-        ks_distance=summary.ks_distance_f,
-        degenerate_count=summary.f_degenerate_count,
-        used=config.replicates - summary.f_degenerate_count,
+        ks_distance=_pivot_ks(config, f_vals),
+        degenerate_count=len(vals) - len(f_vals),
+        used=len(f_vals),
         dim=d,
         denominator_dof=config.n - d,
     )

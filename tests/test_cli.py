@@ -84,6 +84,19 @@ def test_fit_os_and_exhaustive_agree(data_csv, capsys):
     assert blob_ex["ordering"] is None
 
 
+def test_fit_exhaustive_table_reports_enumeration(data_csv, capsys):
+    code = main(["fit", data_csv, "--penalty-r", "12", "--algorithm", "exhaustive"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "selected (2): [2, 4]" in out  # 1-based predictor numbers
+    enum = [line for line in out if line.startswith("enumeration: ")]
+    assert len(enum) == 1
+    fields = dict(item.split("=") for item in enum[0].split()[1:])
+    assert set(fields) == {"value", "rss", "evaluated", "skipped"}
+    assert int(fields["evaluated"]) >= 1 and int(fields["skipped"]) >= 0
+    assert not any(line.startswith(("ordering:", "screen:", "criterion path:")) for line in out)
+
+
 def test_fit_tsv_rows_and_intercept_marker(data_csv, capsys):
     code = main(["fit", data_csv, "--penalty-r", "12", "--format", "tsv"])
     out = capsys.readouterr().out.strip().splitlines()

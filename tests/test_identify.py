@@ -384,6 +384,28 @@ def test_kappa_uniform_budget_guard():
         kappa_uniform(d, 20, 1.0)
 
 
+def test_kappa_uniform_rejects_negative_cone():
+    rng = np.random.default_rng(98)
+    d, _ = random_instance(rng, 18, 5, 2)
+    with pytest.raises(ValueError):
+        kappa_uniform(d, 2, -1.0)
+    with pytest.raises(ValueError):
+        kappa(d, [0, 1], -1.0)
+
+
+def test_exact_path_reports_no_restarts():
+    # with J every column the cone is the c = 0 slice: no search runs, so
+    # both entry points report zero restarts and the exact eigenvalue
+    rng = np.random.default_rng(98)
+    d, _ = random_instance(rng, 18, 5, 2)
+    uni = kappa_uniform(d, 5, 1.0)
+    one = kappa(d, range(5), 1.0)
+    assert uni.restarts == 0 and one.restarts == 0
+    assert uni == one
+    assert uni.value == uni.upper_cert == pytest.approx(uni.lower_cert, rel=1e-12)
+    assert uni.converged_fraction == 1.0
+
+
 def test_min_subset_eigen_returns_witness():
     rng = np.random.default_rng(99)
     d, _ = random_instance(rng, 20, 5, 2)

@@ -14,9 +14,11 @@ import scipy.linalg
 
 from sosselect.design import Dataset, ModelSet, standardize
 from sosselect.errors import NotConverged
+from sosselect.identify import kappa
 from sosselect.lasso import (
     EventAWitness,
     LassoFit,
+    OracleCheckReport,
     default_penalties,
     event_a,
     kkt_gap,
@@ -354,6 +356,24 @@ def test_verify_oracle_inequalities_monte_carlo_on_noise_event():
             violations += 1
     assert held > 100  # the event dominates at this penalty
     assert violations == 0
+
+
+def test_verify_oracle_default_kappa_is_the_support_estimate():
+    # without kappa_sq the check estimates kappa^2(J, 3) itself; the report
+    # must equal the one built from that same estimate passed explicitly
+    rng = np.random.default_rng(45)
+    x = rng.standard_normal((30, 6))
+    beta = np.array([1.5, 0.0, -1.0, 0.0, 0.0, 0.0])
+    y = x @ beta + 0.5 * rng.standard_normal(30)
+    d = standardize(Dataset(x=x, y=y), "practical")
+    fit = solve_lasso(d, default_penalties(30, 6, 0.25, 0.5).r_l)
+    mu0 = d.x0 @ (d.scales * beta)
+    implicit = verify_oracle_inequalities(d, fit, beta, mu0)
+    explicit = verify_oracle_inequalities(
+        d, fit, beta, mu0, kappa_sq=kappa(d, [0, 2], 3.0).value
+    )
+    for name in OracleCheckReport.__dataclass_fields__:
+        assert getattr(implicit, name) == getattr(explicit, name), name
 
 
 def test_verify_oracle_requires_nonempty_support():

@@ -9,7 +9,7 @@ import scipy.stats
 
 from sosselect import design as design_module
 from sosselect import simlab
-from sosselect.errors import DegenerateSelection
+from sosselect.errors import DegenerateSelection, ScreenTooLarge
 from sosselect.simlab import (
     ExperimentSummary,
     FPivotReport,
@@ -180,6 +180,56 @@ def test_partition_sums_to_one_and_flags_consistent():
     assert summary.bound_ledger is None  # guard: p above the diagnostic limit
     # weak signal must actually spread mass across several buckets
     assert summary.frequencies["exact"] < 1.0
+
+
+def assert_partition(summary):
+    """Each flag is raised only when every earlier step succeeded, and the
+    five bucket frequencies sum to one."""
+    assert sum(summary.frequencies.values()) == pytest.approx(1.0, abs=1e-12)
+    for rec in summary.records:
+        assert not rec.order_ok or rec.screen_ok
+        assert not (rec.underfit or rec.overfit or rec.exact) or rec.order_ok
+        assert rec.underfit + rec.overfit + rec.exact <= 1
+
+
+def test_order_fail_and_underfit_buckets():
+    # strongly correlated AR(1) columns with fast-decaying signal: the full
+    # ordering misplaces a weak true predictor, or cuts it off
+    cfg = ScenarioConfig(
+        n=40, p=8, t=3, design_kind="ar1", rho=0.9, beta_pattern="decaying",
+        b=4.0, ratio=0.3, a=0.5, algorithm="os", replicates=6, master_seed=1,
+    )
+    summary = run_experiment(cfg)
+    assert_partition(summary)
+    buckets = [rec.bucket for rec in summary.records]
+    assert "order_fail" in buckets and "underfit" in buckets
+    for rec in summary.records:
+        assert rec.screen_ok  # the full-design pipeline never screens
+        if rec.bucket == "order_fail":
+            assert not (rec.underfit or rec.overfit or rec.exact)
+        if rec.bucket == "underfit":
+            assert rec.order_ok and len(rec.selected) < cfg.t
+
+
+def test_screen_too_large_is_a_screening_failure():
+    # at n = 6 a tiny screening penalty keeps |S1| = n_effective columns,
+    # which cannot be refit: the replicate is a screening failure
+    cfg = ScenarioConfig(
+        n=6, p=12, t=2, b=5.0, penalty_rule="explicit", r=1.0, r_l=0.05,
+        replicates=4, master_seed=2,
+    )
+    for index in (0, 3):
+        _, design, _, _ = generate_trial(cfg, index)
+        with pytest.raises(ScreenTooLarge):
+            run_sos(design, penalties=cfg.penalties())
+    summary = run_experiment(cfg)
+    assert_partition(summary)
+    for index in (0, 3):
+        rec = summary.records[index]
+        assert rec.bucket == "screen_fail"
+        assert not rec.order_ok and rec.selected == ()
+        assert not (rec.underfit or rec.overfit or rec.exact or rec.recovered)
+    assert summary.frequencies["screen_fail"] >= 0.5
 
 
 def test_replicates_one_summary_matches_record():
