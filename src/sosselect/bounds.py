@@ -352,15 +352,17 @@ def exhaustive_lower_bound(r, sigma2):
 
 def bound_input_from_design(design, truth, penalties, a, *, s=None, restarts=64):
     """Assemble a BoundInput by measuring the margins and restricted
-    eigenvalues of an actual standardized design. Enumeration guards of the
-    underlying diagnostics apply (small p only)."""
-    from .identify import delta_scaled, kappa, kappa_uniform
+    eigenvalues of an actual standardized design (kappa(T, 3) and kappa(t, 3)
+    in one batched search). Enumeration guards apply (small p only)."""
+    from .identify import _estimate, _support_request, _uniform_request, delta_scaled
 
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
     t = truth.t
-    est_support = kappa(design, truth.support, 3.0, restarts=restarts)
-    est_uniform = kappa_uniform(design, t, 3.0, restarts=restarts)
+    est_support, est_uniform = _estimate(design, [
+        _support_request(design, truth.support, 3.0, restarts, None),
+        _uniform_request(design, t, 3.0, restarts, None),
+    ])
     if s is None:
         k = est_support.kappa
         s = min(derived_screen_size(t, k), design.p) if k > 1e-8 else design.p

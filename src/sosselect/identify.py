@@ -12,8 +12,8 @@ Two families of quantities are computed for a sparse truth
   over unit ``||nu_J||`` and the cone ``|nu_Jc|_1 <= c |nu_J|_1``. This is
   non-convex jointly, so it is estimated by alternating minimization (exact
   convex step in ``nu_Jc`` via accelerated projected gradient, normalized
-  gradient steps in ``nu_J``) from many restarts, batched across restarts
-  and subsets.
+  gradient steps in ``nu_J``) from many restarts, batched across restarts,
+  subsets and every estimate of a report; equal searches run once.
   Certified envelopes accompany every estimate: ``lambda_min(Sigma)`` from
   below, ``lambda_min(Sigma_J)`` (the c = 0 value, also the estimate's
   initialization) from above.
@@ -265,12 +265,12 @@ def _lam_min(sigma: np.ndarray) -> float:
 
 
 def _restart_rows(k: int, restarts: int) -> np.ndarray:
-    """On-J start directions shared by every subset of size k: random sign
-    patterns, then random Gaussian directions (seed 97531)."""
+    """On-J start directions shared by every subset of size k: ``restarts``
+    rows, random sign patterns then random Gaussian directions (seed 97531)."""
     rng = np.random.default_rng(97531)
-    half = max(restarts // 2, 1)
+    half = restarts // 2
     signs = rng.choice([-1.0, 1.0], size=(half, k)) / math.sqrt(k)
-    gauss = rng.standard_normal((max(restarts - half, 1), k))
+    gauss = rng.standard_normal((restarts - half, k))
     gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
     return np.vstack([signs, gauss])
 
@@ -296,12 +296,13 @@ def _witness_rows(jj, others, c, extra_starts):
 
 
 def _alternating_min(u, v, s_jj, s_oj, s_oo, lip_v, lam_j, c):
-    """Alternating minimization of ``nu' Sigma nu`` for B subsets at once.
+    """Alternating minimization of ``nu' Sigma nu`` for B searches at once.
 
-    ``u`` (B, m, k) and ``v`` (B, m, q) hold each subset's m start rows on and
-    off J. A subset leaves the active set after the first outer iteration in
-    which none of its rows improved. Returns each subset's best objective and
-    the fraction of its rows that had stopped improving.
+    ``u`` (B, m, k) and ``v`` (B, m, q) hold each search's m start rows on and
+    off J, and ``c`` (B, 1) its cone constant. A search leaves the active set
+    after the first outer iteration in which none of its rows improved.
+    Returns each search's best objective and the fraction of its rows that
+    had stopped improving.
     """
     n_sub, m, _ = u.shape
     best_out = np.empty(n_sub)
@@ -363,7 +364,7 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, lip_v, lam_j, c):
             return best_out, frac_out
         live = live[going]
         u, v, best, prev, improving = (a[going] for a in (u, v, best, prev, improving))
-        s_jj, s_oj, s_oo, lip, eta0 = (a[going] for a in (s_jj, s_oj, s_oo, lip, eta0))
+        s_jj, s_oj, s_oo, lip, eta0, c = (a[going] for a in (s_jj, s_oj, s_oo, lip, eta0, c))
     best_out[live] = best.min(axis=1)
     frac_out[live] = np.mean(~improving, axis=1)
     return best_out, frac_out
@@ -377,67 +378,115 @@ def _subset_eigh(sigma, jj):
     return sub, float(max(evals[0], _EIG_CLIP)), evecs[:, 0]
 
 
-def _estimate(design, subsets, c, restarts, extra_starts) -> KappaEstimate:
-    """``min over J in subsets of kappa^2(J, c)`` for equal-size subsets J.
+def _estimate(design, requests) -> list:
+    """Answer estimate requests ``(subsets, c, restarts, routed)`` at once;
+    each asks for ``min over J in subsets of kappa^2(J, c)`` over equal-size
+    subsets J, with ``routed`` mapping a subset's position to its witnesses.
 
     With c = 0 or J every column the cone is the c = 0 slice, so each
     subset's value is exactly ``lambda_min(Sigma_JJ)`` and no restart runs.
-    Otherwise the subsets are searched together. ``extra_starts`` maps a
-    subset's position to its witness vectors. Every subset starts from the
-    same restart directions plus its own leading eigenvector and witnesses;
-    subsets with the same number of start rows are searched as one batch, in
-    blocks of at most ``_KAPPA_BLOCK_ROWS`` rows; subsets are independent, so
-    blocking cannot change a result.
+    Otherwise each subset is one search, started from the restart directions
+    of its size plus its own leading eigenvector and witnesses. Equal
+    searches (same J, c, restarts and witness rows) run once, whichever
+    requests ask for them. Searches of the same size and start-row count run
+    as one batch, in blocks of at most ``_KAPPA_BLOCK_ROWS`` rows; searches
+    are independent, so batching cannot change a result. ``lambda_min`` of
+    Sigma and of each Sigma_JJ is computed once per call, and each request's
+    estimate is folded over its own subsets, in their order.
     """
-    if c < 0:
-        raise ValueError("cone constant c must be nonnegative")
-    p = design.p
-    sigma = design.gram
-    k = len(subsets[0])
+    p, sigma = design.p, design.gram
     lam_full = _lam_min(sigma)
-    if c == 0.0 or k == p:
-        uppers = np.array([_subset_eigh(sigma, jj)[1] for jj in subsets])
-        values, fracs, restarts = uppers, np.ones(1), 0
-    else:
-        values = np.empty(len(subsets))
-        uppers = np.empty(len(subsets))
-        fracs = np.empty(len(subsets))
-        base = _restart_rows(k, restarts)
-        starts, groups = [], {}
+    bases, groups, plans, best, frac = {}, {}, [], {}, {}
+    eighs = {jj: _subset_eigh(sigma, jj) for jj in {tuple(j) for r in requests for j in r[0]}}
+    for subsets, c, restarts, routed in requests:
+        k = len(subsets[0])
+        if c == 0.0 or k == p:
+            plans.append(None)
+            continue
+        if (k, restarts) not in bases:
+            bases[k, restarts] = _restart_rows(k, restarts)
+        base, keys = bases[k, restarts], []
         for pos, jj in enumerate(subsets):
             others = [i for i in range(p) if i not in jj]
-            eu, ev = _witness_rows(jj, others, c, extra_starts.get(pos))
-            starts.append((others, eu, ev))
-            groups.setdefault(len(base) + 1 + len(eu), []).append(pos)
+            eu, ev = _witness_rows(jj, others, c, routed.get(pos))
+            key = (tuple(jj), c, restarts, eu.tobytes(), ev.tobytes())
+            # the key fixes the group, so equal searches meet in one dict
+            group = groups.setdefault((k, len(base) + 1 + len(eu)), {})
+            group.setdefault(key, (others, base, eu, ev))
+            keys.append(key)
+        plans.append(keys)
 
-        for rows, members in groups.items():
-            per_block = max(_KAPPA_BLOCK_ROWS // (rows + p - k), 1)
-            for lo in range(0, len(members), per_block):
-                block = members[lo : lo + per_block]
-                s_jj, s_oj, s_oo, lip_v, u0, v0 = [], [], [], [], [], []
-                for pos in block:
-                    jj, (others, eu, ev) = subsets[pos], starts[pos]
-                    sub, uppers[pos], vec = _subset_eigh(sigma, jj)
-                    s_jj.append(sub)
-                    u0.append(np.vstack([base, vec[None, :], eu]))
-                    v0.append(np.vstack([np.zeros((len(base) + 1, p - k)), ev]))
-                    s_oj.append(sigma[np.ix_(others, jj)])
-                    oo = sigma[np.ix_(others, others)]
-                    s_oo.append(oo)
-                    lip_v.append(2.0 * float(max(scipy.linalg.eigvalsh(oo)[-1], 1e-12)))
-                best, frac = _alternating_min(
-                    np.stack(u0), np.stack(v0), np.stack(s_jj), np.stack(s_oj),
-                    np.stack(s_oo), np.array(lip_v), uppers[block], c,
-                )
-                values[block] = np.maximum(best, lam_full)  # can't undercut the global floor
-                fracs[block] = frac
-    return KappaEstimate(
-        value=float(values.min()),
-        lower_cert=lam_full,
-        upper_cert=float(uppers.min()),
-        restarts=restarts,
-        converged_fraction=float(np.mean(fracs)),
-    )
+    for (k, rows), members in groups.items():
+        per_block = max(_KAPPA_BLOCK_ROWS // (rows + p - k), 1)
+        members = list(members.items())
+        for lo in range(0, len(members), per_block):
+            block = members[lo : lo + per_block]
+            s_jj, s_oj, s_oo, lip_v, lam_j, u0, v0 = [], [], [], [], [], [], []
+            for (jj, *_), (others, base, eu, ev) in block:
+                sub, lam, vec = eighs[jj]
+                s_jj.append(sub)
+                lam_j.append(lam)
+                u0.append(np.vstack([base, vec[None, :], eu]))
+                v0.append(np.vstack([np.zeros((len(base) + 1, p - k)), ev]))
+                s_oj.append(sigma[np.ix_(others, jj)])
+                s_oo.append(sigma[np.ix_(others, others)])
+                lip_v.append(2.0 * float(max(scipy.linalg.eigvalsh(s_oo[-1])[-1], 1e-12)))
+            cs = np.array([[key[1]] for key, _ in block], dtype=float)
+            vals, fracs = _alternating_min(
+                np.stack(u0), np.stack(v0), np.stack(s_jj), np.stack(s_oj),
+                np.stack(s_oo), np.array(lip_v), np.array(lam_j), cs,
+            )
+            vals = np.maximum(vals, lam_full)  # can't undercut the global floor
+            for (key, _), val, fr in zip(block, vals, fracs):
+                best[key], frac[key] = val, fr
+
+    out = []
+    for (subsets, _, restarts, _), keys in zip(requests, plans):
+        uppers = np.array([eighs[tuple(jj)][1] for jj in subsets])
+        if keys is None:
+            values, fracs, restarts = uppers, np.ones(1), 0
+        else:
+            values = np.array([best[key] for key in keys])
+            fracs = np.array([frac[key] for key in keys])
+        out.append(KappaEstimate(
+            float(values.min()), lam_full, float(uppers.min()), restarts, float(np.mean(fracs))
+        ))
+    return out
+
+
+def _request(subsets, c, restarts, routed):
+    if c < 0 or restarts < 1:
+        raise ValueError(f"need cone constant c >= 0 and restarts >= 1, got {c}, {restarts}")
+    return subsets, c, restarts, routed
+
+
+def _support_request(design, j_set, c, restarts, extra_starts):
+    """The request behind :func:`kappa`: one subset, every witness on it."""
+    j_set = ModelSet.of(j_set)
+    if not j_set:
+        raise ValueError("J must be nonempty")
+    jj = list(j_set.indices)
+    if jj[-1] >= design.p:
+        raise ValueError("J index out of range")
+    return _request([jj], c, restarts, {0: extra_starts})
+
+
+def _uniform_request(design, s, c, restarts, extra_starts):
+    """The request behind :func:`kappa_uniform`: every size-s subset."""
+    p = design.p
+    s = min(s, p)
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    if math.comb(p, s) > KAPPA_BUDGET:
+        raise EnumerationTooLarge(f"C({p},{s}) subsets exceed budget {KAPPA_BUDGET}")
+    subsets = [list(combo) for combo in itertools.combinations(range(p), s)]
+    position = {ModelSet.of(jj): pos for pos, jj in enumerate(subsets)}
+    routed: dict = {}
+    for nu in extra_starts or ():
+        nu = np.asarray(nu, dtype=float).ravel()
+        order = np.lexsort((np.arange(p), -np.abs(nu)))
+        routed.setdefault(position[ModelSet.of(order[:s])], []).append(nu)
+    return _request(subsets, c, restarts, routed)
 
 
 def kappa(
@@ -455,15 +504,9 @@ def kappa(
     vectors whose initial objective is recorded before any optimization, so
     the returned value never exceeds a supplied witness's objective. The
     ``c = 0`` case (and J every column) is an exact eigenvalue problem and
-    skips optimization.
+    skips optimization. ``restarts`` must be at least 1.
     """
-    j_set = ModelSet.of(j_set)
-    if not j_set:
-        raise ValueError("J must be nonempty")
-    jj = list(j_set.indices)
-    if jj[-1] >= design.p:
-        raise ValueError("J index out of range")
-    return _estimate(design, [jj], c, restarts, {0: extra_starts})
+    return _estimate(design, [_support_request(design, j_set, c, restarts, extra_starts)])[0]
 
 
 def min_subset_eigen(design: StandardizedDesign, size: int):
@@ -502,20 +545,7 @@ def kappa_uniform(
     covers all smaller sizes. Witness vectors in ``extra_starts`` are routed
     to the subset holding their s largest-magnitude coordinates.
     """
-    p = design.p
-    s = min(s, p)
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    if math.comb(p, s) > KAPPA_BUDGET:
-        raise EnumerationTooLarge(f"C({p},{s}) subsets exceed budget {KAPPA_BUDGET}")
-    subsets = [list(combo) for combo in itertools.combinations(range(p), s)]
-    position = {ModelSet.of(jj): pos for pos, jj in enumerate(subsets)}
-    routed: dict = {}
-    for nu in extra_starts or ():
-        nu = np.asarray(nu, dtype=float).ravel()
-        order = np.lexsort((np.arange(p), -np.abs(nu)))
-        routed.setdefault(position[ModelSet.of(order[:s])], []).append(nu)
-    return _estimate(design, subsets, c, restarts, routed)
+    return _estimate(design, [_uniform_request(design, s, c, restarts, extra_starts)])[0]
 
 
 def _prop5_witness(design, truth, kept):
@@ -609,53 +639,41 @@ def check_propositions(
     def le(lhs, rhs):
         return bool(lhs <= rhs + slack * max(1.0, abs(rhs)))
 
-    ok = True
-    for m, val in pairwise.items():
+    def lower_ok(m, val):
         union = sorted(set(m.indices) | set(truth.support.indices))
         lam = float(max(scipy.linalg.eigvalsh(sigma[np.ix_(union, union)])[0], 0.0))
         outside = [i for i, j in enumerate(truth.support.indices) if j not in m]
-        norm_sq = float(np.sum(truth.theta_star[outside] ** 2))
-        if not le(lam * norm_sq, val):
-            ok = False
-            break
-    flags["eigenvalue_lower"] = ok
+        return le(lam * float(np.sum(truth.theta_star[outside] ** 2)), val)
 
-    # margin witnesses: residual-coefficient vectors of the minimizing deletions
-    s_here = min(t, p)
-    _, kept = argmins[s_here]
-    witness_support = _prop5_witness(design, truth, kept)
-    kappa_support = kappa(
-        design, truth.support, 3.0, restarts=restarts, extra_starts=[witness_support]
-    )
+    flags["eigenvalue_lower"] = all(lower_ok(m, val) for m, val in pairwise.items())
+
+    # margin witnesses: residual-coefficient vectors of the minimizing
+    # deletions; cone-collapse witnesses: smallest-eigenvalue subset vectors.
+    # Every estimate of the report is answered by one batched search.
+    s_here, s4 = min(t, p), min(4 * t, p)
+    witness = [_prop5_witness(design, truth, argmins[s][1]) for s in (s_here, s4)]
+    requests = [
+        _support_request(design, truth.support, 3.0, restarts, witness[:1]),
+        _uniform_request(design, t, 3.0, restarts, witness[1:]),
+    ]
+    caps = []
+    for s_chk, c_chk in ((t, 3.0), (t, 1.0)):
+        blow = int(math.floor(c_chk)) + 1
+        try:
+            lam2, _, eigvec = min_subset_eigen(design, min(blow * s_chk, p))
+        except EnumerationTooLarge:
+            continue
+        requests.append(_uniform_request(design, s_chk, c_chk, restarts, [eigvec]))
+        caps.append(blow * lam2)
+    kappa_support, kappa_unif, *collapse = _estimate(design, requests)
+
     flags["margin_support"] = le(
         kappa_support.value * truth.theta_min**2, scaled[s_here]
-    )
-
-    s4 = min(4 * t, p)
-    _, kept4 = argmins[s4]
-    witness_uniform = _prop5_witness(design, truth, kept4)
-    kappa_unif = kappa_uniform(
-        design, t, 3.0, restarts=restarts, extra_starts=[witness_uniform]
     )
     flags["margin_uniform"] = le(
         kappa_unif.value * truth.theta_min**2, 4.0 * scaled[s4]
     )
-
-    ok = True
-    for s_chk, c_chk in ((t, 3.0), (t, 1.0)):
-        blow = int(math.floor(c_chk)) + 1
-        size2 = min(blow * s_chk, p)
-        try:
-            lam2, _, eigvec = min_subset_eigen(design, size2)
-        except EnumerationTooLarge:
-            continue
-        est = kappa_uniform(
-            design, s_chk, c_chk, restarts=restarts, extra_starts=[eigvec]
-        )
-        if not le(est.value, blow * lam2):
-            ok = False
-            break
-    flags["cone_collapse"] = ok
+    flags["cone_collapse"] = all(le(est.value, cap) for est, cap in zip(collapse, caps))
 
     flags["scale_chain"] = le(delta_p_val, delta_t_val)
 

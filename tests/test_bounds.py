@@ -34,9 +34,10 @@ from sosselect.bounds import (
     underselect_log_gap,
     underselect_penalty_cap,
 )
+from sosselect import identify
 from sosselect.design import Dataset, ModelSet, standardize
 from sosselect.errors import DomainError
-from sosselect.identify import TruthSpec
+from sosselect.identify import TruthSpec, kappa, kappa_uniform
 from sosselect.lasso import PenaltyPair, default_penalties
 
 
@@ -322,3 +323,36 @@ def test_bound_input_from_design_no_screen_route_all_pass():
     inp = bound_input_from_design(d, truth, pens, 0.15, restarts=16, s=6)
     assert theorem2_bound(inp).assumptions_ok
     assert corollary_bounds(inp, "C3").assumptions_ok
+
+
+@pytest.mark.parametrize("seed, restarts", [(130, 16), (131, 64)])
+def test_bound_input_kappas_are_exactly_the_public_estimates(monkeypatch, seed, restarts):
+    # kappa(T, 3) and kappa(t, 3) come from one search pass, in which the
+    # support's search is shared by both; each equals its separate call
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((30, 5))
+    d = standardize(Dataset(x=x, y=rng.standard_normal(30)), "formal")
+    truth = TruthSpec.from_beta(d, [1, 3], [2.0, -1.5], sigma2=1.0)
+    pens = default_penalties(n=30, p=5, sigma2=1.0, a=0.9)
+    passes = []
+    real = identify._alternating_min
+
+    def counting(*args):
+        passes.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(identify, "_alternating_min", counting)
+    inp = bound_input_from_design(d, truth, pens, 0.9, restarts=restarts)
+    assert len(passes) == 1 and passes[0][0] == math.comb(5, 2)
+    monkeypatch.undo()
+    assert inp.kappa_T3 == kappa(d, truth.support, 3.0, restarts=restarts).kappa
+    assert inp.kappa_t3 == kappa_uniform(d, 2, 3.0, restarts=restarts).kappa
+
+
+def test_bound_input_rejects_restarts_below_one():
+    x = np.eye(40)[:, :6]
+    d = standardize(Dataset(x=x, y=np.zeros(40)), "formal")
+    truth = TruthSpec.from_beta(d, [0, 1], [120.0, -120.0], sigma2=1.0)
+    pens = default_penalties(n=40, p=6, sigma2=1.0, a=0.9)
+    with pytest.raises(ValueError, match="restarts"):
+        bound_input_from_design(d, truth, pens, 0.9, restarts=0)

@@ -315,6 +315,16 @@ def test_diagnose_truth_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_diagnose_rejects_restarts_below_one(tmp_path, capsys):
+    x, y = strong_data(n=30, p=4)
+    data = tmp_path / "d.csv"
+    write_csv(data, x, y)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"support": [1, 3], "beta": [1.0, 1.0]}))
+    assert main(["diagnose", str(data), "--truth", str(truth), "--restarts", "0"]) == 1
+    assert "restarts" in capsys.readouterr().err
+
+
 def bound_blob(**over):
     blob = {
         "n": 60, "p": 6, "t": 2, "s": 3, "sigma2": 1.0, "r": 12.0,

@@ -9,6 +9,7 @@ angle grid when the on-support block is two-dimensional).
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -406,6 +407,76 @@ def test_exact_path_reports_no_restarts():
     assert uni.converged_fraction == 1.0
 
 
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_restarts_below_one_are_rejected(restarts):
+    rng = np.random.default_rng(98)
+    d, truth = random_instance(rng, 18, 4, 2)
+    with pytest.raises(ValueError, match="restarts"):
+        kappa(d, [0, 1], 3.0, restarts=restarts)
+    with pytest.raises(ValueError, match="restarts"):
+        kappa_uniform(d, 2, 3.0, restarts=restarts)
+    with pytest.raises(ValueError, match="restarts"):
+        check_propositions(d, truth, restarts=restarts)
+
+
+def count_search_passes(monkeypatch):
+    passes = []
+    real = identify._alternating_min
+
+    def counting(*args):
+        passes.append(args[0].shape)
+        return real(*args)
+
+    monkeypatch.setattr(identify, "_alternating_min", counting)
+    return passes
+
+
+@pytest.mark.parametrize("restarts", [1, 2, 5])
+def test_restarts_is_the_number_of_random_start_rows(monkeypatch, restarts):
+    # every search starts from exactly `restarts` random rows plus the
+    # subset's leading eigenvector and its witnesses, and reports `restarts`
+    passes = count_search_passes(monkeypatch)
+    rng = np.random.default_rng(98)
+    d, _ = random_instance(rng, 18, 4, 2)
+    est = kappa(d, [0, 1], 3.0, restarts=restarts, extra_starts=[np.ones(4)])
+    assert passes == [(1, restarts + 2, 2)]
+    assert est.restarts == restarts
+    assert identify._restart_rows(2, restarts).shape == (restarts, 2)
+
+
+@pytest.mark.parametrize("block_rows", [None, 1])
+def test_batch_over_two_cones_is_exactly_the_separate_calls(monkeypatch, block_rows):
+    # requests at c = 1 and c = 3 over the same subsets share one batch of
+    # searches, and two witnesses meet on J = {1, 3}; each estimate must be
+    # bit for bit its separate call's. Column 4 sums the others, so the c = 3
+    # cone holds directions the c = 1 cone does not, and on J = {1, 3} at
+    # c = 3 the two witnesses lead to different values
+    if block_rows is not None:
+        monkeypatch.setattr(identify, "_KAPPA_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(93)
+    x = rng.standard_normal((18, 5))
+    x[:, 4] = x[:, :4].sum(axis=1) + 0.3 * rng.standard_normal(18)
+    d = standardize(Dataset(x=x, y=rng.standard_normal(18)), "formal")
+    witness = np.array([0.1, -2.0, 0.3, 1.5, -0.2])  # routed to J = {1, 3}
+    other = np.array([0.0, 1.0, 0.2, -0.5, 0.1])  # also routed to J = {1, 3}
+    batch = identify._estimate(d, [
+        identify._uniform_request(d, 2, 1.0, 8, [witness]),
+        identify._uniform_request(d, 2, 3.0, 8, [witness]),
+        identify._uniform_request(d, 2, 3.0, 8, [other]),
+        identify._support_request(d, [1, 3], 3.0, 8, [other]),
+        identify._support_request(d, [1, 3], 3.0, 8, [witness]),
+    ])
+    separate = [
+        kappa_uniform(d, 2, 1.0, restarts=8, extra_starts=[witness]),
+        kappa_uniform(d, 2, 3.0, restarts=8, extra_starts=[witness]),
+        kappa_uniform(d, 2, 3.0, restarts=8, extra_starts=[other]),
+        kappa(d, [1, 3], 3.0, restarts=8, extra_starts=[other]),
+        kappa(d, [1, 3], 3.0, restarts=8, extra_starts=[witness]),
+    ]
+    assert batch == separate
+    assert separate[0].value != separate[1].value and separate[3].value != separate[4].value
+
+
 def test_min_subset_eigen_returns_witness():
     rng = np.random.default_rng(99)
     d, _ = random_instance(rng, 20, 5, 2)
@@ -475,6 +546,70 @@ def test_check_propositions_reports_the_single_enumerations(p, t):
     assert rep.delta_p == delta_scaled(d, truth, p)
     for s, val in rep.delta_scaled.items():
         assert val == delta_scaled(d, truth, s)
+
+
+def report_from_separate_calls(d, truth, restarts, rep):
+    """The report's estimates and their flags rebuilt from public kappa and
+    kappa_uniform calls, one per estimate, with the report's witnesses."""
+    p, t = d.p, truth.t
+    slack = 1e-9
+
+    def le(lhs, rhs):
+        return bool(lhs <= rhs + slack * max(1.0, abs(rhs)))
+
+    def witness(s):
+        kept = identify.delta_scaled_argmin(d, truth, s)[2]
+        return identify._prop5_witness(d, truth, kept)
+
+    s_here, s4 = min(t, p), min(4 * t, p)
+    k_support = kappa(d, truth.support, 3.0, restarts=restarts, extra_starts=[witness(s_here)])
+    k_unif = kappa_uniform(d, t, 3.0, restarts=restarts, extra_starts=[witness(s4)])
+    collapse = True
+    for c, blow in ((3.0, 4), (1.0, 2)):
+        if math.comb(p, min(blow * t, p)) > identify.KAPPA_BUDGET:
+            continue
+        lam2, _, eigvec = min_subset_eigen(d, blow * t)
+        est = kappa_uniform(d, t, c, restarts=restarts, extra_starts=[eigvec])
+        collapse = collapse and le(est.value, blow * lam2)
+    flags = {
+        "eigenvalue_lower": rep.flags["eigenvalue_lower"],
+        "margin_support": le(k_support.value * truth.theta_min**2, rep.delta_scaled[s_here]),
+        "margin_uniform": le(k_unif.value * truth.theta_min**2, 4.0 * rep.delta_scaled[s4]),
+        "cone_collapse": collapse,
+        "scale_chain": rep.flags["scale_chain"],
+    }
+    return IdentifiabilityReport(
+        truth=truth, delta_t=rep.delta_t, delta_p=rep.delta_p,
+        delta_scaled=rep.delta_scaled, delta_pairwise=rep.delta_pairwise,
+        kappa_support=k_support, kappa_uniform_t=k_unif, flags=flags,
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, n, p, t, restarts",
+    [(120, 25, 4, 2, 16), (121, 45, 4, 2, 64), (122, 30, 6, 1, 8), (123, 40, 25, 1, 4)],
+)
+def test_check_propositions_is_exactly_the_separate_calls(seed, n, p, t, restarts):
+    # one batched search answers the whole report; its JSON must be byte for
+    # byte the report assembled from separate calls. At p = 25, t = 1 the
+    # (t, 3) cone-collapse check is skipped: C(25, 4) exceeds the budget
+    rng = np.random.default_rng(seed)
+    d, truth = random_instance(rng, n, p, t)
+    rep = check_propositions(d, truth, restarts=restarts)
+    ref = report_from_separate_calls(d, truth, restarts, rep)
+    assert json.dumps(rep.to_json_dict()) == json.dumps(ref.to_json_dict())
+    assert (math.comb(p, 4 * t) > identify.KAPPA_BUDGET) == (p == 25)
+
+
+@pytest.mark.parametrize("seed", [124, 125])
+def test_check_propositions_runs_two_search_passes(monkeypatch, seed):
+    # all four estimates of a p = 4, t = 2 report run as one batch: one pass
+    # for searches without a witness and one for those with one
+    passes = count_search_passes(monkeypatch)
+    rng = np.random.default_rng(seed)
+    d, truth = random_instance(rng, 30, 4, 2)
+    check_propositions(d, truth, restarts=64)
+    assert sorted(shape[1] for shape in passes) == [65, 66]
 
 
 def test_identifiability_report_serialization():
