@@ -111,14 +111,15 @@ def _resolve_penalties(args, design) -> "tuple[PenaltyPair, float | None]":
     return default_penalties(design.n, design.p, sigma2, a), sigma2
 
 
-def _intercept(dataset: Dataset, model, beta_hat, mode: str) -> "float | None":
+def _intercept(dataset: Dataset, model: list, beta_hat, mode: str) -> "float | None":
     if mode != "practical":
         return None
-    idx = list(model.indices)
-    return float(np.mean(dataset.y) - np.mean(dataset.x[:, idx], axis=0) @ beta_hat)
+    return float(np.mean(dataset.y) - np.mean(dataset.x[:, model], axis=0) @ beta_hat)
 
 
 def _fit_payload(args, dataset, design, penalties, sigma2_est) -> dict:
+    """The library result's JSON (``SelectionOutcome`` or
+    ``ExhaustiveResult``) viewed with 1-based predictors."""
     payload = {
         "algorithm": args.algorithm,
         "mode": args.mode,
@@ -130,44 +131,29 @@ def _fit_payload(args, dataset, design, penalties, sigma2_est) -> dict:
         "enumeration": None,
     }
     if args.algorithm == "exhaustive":
-        best = exhaustive_gic(design, penalties.r)
-        refit = ls_fit(design, best.model, allow_degenerate=True)
-        payload["enumeration"] = {
-            "value": best.value,
-            "rss": best.rss,
-            "evaluated": best.evaluated,
-            "skipped": best.skipped,
-        }
-        model = best.model
+        enumeration = exhaustive_gic(design, penalties.r).to_json_dict()
+        model = enumeration.pop("model")
+        payload["enumeration"] = enumeration
+        beta = ls_fit(design, model, allow_degenerate=True).beta_hat.tolist()
     else:
         if args.algorithm == "sos":
-            outcome = run_sos(
-                design, penalties=penalties, tol=args.tol, max_iter=args.max_iter
-            )
-            scr = outcome.screen
-            payload["screen"] = {
-                "s0": _one_based(scr.s0.indices),
-                "s1": _one_based(scr.s1.indices),
-                "a0": scr.a0,
-                "a1": scr.a1,
-            }
+            outcome = run_sos(design, penalties=penalties, tol=args.tol, max_iter=args.max_iter)
         else:
             outcome = run_os(design, penalties=penalties)
-        payload["ordering"] = _one_based(outcome.ordering.sequence)
-        path = outcome.path
+        blob = outcome.to_json_dict()
+        if blob["screen"] is not None:
+            scr = blob["screen"]
+            payload["screen"] = {**scr, "s0": _one_based(scr["s0"]), "s1": _one_based(scr["s1"])}
+        payload["ordering"] = _one_based(blob["ordering"]["sequence"])
+        path = blob["path"]
         payload["path"] = {
-            "rss": [float(v) for v in path.rss_path],
-            "criterion": [float(v) for v in path.values],
-            "selected_size": path.selected_size,
+            "rss": path["rss_path"],
+            "criterion": path["values"],
+            "selected_size": path["selected_size"],
         }
-        model = outcome.selected
-        refit = outcome.refit
-    beta = np.asarray(refit.beta_hat, dtype=float)
-    payload["selected"] = _one_based(model.indices)
-    payload["coefficients"] = [
-        {"predictor": int(j) + 1, "beta": float(b)}
-        for j, b in zip(model.indices, beta)
-    ]
+        model, beta = blob["selected"], blob["refit"]["beta_hat"]
+    payload["selected"] = _one_based(model)
+    payload["coefficients"] = [{"predictor": j + 1, "beta": b} for j, b in zip(model, beta)]
     payload["intercept"] = _intercept(dataset, model, beta, args.mode)
     return payload
 
@@ -220,13 +206,18 @@ def _fit_tsv(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_fit(args) -> int:
+def _load_design(args):
+    """The dataset named by the shared CSV flags and its standardized design."""
     dataset = Dataset.from_csv(
         args.data,
         has_header=not args.no_header,
         response=_parse_response(args.response),
     )
-    design = standardize(dataset, args.mode)
+    return dataset, standardize(dataset, args.mode)
+
+
+def _cmd_fit(args) -> int:
+    dataset, design = _load_design(args)
     penalties, sigma2_est = _resolve_penalties(args, design)
     payload = _fit_payload(args, dataset, design, penalties, sigma2_est)
     if args.format == "json":
@@ -320,12 +311,7 @@ def _diagnose_table(blob: dict) -> str:
 
 
 def _cmd_diagnose(args) -> int:
-    dataset = Dataset.from_csv(
-        args.data,
-        has_header=not args.no_header,
-        response=_parse_response(args.response),
-    )
-    design = standardize(dataset, args.mode)
+    design = _load_design(args)[1]
     truth = _truth_from_json(_load_json(args.truth), design)
     report = check_propositions(design, truth, restarts=args.restarts)
     blob = _diagnose_view(report)

@@ -50,7 +50,7 @@ from .errors import (
 )
 
 # Relative tolerance on pivoted-QR diagonal entries used to call a set of
-# columns rank deficient.
+# columns rank deficient; the package's only rank rule.
 RANK_TOL = 1e-10
 
 # Below this RSS the residual is treated as exactly zero (t-stats undefined).
@@ -303,18 +303,18 @@ def _check_indices(design: StandardizedDesign, model: ModelSet) -> None:
         raise ValueError(f"column index {model.indices[-1]} out of range for p={design.p}")
 
 
-def _factor(x: np.ndarray, tol: float = RANK_TOL):
+def _factor(x: np.ndarray):
     """The one factorization: pivoted thin QR ``x[:, perm] = q @ r`` and the
-    numerical rank, the count of ``|r_kk| > tol * |r_00|``."""
+    numerical rank, the count of ``|r_kk| > RANK_TOL * |r_00|``."""
     q, r, perm = scipy.linalg.qr(x, mode="economic", pivoting=True)
     d = np.abs(np.diag(r))
-    rank = int(np.sum(d > tol * d[0])) if d.size and d[0] > 0.0 else 0
+    rank = int(np.sum(d > RANK_TOL * d[0])) if d.size and d[0] > 0.0 else 0
     return q, r, perm, rank
 
 
-def span_basis(x: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def span_basis(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, tolerant to rank deficiency."""
-    q, _, _, rank = _factor(x, tol)
+    q, _, _, rank = _factor(x)
     return q[:, :rank]
 
 

@@ -52,6 +52,12 @@ class ScreenTooLarge(SosSelectError):
 class EnumerationTooLarge(SosSelectError):
     """Requested exhaustive enumeration exceeds the safety budget."""
 
+    @classmethod
+    def check(cls, count: int, budget: int, what: str) -> None:
+        """The one enumeration guard: raise when ``count`` items exceed ``budget``."""
+        if count > budget:
+            raise cls(f"{count} {what} exceed budget {budget}")
+
 
 class DegenerateSelection(SosSelectError):
     """No replicate produced a usable post-selection pivot statistic."""

@@ -22,6 +22,9 @@ The estimate is an upper bound of the true minimum (it is the value of a
 feasible point), so inequality checks that place it on the small side are
 seeded with the construction witnessing the corresponding proof; this keeps
 those checks one-sided: they cannot fail merely because a restart wandered.
+Every inequality check, here and in ``lasso``, allows the relative fp slack
+of ``_le``. Each enumeration budget has one guard, checked before the work
+starts; :func:`check_propositions` checks all of its budgets first.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ KAPPA_BUDGET = 10_000
 _KAPPA_BLOCK_ROWS = 4096
 
 _EIG_CLIP = 0.0  # eigenvalues of gram matrices are >= 0 up to fp noise
+_SLACK = 1e-9  # relative fp slack of every inequality check
 _V_ITERS = 40  # accelerated projected-gradient steps per off-J update
 _MAX_OUTER = 50  # alternating rounds before a subset's search stops
 
@@ -99,6 +103,24 @@ class TruthSpec:
         }
 
 
+def _le(lhs: float, rhs: float) -> bool:
+    """``lhs <= rhs`` up to the relative fp slack ``_SLACK``."""
+    return bool(lhs <= rhs + _SLACK * max(1.0, abs(rhs)))
+
+
+def _guard_competitors(p: int, t: int) -> None:
+    total = sum(math.comb(p, k) for k in range(0, t + 1))
+    EnumerationTooLarge.check(total, DELTA_BUDGET, "competitors")
+
+
+def _guard_scaled(p: int, t: int, s: int) -> None:
+    EnumerationTooLarge.check(math.comb(p - t, s - t) * t, DELTA_BUDGET, "projections")
+
+
+def _guard_subsets(p: int, s: int) -> None:
+    EnumerationTooLarge.check(math.comb(p, s), KAPPA_BUDGET, "subsets")
+
+
 def _signal(design: StandardizedDesign, truth: TruthSpec) -> np.ndarray:
     return design.columns(truth.support) @ truth.theta_star
 
@@ -148,10 +170,8 @@ def delta_scaled_argmin(design: StandardizedDesign, truth: TruthSpec, s: int):
     p = design.p
     if not t <= s <= p:
         raise ValueError(f"need t={t} <= s <= p={p}, got s={s}")
+    _guard_scaled(p, t, s)
     others = [j for j in range(p) if j not in truth.support]
-    count = math.comb(len(others), s - t) * t
-    if count > DELTA_BUDGET:
-        raise EnumerationTooLarge(f"{count} projections exceed budget {DELTA_BUDGET}")
     v = _signal(design, truth)
     best = (math.inf, None, None)
     tset = truth.support.indices
@@ -181,13 +201,10 @@ def delta_identifiability(design: StandardizedDesign, truth: TruthSpec) -> float
     Also cross-checks the chain ``delta(T, p) <= delta(T)`` (projection
     monotonicity); a violation beyond fp slack means a defect and raises.
     """
-    t, p = truth.t, design.p
-    total = sum(math.comb(p, k) for k in range(0, t + 1))
-    if total > DELTA_BUDGET:
-        raise EnumerationTooLarge(f"{total} competitors exceed budget {DELTA_BUDGET}")
+    _guard_competitors(design.p, truth.t)
     best = min(_competitor_margins(design, truth).values())
-    d_p = delta_scaled(design, truth, p)
-    if d_p > best + 1e-9 * max(1.0, best):
+    d_p = delta_scaled(design, truth, design.p)
+    if not _le(d_p, best):
         raise AssertionError(
             f"delta(T,p)={d_p} exceeds delta(T)={best}; projection chain broken"
         )
@@ -477,8 +494,7 @@ def _uniform_request(design, s, c, restarts, extra_starts):
     s = min(s, p)
     if s < 1:
         raise ValueError("s must be >= 1")
-    if math.comb(p, s) > KAPPA_BUDGET:
-        raise EnumerationTooLarge(f"C({p},{s}) subsets exceed budget {KAPPA_BUDGET}")
+    _guard_subsets(p, s)
     subsets = [list(combo) for combo in itertools.combinations(range(p), s)]
     position = {ModelSet.of(jj): pos for pos, jj in enumerate(subsets)}
     routed: dict = {}
@@ -519,8 +535,7 @@ def min_subset_eigen(design: StandardizedDesign, size: int):
     size = min(size, p)
     if size < 1:
         raise ValueError("size must be >= 1")
-    if math.comb(p, size) > KAPPA_BUDGET:
-        raise EnumerationTooLarge(f"C({p},{size}) subsets exceed budget {KAPPA_BUDGET}")
+    _guard_subsets(p, size)
     best = (math.inf, None, None)
     for combo in itertools.combinations(range(p), size):
         _, lam, vec_j = _subset_eigh(design.gram, combo)
@@ -605,7 +620,6 @@ def check_propositions(
     truth: TruthSpec,
     *,
     restarts: int = 64,
-    slack: float = 1e-9,
 ) -> IdentifiabilityReport:
     """Compute the identifiability report and verify the cross-quantity
     inequalities that tie margins to restricted eigenvalues.
@@ -620,30 +634,31 @@ def check_propositions(
     * ``margin_support`` : ``kappa^2(T,3) * theta_min^2 <= delta(T, t)``.
     * ``margin_uniform``: ``kappa^2(t,3) * theta_min^2 <= 4 delta(T, 4t)``.
     * ``scale_chain``: ``delta(T, p) <= delta(T)``.
+
+    Every budget that raises (competitors, each scaled size, the size-t
+    subsets) is checked before any enumeration runs; a cone-collapse size
+    over budget only skips that check.
     """
     p, t = design.p, truth.t
+    sizes = range(t, min(4 * t, p) + 1)
+    _guard_competitors(p, t)
+    for s in sizes:
+        _guard_scaled(p, t, s)
+    _guard_subsets(p, t)
     pairwise = _competitor_margins(design, truth)
     delta_t_val = min(pairwise.values())
 
-    scaled = {}
-    argmins = {}
-    for s in range(t, min(4 * t, p) + 1):
-        val, j_rm, kept = delta_scaled_argmin(design, truth, s)
-        scaled[s] = val
-        argmins[s] = (j_rm, kept)
+    argmins = {s: delta_scaled_argmin(design, truth, s) for s in sizes}
+    scaled = {s: val for s, (val, _, _) in argmins.items()}
     delta_p_val = scaled[p] if p in scaled else delta_scaled(design, truth, p)
 
-    sigma = design.gram
     flags = {}
-
-    def le(lhs, rhs):
-        return bool(lhs <= rhs + slack * max(1.0, abs(rhs)))
 
     def lower_ok(m, val):
         union = sorted(set(m.indices) | set(truth.support.indices))
-        lam = float(max(scipy.linalg.eigvalsh(sigma[np.ix_(union, union)])[0], 0.0))
+        lam = _lam_min(design.gram[np.ix_(union, union)])
         outside = [i for i, j in enumerate(truth.support.indices) if j not in m]
-        return le(lam * float(np.sum(truth.theta_star[outside] ** 2)), val)
+        return _le(lam * float(np.sum(truth.theta_star[outside] ** 2)), val)
 
     flags["eigenvalue_lower"] = all(lower_ok(m, val) for m, val in pairwise.items())
 
@@ -651,7 +666,7 @@ def check_propositions(
     # deletions; cone-collapse witnesses: smallest-eigenvalue subset vectors.
     # Every estimate of the report is answered by one batched search.
     s_here, s4 = min(t, p), min(4 * t, p)
-    witness = [_prop5_witness(design, truth, argmins[s][1]) for s in (s_here, s4)]
+    witness = [_prop5_witness(design, truth, argmins[s][2]) for s in (s_here, s4)]
     requests = [
         _support_request(design, truth.support, 3.0, restarts, witness[:1]),
         _uniform_request(design, t, 3.0, restarts, witness[1:]),
@@ -667,15 +682,11 @@ def check_propositions(
         caps.append(blow * lam2)
     kappa_support, kappa_unif, *collapse = _estimate(design, requests)
 
-    flags["margin_support"] = le(
-        kappa_support.value * truth.theta_min**2, scaled[s_here]
-    )
-    flags["margin_uniform"] = le(
-        kappa_unif.value * truth.theta_min**2, 4.0 * scaled[s4]
-    )
-    flags["cone_collapse"] = all(le(est.value, cap) for est, cap in zip(collapse, caps))
+    flags["margin_support"] = _le(kappa_support.value * truth.theta_min**2, scaled[s_here])
+    flags["margin_uniform"] = _le(kappa_unif.value * truth.theta_min**2, 4.0 * scaled[s4])
+    flags["cone_collapse"] = all(_le(est.value, cap) for est, cap in zip(collapse, caps))
 
-    flags["scale_chain"] = le(delta_p_val, delta_t_val)
+    flags["scale_chain"] = _le(delta_p_val, delta_t_val)
 
     return IdentifiabilityReport(
         truth=truth,

@@ -28,6 +28,7 @@ import numpy as np
 
 from .design import ModelSet, StandardizedDesign
 from .errors import KappaDegenerate, NotConverged
+from .identify import _le, kappa
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -268,7 +269,6 @@ def verify_oracle_inequalities(
     mu0: np.ndarray,
     *,
     kappa_sq: "float | None" = None,
-    slack: float = 1e-9,
 ) -> OracleCheckReport:
     """Check the prediction/estimation inequalities realized by ``fit``.
 
@@ -276,8 +276,8 @@ def verify_oracle_inequalities(
     scale whose support J defines the restricted-eigenvalue constant
     ``kappa(J, 3)``; ``mu0`` is the (standardized-scale) target mean. Any
     valid lower bound may be passed as ``kappa_sq``; by default the
-    alternating-minimization estimate is used. All comparisons allow a
-    relative slack for floating point only; the inequalities themselves are
+    alternating-minimization estimate is used. All comparisons allow the
+    relative fp slack of ``identify._le`` only; the inequalities themselves are
     supposed to hold exactly on the noise event checked by :func:`event_a`.
     """
     beta_ref = np.asarray(reference_beta, dtype=float).ravel()
@@ -292,9 +292,7 @@ def verify_oracle_inequalities(
     delta = fit.theta_hat - theta_ref
 
     if kappa_sq is None:
-        from .identify import kappa as _kappa
-
-        kappa_sq = _kappa(design, j_set, 3.0).value
+        kappa_sq = kappa(design, j_set, 3.0).value
     if kappa_sq <= 1e-12:
         raise KappaDegenerate(f"kappa^2({tuple(j_set)}, 3) = {kappa_sq:.3e}")
     k = math.sqrt(kappa_sq)
@@ -308,24 +306,21 @@ def verify_oracle_inequalities(
     l1_j = float(np.sum(np.abs(delta[jj])))
     l2_j = float(np.linalg.norm(delta[jj]))
 
-    def le(lhs, rhs):
-        return bool(lhs <= rhs + slack * max(1.0, abs(rhs)))
-
     eq3_rhs = approx_err + 3.0 * r_l * math.sqrt(card) / k
-    eq3_ok = le(fit_err, eq3_rhs)
+    eq3_ok = _le(fit_err, eq3_rhs)
 
-    cone = le(l1_all, 4.0 * l1_j)
+    cone = _le(l1_all, 4.0 * l1_j)
     eq3plus_ok = None
     if cone:
-        eq3plus_ok = le(r_l * l1_all, 2.0 * approx_err**2 + 8.0 * r_l**2 * card / kappa_sq)
+        eq3plus_ok = _le(r_l * l1_all, 2.0 * approx_err**2 + 8.0 * r_l**2 * card / kappa_sq)
 
     parametric = approx_err <= 1e-8 * max(1.0, float(np.linalg.norm(mu0)))
     cor7_l1 = cor7_fit = cor8_l2 = cor8_l1 = None
     if parametric:
-        cor7_l1 = le(l1_all, 8.0 * r_l * card / kappa_sq)
-        cor7_fit = le(float(np.linalg.norm(mu_hat - mu_ref)) ** 2, 9.0 * r_l**2 * card / kappa_sq)
-        cor8_l2 = le(l2_j, 3.0 * r_l * math.sqrt(card) / kappa_sq)
-        cor8_l1 = le(l1_j, 3.0 * r_l * card / kappa_sq)
+        cor7_l1 = _le(l1_all, 8.0 * r_l * card / kappa_sq)
+        cor7_fit = _le(float(np.linalg.norm(mu_hat - mu_ref)) ** 2, 9.0 * r_l**2 * card / kappa_sq)
+        cor8_l2 = _le(l2_j, 3.0 * r_l * math.sqrt(card) / kappa_sq)
+        cor8_l1 = _le(l1_j, 3.0 * r_l * card / kappa_sq)
 
     return OracleCheckReport(
         eq3_ok=eq3_ok,

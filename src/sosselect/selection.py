@@ -12,7 +12,9 @@ column per node, so every subset costs one orthogonalization instead of a
 fresh factorization. The walk depends on the design alone, so one walk
 serves a block of responses on the same design (the replicates of a
 fixed-design experiment); each response's result is exactly that of its own
-walk.
+walk. The walk owns the default size cap ``min(p, n_effective - 1)``, which
+leaves every model a residual degree of freedom, and the subset budget; a
+column counts as dependent by the design module's ``RANK_TOL``.
 
 Tie rules are exact (no tolerance): equal criterion values resolve to the
 smaller model, then to the lexicographically smallest index tuple; equal
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import (
+    RANK_TOL,
     LsFit,
     ModelSet,
     Parametrization,
@@ -40,18 +43,10 @@ from .design import (
     rss,
     standardize,
 )
-from .errors import (
-    EnumerationTooLarge,
-    ScreenTooLarge,
-    TooManyPredictors,
-)
+from .errors import EnumerationTooLarge, ScreenTooLarge, TooManyPredictors
 from .lasso import LassoFit, PenaltyPair, ScreenResult, screen, solve_lasso
 
 ENUMERATION_BUDGET = 1_000_000
-
-# Gram-Schmidt residual norm below which a unit-norm column is declared
-# dependent on the current subset (matches the design-module rank rule).
-_GS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -176,26 +171,23 @@ class ExhaustiveResult:
         }
 
 
-def _enumeration_size(p: int, max_size: int) -> int:
-    return sum(math.comb(p, k) for k in range(0, max_size + 1))
-
-
 def exhaustive_gic(
     design: StandardizedDesign, r: float, max_size: "int | None" = None
 ) -> ExhaustiveResult:
     """Minimize the criterion over all column subsets up to ``max_size``.
 
-    Rank-deficient subsets are skipped and counted (a dependent column
-    prunes its whole depth-first subtree, every member of which is also
-    dependent). Raises :class:`EnumerationTooLarge` when the subset count
-    exceeds the 1e6 budget.
+    The default size cap is ``min(p, n_effective - 1)``, so a model always
+    keeps a residual degree of freedom. Rank-deficient subsets are skipped
+    and counted (a dependent column prunes its whole depth-first subtree,
+    every member of which is also dependent). Raises
+    :class:`EnumerationTooLarge` when the subset count exceeds the 1e6 budget.
     """
-    if max_size is None:
-        max_size = min(design.p, design.n_effective)
-    return _exhaustive_block(design.x0, [design.y0], r, max_size)[0]
+    return _exhaustive_block(design, [design.y0], r, max_size)[0]
 
 
-def _exhaustive_block(x0: np.ndarray, responses, r: float, max_size: int) -> list:
+def _exhaustive_block(
+    design: StandardizedDesign, responses, r: float, max_size: "int | None" = None
+) -> list:
     """:func:`exhaustive_gic` for several responses on one design.
 
     One depth-first walk extends the Gram-Schmidt basis once per node; each
@@ -204,11 +196,11 @@ def _exhaustive_block(x0: np.ndarray, responses, r: float, max_size: int) -> lis
     """
     if r < 0:
         raise ValueError("penalty r must be nonnegative")
+    x0 = design.x0
     n, p = x0.shape
-    max_size = min(max_size, p)
-    total = _enumeration_size(p, max_size)
-    if total > ENUMERATION_BUDGET:
-        raise EnumerationTooLarge(f"{total} subsets exceed budget {ENUMERATION_BUDGET}")
+    max_size = min(p, design.n_effective - 1 if max_size is None else max_size)
+    total = sum(math.comb(p, k) for k in range(0, max_size + 1))
+    EnumerationTooLarge.check(total, ENUMERATION_BUDGET, "subsets")
 
     ys = list(responses)
     r_empty = [float(y @ y) for y in ys]
@@ -229,7 +221,7 @@ def _exhaustive_block(x0: np.ndarray, responses, r: float, max_size: int) -> lis
             w = col - qbasis[:, :depth] @ (qbasis[:, :depth].T @ col)
             w -= qbasis[:, :depth] @ (qbasis[:, :depth].T @ w)
             nw = float(np.linalg.norm(w))
-            if nw <= _GS_TOL:
+            if nw <= RANK_TOL:  # unit-norm columns: the design's relative rank rule
                 free = p - j - 1
                 skipped += sum(
                     math.comb(free, e) for e in range(0, max_size - depth)

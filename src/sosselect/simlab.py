@@ -270,14 +270,13 @@ def _f_stat(draw: _DesignDraw, y: np.ndarray, mode: str, model: ModelSet):
     per model dimension) over (residual mean square). None when the model is
     empty, saturated, or the residual is numerically zero."""
     n = len(y)
-    practical = Parametrization.parse(mode) is Parametrization.PRACTICAL
-    d = len(model) + (1 if practical else 0)
+    d = pivot_dimension(len(model), mode)
     if len(model) == 0 or d >= n:
         return None
 
     def build():
         cols = [draw.x[:, j] for j in model.indices]
-        if practical:
+        if d > len(model):  # the intercept is a fitted coordinate
             cols = [np.ones(n)] + cols
         qmat, _ = np.linalg.qr(np.column_stack(cols))
         return qmat, qmat @ (qmat.T @ draw.mu)
@@ -396,16 +395,14 @@ def _worst_bounds(blobs) -> "dict | None":
     return {"input": blobs[0]["input"], "evaluated_on": len(blobs), "worst": folded}
 
 
-def _run_block(config_blob: dict, lo: int, hi: int, want_bounds: bool):
-    config = ScenarioConfig.from_json_dict(config_blob)
+def _run_block(config: ScenarioConfig, lo: int, hi: int, want_bounds: bool):
     penalties = config.penalties()
     pairs = []
     for draw, trials in _response_blocks(config, lo, hi):
         bests = [None] * len(trials)
         if config.compare_exhaustive:
-            limit = min(config.p, draw.noiseless.n_effective - 1)
             responses = [trial[1].y0 for _, trial in trials]
-            bests = _exhaustive_block(draw.noiseless.x0, responses, penalties.r, limit)
+            bests = _exhaustive_block(draw.noiseless, responses, penalties.r)
         pairs += [
             _single_trial(config, draw, i, trial, best, penalties, want_bounds)
             for (i, trial), best in zip(trials, bests)
@@ -487,14 +484,13 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
 
     reps = config.replicates
     if jobs <= 1 or reps < 4:
-        pairs = _run_block(config.to_json_dict(), 0, reps, per_replicate_bounds)
+        pairs = _run_block(config, 0, reps, per_replicate_bounds)
     else:
         chunk = max(1, math.ceil(reps / (4 * jobs)))
         spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        blob = config.to_json_dict()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_run_block, blob, lo, hi, per_replicate_bounds)
+                pool.submit(_run_block, config, lo, hi, per_replicate_bounds)
                 for lo, hi in spans
             ]
             pairs = [pair for fut in futures for pair in fut.result()]

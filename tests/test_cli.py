@@ -12,6 +12,9 @@ import pytest
 
 from sosselect import load_schema
 from sosselect.cli import main
+from sosselect.design import Dataset, standardize
+from sosselect.lasso import PenaltyPair
+from sosselect.selection import exhaustive_gic, run_os, run_sos
 
 
 def write_csv(path, x, y, header=True):
@@ -95,6 +98,63 @@ def test_fit_exhaustive_table_reports_enumeration(data_csv, capsys):
     assert set(fields) == {"value", "rss", "evaluated", "skipped"}
     assert int(fields["evaluated"]) >= 1 and int(fields["skipped"]) >= 0
     assert not any(line.startswith(("ordering:", "screen:", "criterion path:")) for line in out)
+
+
+def one_based(indices):
+    return [j + 1 for j in indices]
+
+
+@pytest.mark.parametrize("algorithm", ["sos", "os", "exhaustive"])
+def test_fit_json_is_a_one_based_view_of_the_library_result(data_csv, capsys, algorithm):
+    blob = run_json(
+        capsys,
+        ["fit", data_csv, "--penalty-r", "12", "--algorithm", algorithm, "--format", "json"],
+    )
+    design = standardize(Dataset.from_csv(data_csv), "practical")
+    penalties = PenaltyPair(r=12.0, r_l=float(2.0 * np.sqrt(12.0)))
+    if algorithm == "exhaustive":
+        best = exhaustive_gic(design, penalties.r)
+        assert blob["enumeration"] == {
+            "value": best.value, "rss": best.rss,
+            "evaluated": best.evaluated, "skipped": best.skipped,
+        }
+        assert blob["screen"] is blob["ordering"] is blob["path"] is None
+        assert blob["selected"] == one_based(best.model)
+        return
+    if algorithm == "sos":
+        out = run_sos(design, penalties=penalties)
+        assert blob["screen"] == {
+            "s0": one_based(out.screen.s0), "s1": one_based(out.screen.s1),
+            "a0": out.screen.a0, "a1": out.screen.a1,
+        }
+    else:
+        out = run_os(design, penalties=penalties)
+        assert blob["screen"] is None
+    assert blob["ordering"] == one_based(out.ordering.sequence)
+    assert blob["path"] == {
+        "rss": out.path.rss_path.tolist(),
+        "criterion": out.path.values.tolist(),
+        "selected_size": out.path.selected_size,
+    }
+    assert blob["enumeration"] is None
+    assert blob["selected"] == one_based(out.selected)
+    assert [row["beta"] for row in blob["coefficients"]] == out.refit.beta_hat.tolist()
+
+
+def test_fit_exhaustive_keeps_a_residual_degree_of_freedom(tmp_path, capsys):
+    # n = 8 and p = 10 in the practical mode: n_effective = 7. A vanishing
+    # penalty favours the largest model, which must still leave one residual
+    # degree of freedom for the refit (a saturated pick used to exit 1)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((8, 10))
+    y = 3.0 * x[:, 0] + rng.standard_normal(8)
+    path = tmp_path / "wide.csv"
+    write_csv(path, x, y)
+    argv = ["fit", str(path), "--penalty-r", "1e-9", "--algorithm", "exhaustive"]
+    blob = run_json(capsys, argv + ["--format", "json"])
+    design = standardize(Dataset(x=x, y=y), "practical")
+    assert 0 < len(blob["selected"]) <= design.n_effective - 1 == 6
+    assert len(exhaustive_gic(design, 1e-9).model) < design.n_effective
 
 
 def test_fit_tsv_rows_and_intercept_marker(data_csv, capsys):

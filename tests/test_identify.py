@@ -612,6 +612,21 @@ def test_check_propositions_runs_two_search_passes(monkeypatch, seed):
     assert sorted(shape[1] for shape in passes) == [65, 66]
 
 
+def test_check_propositions_checks_every_budget_before_enumerating(monkeypatch):
+    # p = 24, t = 4: the competitors (12,951) and every scaled size (at most
+    # 739,024 projections) fit their budgets, but C(24, 4) = 10,626 subsets
+    # exceed the restricted-eigenvalue budget; no projection may run first
+    def no_projection(*args, **kwargs):
+        raise AssertionError("enumeration ran before the budget check")
+
+    monkeypatch.setattr(identify, "_residual_sq", no_projection)
+    monkeypatch.setattr(identify, "span_basis", no_projection)
+    rng = np.random.default_rng(126)
+    d, truth = random_instance(rng, 30, 24, 4)
+    with pytest.raises(EnumerationTooLarge):
+        check_propositions(d, truth, restarts=4)
+
+
 def test_identifiability_report_serialization():
     d = one_hot_design(8, 5)
     truth = TruthSpec.from_beta(d, [0, 1], [1.0, 2.0])

@@ -256,8 +256,7 @@ def test_exhaustive_block_rows_equal_separate_searches(max_size, responses):
     ys = rng.standard_normal((responses, 18)) + 0.8 * x[:, 1]
     ys[0] = x[:, 0] + x[:, 2]  # noiseless on {0, 2}: the rss clamps at 0.0
     designs = [standardize(Dataset(x=x, y=y), "practical") for y in ys]
-    limit = min(6, designs[0].n_effective) if max_size is None else max_size
-    block = _exhaustive_block(designs[0].x0, [d.y0 for d in designs], 0.7, limit)
+    block = _exhaustive_block(designs[0], [d.y0 for d in designs], 0.7, max_size)
     assert len(block) == responses
     for d, got in zip(designs, block):
         want = exhaustive_gic(d, 0.7, max_size)

@@ -327,7 +327,7 @@ def test_fixed_design_block_factors_each_model_once(monkeypatch):
 
     monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", block)
     monkeypatch.setattr(design_module, "_factor", counted)
-    simlab._run_block(cfg.to_json_dict(), 0, cfg.replicates, False)
+    simlab._run_block(cfg, 0, cfg.replicates, False)
     assert len(calls) == len(keys) < cfg.replicates  # was about 3 per replicate
 
 
