@@ -13,7 +13,9 @@ Two families of quantities are computed for a sparse truth
   non-convex jointly, so it is estimated by alternating minimization (exact
   convex step in ``nu_Jc`` via accelerated projected gradient, normalized
   gradient steps in ``nu_J``) from many restarts, batched across restarts,
-  subsets and every estimate of a report; equal searches run once.
+  subsets and every estimate of a report: equal searches run once, and all
+  searches of one size run in one pass. The l1-ball projection returns at
+  once when a certified row sum puts every row inside its ball.
   Certified envelopes accompany every estimate: ``lambda_min(Sigma)`` from
   below, ``lambda_min(Sigma_J)`` (the c = 0 value, also the estimate's
   initialization) from above.
@@ -46,6 +48,7 @@ KAPPA_BUDGET = 10_000
 _KAPPA_BLOCK_ROWS = 4096
 
 _EIG_CLIP = 0.0  # eigenvalues of gram matrices are >= 0 up to fp noise
+_EPS = float(np.finfo(float).eps)
 _SLACK = 1e-9  # relative fp slack of every inequality check
 _V_ITERS = 40  # accelerated projected-gradient steps per off-J update
 _MAX_OUTER = 50  # alternating rounds before a subset's search stops
@@ -243,7 +246,11 @@ class KappaEstimate:
 
 def _project_l1_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Project each row of v (its last axis) onto the l1 ball of the matching
-    radius; leading axes are flattened into rows and restored."""
+    radius; leading axes are flattened into rows and restored.
+
+    A row is moved exactly when numpy's ``sum(|row|)`` exceeds its radius.
+    When one BLAS row sum shows every row certainly inside its ball, v is
+    returned as is, with no sort and no numpy reduction."""
     if v.size == 0:
         return v
     shape = v.shape
@@ -251,6 +258,16 @@ def _project_l1_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     v = v.reshape(-1, q)
     radii = radii.reshape(-1)
     a = np.abs(v)
+    # Shortcut. Summed in any order, q terms >= 0 with exact sum S give
+    # fl(S) within S (1 -+ g), g = (q-1) u / (1 - (q-1) u), u = eps / 2
+    # (additions never err by underflow). So numpy's sum is at most the BLAS
+    # sum times (1+g)/(1-g) = 1 / (1 - (q-1) eps), and a BLAS sum at most
+    # radius (1 - (q-1) eps) puts the row's numpy sum at or below its radius.
+    # The threshold radius (1 - 4 q eps) stays under that bound after its two
+    # roundings unless the product is subnormal; then every sum at or under
+    # it is below 2^-1021, where sums of q terms are exact in any order.
+    if (a @ np.ones(q) <= radii * (1.0 - 4 * q * _EPS)).all():
+        return v.reshape(shape)
     over = a.sum(axis=1) > radii
     if not over.any():
         return v.reshape(shape)
@@ -312,50 +329,62 @@ def _witness_rows(jj, others, c, extra_starts):
     return eu, ev
 
 
-def _alternating_min(u, v, s_jj, s_oj, s_oo, lip_v, lam_j, c):
+def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, real):
     """Alternating minimization of ``nu' Sigma nu`` for B searches at once.
 
     ``u`` (B, m, k) and ``v`` (B, m, q) hold each search's m start rows on and
-    off J, and ``c`` (B, 1) its cone constant. A search leaves the active set
-    after the first outer iteration in which none of its rows improved.
-    Returns each search's best objective and the fraction of its rows that
-    had stopped improving.
+    off J, ``top_v`` (B,) the largest eigenvalue of its Sigma_JcJc (half the
+    Lipschitz constant of the off-J gradient) and ``c`` (B, 1) its cone
+    constant. Only the first ``real[b]`` rows of search b are its own; the
+    rest copy its leading-eigenvector row, move exactly as that row does and
+    so change neither its best value nor when it stops. A search leaves the
+    active set after the first outer iteration in which none of its rows
+    improved. Returns each search's best objective and the fraction of its
+    real rows that had stopped improving.
     """
     n_sub, m, _ = u.shape
     best_out = np.empty(n_sub)
     frac_out = np.empty(n_sub)
     live = np.arange(n_sub)
-    lip = lip_v[:, None, None]
+    top = top_v[:, None, None]
     eta0 = np.array([0.5 / max(lam, 1e-6) for lam in lam_j])
 
     best = _batched_objective(u, v, s_jj, s_oj, s_oo)
     prev = best.copy()
     improving = np.ones((n_sub, m), dtype=bool)
     for _ in range(_MAX_OUTER):
-        # exact convex step in the off-J block (accelerated projected gradient)
+        # exact convex step in the off-J block (accelerated projected gradient,
+        # step 1 / (2 top) on the gradient 2 (u Sigma_JJc + z Sigma_JcJc))
         radii = c * np.abs(u).sum(axis=2)
         u_soj = u @ s_oj.transpose(0, 2, 1)
-        z = v.copy()
+        z = v
         t_k = 1.0
         for _ in range(_V_ITERS):
-            grad = 2.0 * (u_soj + z @ s_oo)
-            w = z - grad / lip
+            w = z @ s_oo
+            w += u_soj
+            w /= top  # (2 g) / (2 top) and g / top round the same quotient
+            np.subtract(z, w, out=w)
             v_new = _project_l1_rows(w, radii)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-            z = v_new + ((t_k - 1.0) / t_next) * (v_new - v)
+            z = v_new - v
+            z *= (t_k - 1.0) / t_next
+            z += v_new
             v, t_k = v_new, t_next
         v = _project_l1_rows(v, radii)
 
-        # normalized gradient steps in the on-J block, with backtracking
+        # normalized gradient steps in the on-J block, with backtracking; v
+        # stays fixed through them, so its product with Sigma_JcJ is made once
+        v_soj = v @ s_oj
+
         def h(uu):
             val = np.einsum("bij,bij->bi", uu @ s_jj, uu)
-            val += 2.0 * np.einsum("bij,bij->bi", v @ s_oj, uu)
+            val += 2.0 * np.einsum("bij,bij->bi", v_soj, uu)
             return val
 
         eta = np.repeat(eta0[:, None], m, axis=1)
         hu = h(u)
         for _ in range(4):
-            grad_u = 2.0 * (u @ s_jj + v @ s_oj)
+            grad_u = 2.0 * (u @ s_jj + v_soj)
             cand = u - eta[:, :, None] * grad_u
             norms = np.linalg.norm(cand, axis=2, keepdims=True)
             cand = np.where(norms > 1e-12, cand / np.where(norms > 0, norms, 1.0), u)
@@ -381,9 +410,12 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, lip_v, lam_j, c):
             return best_out, frac_out
         live = live[going]
         u, v, best, prev, improving = (a[going] for a in (u, v, best, prev, improving))
-        s_jj, s_oj, s_oo, lip, eta0, c = (a[going] for a in (s_jj, s_oj, s_oo, lip, eta0, c))
+        s_jj, s_oj, s_oo, top, eta0, c, real = (
+            a[going] for a in (s_jj, s_oj, s_oo, top, eta0, c, real)
+        )
     best_out[live] = best.min(axis=1)
-    frac_out[live] = np.mean(~improving, axis=1)
+    stopped = ~improving & (np.arange(m) < real[:, None])
+    frac_out[live] = stopped.sum(axis=1) / real
     return best_out, frac_out
 
 
@@ -405,11 +437,15 @@ def _estimate(design, requests) -> list:
     Otherwise each subset is one search, started from the restart directions
     of its size plus its own leading eigenvector and witnesses. Equal
     searches (same J, c, restarts and witness rows) run once, whichever
-    requests ask for them. Searches of the same size and start-row count run
-    as one batch, in blocks of at most ``_KAPPA_BLOCK_ROWS`` rows; searches
-    are independent, so batching cannot change a result. ``lambda_min`` of
-    Sigma and of each Sigma_JJ is computed once per call, and each request's
-    estimate is folded over its own subsets, in their order.
+    requests ask for them. Searches of the same size run as one batch, in
+    blocks of at most ``_KAPPA_BLOCK_ROWS`` rows (start rows of the largest
+    search plus rows of Sigma's off-J block, per search); within a block,
+    each search's start rows are padded to the block's count with copies of
+    its eigenvector row. Searches are independent and a copy moves as its
+    original does, so neither batching nor padding changes a result.
+    ``lambda_min`` of Sigma and of each Sigma_JJ is computed once per call,
+    and each request's estimate is folded over its own subsets, in their
+    order.
     """
     p, sigma = design.p, design.gram
     lam_full = _lam_min(sigma)
@@ -427,31 +463,35 @@ def _estimate(design, requests) -> list:
             others = [i for i in range(p) if i not in jj]
             eu, ev = _witness_rows(jj, others, c, routed.get(pos))
             key = (tuple(jj), c, restarts, eu.tobytes(), ev.tobytes())
-            # the key fixes the group, so equal searches meet in one dict
-            group = groups.setdefault((k, len(base) + 1 + len(eu)), {})
-            group.setdefault(key, (others, base, eu, ev))
+            # the key fixes the size, so equal searches meet in one dict
+            start = (len(base) + 1 + len(eu), others, base, eu, ev)
+            groups.setdefault(k, {}).setdefault(key, start)
             keys.append(key)
         plans.append(keys)
 
-    for (k, rows), members in groups.items():
-        per_block = max(_KAPPA_BLOCK_ROWS // (rows + p - k), 1)
+    for k, members in groups.items():
         members = list(members.items())
+        most = max(start[0] for _, start in members)
+        per_block = max(_KAPPA_BLOCK_ROWS // (most + p - k), 1)
         for lo in range(0, len(members), per_block):
             block = members[lo : lo + per_block]
-            s_jj, s_oj, s_oo, lip_v, lam_j, u0, v0 = [], [], [], [], [], [], []
-            for (jj, *_), (others, base, eu, ev) in block:
+            real = np.array([start[0] for _, start in block])
+            s_jj, s_oj, s_oo, top_v, lam_j, u0, v0 = [], [], [], [], [], [], []
+            for (jj, *_), (rows, others, base, eu, ev) in block:
                 sub, lam, vec = eighs[jj]
                 s_jj.append(sub)
                 lam_j.append(lam)
-                u0.append(np.vstack([base, vec[None, :], eu]))
-                v0.append(np.vstack([np.zeros((len(base) + 1, p - k)), ev]))
+                pad = real.max() - rows  # eigenvector copies after the real rows
+                u0.append(np.vstack([base, vec[None, :], eu, np.tile(vec, (pad, 1))]))
+                v0.append(np.zeros((real.max(), p - k)))
+                v0[-1][len(base) + 1 : rows] = ev
                 s_oj.append(sigma[np.ix_(others, jj)])
                 s_oo.append(sigma[np.ix_(others, others)])
-                lip_v.append(2.0 * float(max(scipy.linalg.eigvalsh(s_oo[-1])[-1], 1e-12)))
+                top_v.append(float(max(scipy.linalg.eigvalsh(s_oo[-1])[-1], 1e-12)))
             cs = np.array([[key[1]] for key, _ in block], dtype=float)
             vals, fracs = _alternating_min(
                 np.stack(u0), np.stack(v0), np.stack(s_jj), np.stack(s_oj),
-                np.stack(s_oo), np.array(lip_v), np.array(lam_j), cs,
+                np.stack(s_oo), np.array(top_v), np.array(lam_j), cs, real,
             )
             vals = np.maximum(vals, lam_full)  # can't undercut the global floor
             for (key, _), val, fr in zip(block, vals, fracs):
@@ -471,9 +511,13 @@ def _estimate(design, requests) -> list:
     return out
 
 
-def _request(subsets, c, restarts, routed):
+def _check_search(c, restarts):
     if c < 0 or restarts < 1:
         raise ValueError(f"need cone constant c >= 0 and restarts >= 1, got {c}, {restarts}")
+
+
+def _request(subsets, c, restarts, routed):
+    _check_search(c, restarts)
     return subsets, c, restarts, routed
 
 
@@ -635,12 +679,14 @@ def check_propositions(
     * ``margin_uniform``: ``kappa^2(t,3) * theta_min^2 <= 4 delta(T, 4t)``.
     * ``scale_chain``: ``delta(T, p) <= delta(T)``.
 
-    Every budget that raises (competitors, each scaled size, the size-t
-    subsets) is checked before any enumeration runs; a cone-collapse size
-    over budget only skips that check.
+    ``restarts >= 1`` and every budget that raises (competitors, each scaled
+    size, the size-t subsets) are checked before any enumeration runs; a
+    cone-collapse size over budget only skips that check, and each distinct
+    cone-collapse size is enumerated once.
     """
     p, t = design.p, truth.t
     sizes = range(t, min(4 * t, p) + 1)
+    _check_search(3.0, restarts)
     _guard_competitors(p, t)
     for s in sizes:
         _guard_scaled(p, t, s)
@@ -671,13 +717,16 @@ def check_propositions(
         _support_request(design, truth.support, 3.0, restarts, witness[:1]),
         _uniform_request(design, t, 3.0, restarts, witness[1:]),
     ]
-    caps = []
+    caps, eigens = [], {}
     for s_chk, c_chk in ((t, 3.0), (t, 1.0)):
         blow = int(math.floor(c_chk)) + 1
+        size = min(blow * s_chk, p)  # both checks ask for size p when 2t >= p
         try:
-            lam2, _, eigvec = min_subset_eigen(design, min(blow * s_chk, p))
+            if size not in eigens:
+                eigens[size] = min_subset_eigen(design, size)
         except EnumerationTooLarge:
             continue
+        lam2, _, eigvec = eigens[size]
         requests.append(_uniform_request(design, s_chk, c_chk, restarts, [eigvec]))
         caps.append(blow * lam2)
     kappa_support, kappa_unif, *collapse = _estimate(design, requests)

@@ -52,7 +52,7 @@ from .design import (
     _center_response,
     standardize,
 )
-from .errors import DegenerateSelection, ScreenTooLarge
+from .errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from .identify import TruthSpec
 from .lasso import PenaltyPair, default_penalties, event_a
 from .selection import ExhaustiveResult, _exhaustive_block, run_os, run_sos
@@ -318,6 +318,7 @@ def _single_trial(
     want_bounds: bool,
 ):
     dataset, design, truth, eps = trial
+    seed = f"{config.master_seed}:{0 if config.fixed_design else index}:{index}"
     true_set = set(truth.support.indices)
     t = truth.t
 
@@ -332,6 +333,8 @@ def _single_trial(
             outcome = run_os(design, penalties=penalties)
     except ScreenTooLarge:
         screen_ok = False  # kept set too large to refit: screening failure
+    except NotConverged as err:
+        raise NotConverged(f"replicate {index} (seed {seed}): {err}") from err
     if outcome is not None:
         kept = set(outcome.ordering.sequence)
         if config.algorithm == "sos":
@@ -354,7 +357,7 @@ def _single_trial(
 
     record = TrialRecord(
         index=index,
-        seed=f"{config.master_seed}:{0 if config.fixed_design else index}:{index}",
+        seed=seed,
         screen_ok=screen_ok,
         order_ok=order_ok,
         underfit=underfit,

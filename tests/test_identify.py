@@ -358,6 +358,16 @@ def test_kappa_uniform_is_exactly_the_per_subset_searches(monkeypatch, block_row
     assert uni.converged_fraction == np.mean(fracs)
 
 
+def test_kappa_uniform_with_one_routed_witness_runs_one_pass(monkeypatch):
+    # nine searches of 8 + 1 start rows and one of 8 + 1 + 1 run as one
+    # pass, the nine padded with copies of their eigenvector rows
+    passes = count_search_passes(monkeypatch)
+    rng = np.random.default_rng(91)
+    d, _ = random_instance(rng, 18, 5, 2)
+    kappa_uniform(d, 2, 1.0, restarts=8, extra_starts=[np.array([0.1, -2.0, 0.3, 1.5, -0.2])])
+    assert passes == [(10, 10, 2)]
+
+
 def test_kappa_uniform_zero_cone_size_convention():
     # min over |J| = s equals min over |J| <= s (interlacing), checked exactly
     rng = np.random.default_rng(97)
@@ -417,6 +427,87 @@ def test_restarts_below_one_are_rejected(restarts):
         kappa_uniform(d, 2, 3.0, restarts=restarts)
     with pytest.raises(ValueError, match="restarts"):
         check_propositions(d, truth, restarts=restarts)
+
+
+def project_l1_rows_reference(v, radii):
+    """``_project_l1_rows`` without its row-sum shortcut, the projection it
+    must reproduce bit for bit: a row moves exactly when numpy's sum of its
+    magnitudes exceeds its radius."""
+    if v.size == 0:
+        return v
+    shape = v.shape
+    q = shape[-1]
+    v = v.reshape(-1, q)
+    radii = radii.reshape(-1)
+    a = np.abs(v)
+    over = a.sum(axis=1) > radii
+    if not over.any():
+        return v.reshape(shape)
+    out = v.copy()
+    rows = np.nonzero(over)[0]
+    s = -np.sort(-a[rows], axis=1)
+    css = np.cumsum(s, axis=1)
+    ks = np.arange(1, q + 1)
+    keep = s > (css - radii[rows, None]) / ks
+    kmax = np.maximum(keep.sum(axis=1), 1)
+    tau = (css[np.arange(len(rows)), kmax - 1] - radii[rows]) / kmax
+    tau = np.maximum(tau, 0.0)
+    out[rows] = np.sign(v[rows]) * np.maximum(a[rows] - tau[:, None], 0.0)
+    return out.reshape(shape)
+
+
+def l1_projection_cases():
+    """(v, radii) pairs around the ball's boundary, for q from 1 to 1024."""
+    rng = np.random.default_rng(131)
+    for q in (1, 2, 3, 9, 17, 1000):
+        v = rng.standard_normal((6, q))
+        l1 = np.abs(v).sum(axis=1)
+        yield v, l1  # exactly on the boundary
+        yield v, l1 * (1.0 + 1e-13)  # just inside
+        yield v, l1 * (1.0 - 1e-13)  # just outside
+        yield v, l1 * np.array([2.0, 0.5, 1.0, 1.0 + 1e-13, 3.0, 0.9])  # mixed
+        yield v, l1 * 2.0  # all well inside
+        yield v.reshape(2, 3, q), (l1 * 1.5).reshape(2, 3)  # 3-D
+        yield v.reshape(2, 3, q), (l1 * np.array([1.5, 1.5, 0.5, 2, 2, 2])).reshape(2, 3)
+        zero = np.vstack([np.zeros(q), v[0]])
+        yield zero[:1], np.zeros(1)  # radius 0 holding the zero row
+        yield zero, np.zeros(2)  # ... and a row it maps to zero
+    # Rows of a 1 with terms of 0.75 eps, which round up when added to it one
+    # at a time, and of 0.45 eps, which vanish. How many meet the 1 alone
+    # depends on the summation order, so numpy's pairwise sum and a BLAS row
+    # sum differ by several eps. With the radius one step under numpy's sum
+    # the row is outside its ball and moves, but a shortcut whose margin did
+    # not grow with q would return it as is. The 0.45 eps terms sit on the
+    # 1's lane for BLAS kernels of 4 to 32 lanes, or after it for a
+    # sequential one, and off numpy's first accumulator where they can.
+    idx = np.arange(1024)
+    tiny, mid = 0.45 * np.finfo(float).eps, 0.75 * np.finfo(float).eps
+    for lanes in (4, 8, 16, 32):
+        row = np.where(idx % lanes == 0, tiny, mid)
+        row[(idx % 8 == 0) & (idx < 128) & (idx % lanes != 0)] = 0.0
+        row[0] = 1.0
+        yield row[None, :], np.nextafter(row.sum(keepdims=True), 0.0)
+    row = np.where(idx < 768, mid, tiny)
+    row[(idx > 768) & (idx % 8 == 0) & (idx < 896)] = 0.0
+    row[768] = 1.0
+    yield row[None, :], np.nextafter(row.sum(keepdims=True), 0.0)
+
+
+def test_l1_projection_is_the_reference_bit_for_bit():
+    eps = np.finfo(float).eps
+    through_q_free_margin = 0
+    for v, radii in l1_projection_cases():
+        got = identify._project_l1_rows(v.copy(), radii)
+        ref = project_l1_rows_reference(v.copy(), radii)
+        assert got.shape == ref.shape == v.shape
+        assert got.tobytes() == ref.tobytes()
+        rows = np.abs(v).reshape(-1, v.shape[-1])
+        moved = not np.array_equal(ref, v)
+        if moved and np.all(rows @ np.ones(v.shape[-1]) <= radii.ravel() * (1 - 4 * eps)):
+            through_q_free_margin += 1
+    # the cases hold rows that a shortcut with a margin not growing with q
+    # would return unprojected
+    assert through_q_free_margin > 0
 
 
 def count_search_passes(monkeypatch):
@@ -602,14 +693,50 @@ def test_check_propositions_is_exactly_the_separate_calls(seed, n, p, t, restart
 
 
 @pytest.mark.parametrize("seed", [124, 125])
-def test_check_propositions_runs_two_search_passes(monkeypatch, seed):
-    # all four estimates of a p = 4, t = 2 report run as one batch: one pass
-    # for searches without a witness and one for those with one
+def test_check_propositions_runs_one_search_pass(monkeypatch, seed):
+    # all four estimates of a p = 4, t = 2 report search size-2 subsets, so
+    # they run as one pass; searches without a witness (65 start rows) are
+    # padded to the 66 rows of those with one
     passes = count_search_passes(monkeypatch)
     rng = np.random.default_rng(seed)
     d, truth = random_instance(rng, 30, 4, 2)
     check_propositions(d, truth, restarts=64)
-    assert sorted(shape[1] for shape in passes) == [65, 66]
+    assert [shape[1] for shape in passes] == [66]
+
+
+def spy_on(monkeypatch, name):
+    """Record the arguments of every call to ``identify.<name>``."""
+    calls = []
+    real = getattr(identify, name)
+
+    def spy(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(identify, name, spy)
+    return calls
+
+
+def test_check_propositions_rejects_restarts_before_enumerating(monkeypatch):
+    projections = spy_on(monkeypatch, "_residual_sq")
+    rng = np.random.default_rng(98)
+    d, truth = random_instance(rng, 18, 4, 2)
+    with pytest.raises(ValueError, match="restarts"):
+        check_propositions(d, truth, restarts=0)
+    assert projections == []
+    check_propositions(d, truth, restarts=1)
+    assert projections  # the spy sees the margins of a valid report
+
+
+@pytest.mark.parametrize("p, t, sizes", [(4, 2, [4]), (6, 2, [6, 4]), (5, 1, [4, 2])])
+def test_check_propositions_enumerates_each_collapse_size_once(monkeypatch, p, t, sizes):
+    # the (t, 3) and (t, 1) cone-collapse checks need min(4t, p) and
+    # min(2t, p); when 2t >= p both are p, enumerated once
+    lookups = spy_on(monkeypatch, "min_subset_eigen")
+    rng = np.random.default_rng(127)
+    d, truth = random_instance(rng, 30, p, t)
+    check_propositions(d, truth, restarts=2)
+    assert [size for (size,) in lookups] == sizes
 
 
 def test_check_propositions_checks_every_budget_before_enumerating(monkeypatch):

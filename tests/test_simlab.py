@@ -9,7 +9,7 @@ import scipy.stats
 
 from sosselect import design as design_module
 from sosselect import simlab
-from sosselect.errors import DegenerateSelection, ScreenTooLarge
+from sosselect.errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from sosselect.simlab import (
     ExperimentSummary,
     FPivotReport,
@@ -262,6 +262,18 @@ def test_jobs_do_not_change_results():
     one.pop("meta")
     three.pop("meta")
     assert one == three
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_unconverged_screen_names_its_replicate(jobs):
+    # replicate 8's Lasso needs about 16,000 sweeps, past the 10,000 limit;
+    # the error keeps its type and names the replicate and its seed streams
+    cfg = ScenarioConfig(
+        n=10, p=14, t=2, b=5, penalty_rule="explicit", r=1, r_l=0.2,
+        replicates=10, master_seed=2,
+    )
+    with pytest.raises(NotConverged, match=r"^replicate 8 \(seed 2:8:8\): screening"):
+        run_experiment(cfg, jobs=jobs)
 
 
 def exhaustive_race_config(**over):
