@@ -9,8 +9,9 @@ value kept alongside. All logarithms are natural.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
+from .design import JsonFields
 from .errors import DomainError
 
 # the two small constants entering the ordering/beta-min conditions
@@ -63,7 +64,7 @@ def event_a_bound(p, r_l, sigma2):
 
 
 @dataclass(frozen=True)
-class BoundInput:
+class BoundInput(JsonFields):
     """Everything the bound formulas consume.
 
     kappa_T3 is the restricted eigenvalue (not squared) at the true support
@@ -101,9 +102,6 @@ class BoundInput:
         for name in ("delta_s", "delta_t", "delta_p", "kappa_T3", "kappa_t3", "theta_min"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-
-    def to_json_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, blob):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -214,6 +214,25 @@ class ModelSet:
         return set(self.indices) <= set(ModelSet.of(other).indices)
 
 
+class JsonFields:
+    """Base of the dataclass results whose JSON form is exactly their fields,
+    by name: an array becomes its list, a ModelSet its index list, a tuple a
+    list; scalars and None pass through."""
+
+    def to_json_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
+            elif isinstance(v, ModelSet):
+                v = list(v.indices)
+            elif isinstance(v, tuple):
+                v = list(v)
+            out[f.name] = v
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class StandardizedDesign:
     """Unit-norm (and possibly centered) design with matching response.
@@ -375,7 +394,7 @@ def rss(design: StandardizedDesign, model) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class LsFit:
+class LsFit(JsonFields):
     """Least-squares fit on a standardized design restricted to ``model``.
 
     ``t_squared`` holds squared t-statistics aligned with ``model.indices``;
@@ -388,16 +407,6 @@ class LsFit:
     rss: float
     df_resid: int
     t_squared: "np.ndarray | None"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": list(self.model.indices),
-            "theta_hat": self.theta_hat.tolist(),
-            "beta_hat": self.beta_hat.tolist(),
-            "rss": self.rss,
-            "df_resid": self.df_resid,
-            "t_squared": None if self.t_squared is None else self.t_squared.tolist(),
-        }
 
 
 def ls_fit(design: StandardizedDesign, model, *, allow_degenerate: bool = False) -> LsFit:

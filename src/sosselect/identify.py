@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .design import ModelSet, StandardizedDesign, _full_rank_factor, span_basis
+from .design import JsonFields, ModelSet, StandardizedDesign, _full_rank_factor, span_basis
 from .errors import EnumerationTooLarge
 
 DELTA_BUDGET = 1_000_000
@@ -55,7 +55,7 @@ _MAX_OUTER = 50  # alternating rounds before a subset's search stops
 
 
 @dataclass(frozen=True, eq=False)
-class TruthSpec:
+class TruthSpec(JsonFields):
     """True support and coefficients (both scales) plus noise variance."""
 
     support: ModelSet
@@ -96,14 +96,6 @@ class TruthSpec:
         out = np.zeros(p)
         out[list(self.support.indices)] = self.theta_star
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "support": list(self.support.indices),
-            "beta_star": self.beta_star.tolist(),
-            "theta_star": self.theta_star.tolist(),
-            "sigma2": self.sigma2,
-        }
 
 
 def _le(lhs: float, rhs: float) -> bool:
@@ -215,7 +207,7 @@ def delta_identifiability(design: StandardizedDesign, truth: TruthSpec) -> float
 
 
 @dataclass(frozen=True)
-class KappaEstimate:
+class KappaEstimate(JsonFields):
     """Restricted-eigenvalue estimate with certified envelopes.
 
     ``value`` estimates ``kappa^2`` from above (it is a feasible objective);
@@ -234,14 +226,7 @@ class KappaEstimate:
         return math.sqrt(max(self.value, 0.0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "kappa": self.kappa,
-            "lower_cert": self.lower_cert,
-            "upper_cert": self.upper_cert,
-            "restarts": self.restarts,
-            "converged_fraction": self.converged_fraction,
-        }
+        return {**super().to_json_dict(), "kappa": self.kappa}
 
 
 def _project_l1_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
@@ -505,8 +490,11 @@ def _estimate(design, requests) -> list:
         else:
             values = np.array([best[key] for key in keys])
             fracs = np.array([frac[key] for key in keys])
+        # a searched value is floored at lam_full; an exact one is a second
+        # LAPACK route to the same number and may sit a few ulps below it
+        value = float(values.min())
         out.append(KappaEstimate(
-            float(values.min()), lam_full, float(uppers.min()), restarts, float(np.mean(fracs))
+            value, min(lam_full, value), float(uppers.min()), restarts, float(np.mean(fracs))
         ))
     return out
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import ModelSet, StandardizedDesign
+from .design import JsonFields, ModelSet, StandardizedDesign
 from .errors import KappaDegenerate, NotConverged
 from .identify import _le, kappa
 
@@ -66,7 +66,7 @@ def default_penalties(n: int, p: int, sigma2: float, a: float) -> PenaltyPair:
 
 
 @dataclass(frozen=True, eq=False)
-class LassoFit:
+class LassoFit(JsonFields):
     """Solution of the penalized problem at penalty ``penalty`` (= r_l)."""
 
     theta_hat: np.ndarray
@@ -75,16 +75,6 @@ class LassoFit:
     kkt_gap: float
     iterations: int
     converged: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat.tolist(),
-            "beta_hat": self.beta_hat.tolist(),
-            "penalty": self.penalty,
-            "kkt_gap": self.kkt_gap,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 def _kkt(design: StandardizedDesign, theta: np.ndarray, r_l: float):
@@ -171,7 +161,7 @@ def solve_lasso(
 
 
 @dataclass(frozen=True)
-class ScreenResult:
+class ScreenResult(JsonFields):
     """Two-stage thresholding of a Lasso fit."""
 
     s0: ModelSet
@@ -179,20 +169,15 @@ class ScreenResult:
     a0: float
     a1: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "s0": list(self.s0.indices),
-            "s1": list(self.s1.indices),
-            "a0": self.a0,
-            "a1": self.a1,
-        }
-
 
 def screen(fit: LassoFit) -> ScreenResult:
     """Keep coefficients with ``|theta| >= 6 r_l``, then re-threshold at
     ``6 r_l sqrt(max(|S0|, 1))``. Requires a converged fit."""
     if not fit.converged:
-        raise NotConverged("screening requires a converged penalized fit")
+        raise NotConverged(
+            "screening requires a converged penalized fit "
+            f"(KKT gap {fit.kkt_gap:.1e} after {fit.iterations} sweeps)"
+        )
     r_l = fit.penalty
     a0 = 6.0 * r_l
     abs_theta = np.abs(fit.theta_hat)
@@ -203,19 +188,12 @@ def screen(fit: LassoFit) -> ScreenResult:
 
 
 @dataclass(frozen=True)
-class EventAWitness:
+class EventAWitness(JsonFields):
     """Realized check of the noise-correlation event ``2|x_j' eps| <= r_l``."""
 
     holds: bool
     max_correlation: float  # max_j 2 |x0_j' eps|
     threshold: float  # r_l
-
-    def to_json_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "max_correlation": self.max_correlation,
-            "threshold": self.threshold,
-        }
 
 
 def event_a(design: StandardizedDesign, epsilon: np.ndarray, r_l: float) -> EventAWitness:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .design import (
     RANK_TOL,
+    JsonFields,
     LsFit,
     ModelSet,
     Parametrization,
@@ -50,7 +51,7 @@ ENUMERATION_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
-class Ordering:
+class Ordering(JsonFields):
     """Predictor visit order; ``t_squared`` aligns with ``sequence`` and is
     None when the order came from the zero-residual fallback."""
 
@@ -59,12 +60,6 @@ class Ordering:
 
     def __len__(self):
         return len(self.sequence)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sequence": list(self.sequence),
-            "t_squared": None if self.t_squared is None else list(self.t_squared),
-        }
 
 
 def order_by_t(
@@ -94,7 +89,7 @@ def order_by_t(
 
 
 @dataclass(frozen=True, eq=False)
-class GicPath:
+class GicPath(JsonFields):
     """Criterion values along nested prefixes of an ordering.
 
     ``rss_path[k]`` is the residual sum of squares of the first k columns
@@ -106,14 +101,6 @@ class GicPath:
     values: np.ndarray
     selected_size: int
     penalty: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rss_path": self.rss_path.tolist(),
-            "values": self.values.tolist(),
-            "selected_size": self.selected_size,
-            "penalty": self.penalty,
-        }
 
 
 def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPath:
@@ -152,7 +139,7 @@ def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPat
 
 
 @dataclass(frozen=True)
-class ExhaustiveResult:
+class ExhaustiveResult(JsonFields):
     """Best subset under the criterion, with enumeration accounting."""
 
     model: ModelSet
@@ -160,15 +147,6 @@ class ExhaustiveResult:
     rss: float
     evaluated: int
     skipped: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": list(self.model.indices),
-            "value": self.value,
-            "rss": self.rss,
-            "evaluated": self.evaluated,
-            "skipped": self.skipped,
-        }
 
 
 def exhaustive_gic(

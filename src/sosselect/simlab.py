@@ -28,7 +28,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +45,7 @@ from .design import (
     DEGENERATE_RSS,
     Dataset,
     FactorCache,
+    JsonFields,
     ModelSet,
     Parametrization,
     StandardizedDesign,
@@ -72,7 +73,7 @@ _ALGORITHMS = ("sos", "os")
 
 
 @dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(JsonFields):
     """Complete description of one Monte Carlo experiment."""
 
     n: int
@@ -134,9 +135,6 @@ class ScenarioConfig:
         if self.penalty_rule == "corollary1":
             return default_penalties(self.n, self.p, self.sigma2, self.a)
         return PenaltyPair(r=self.r, r_l=self.r_l)
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, blob: dict) -> "ScenarioConfig":
@@ -214,7 +212,7 @@ def generate_trial(config: ScenarioConfig, index: int):
 
 
 @dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(JsonFields):
     """Per-replicate event flags with the exact conditioning structure:
     each error flag is raised only when every earlier step succeeded, so the
     five outcomes (screen_fail / order_fail / underfit / overfit / exact)
@@ -244,9 +242,6 @@ class TrialRecord:
         if self.overfit:
             return "overfit"
         return "exact"
-
-    def to_json_dict(self) -> dict:
-        return {**asdict(self), "selected": list(self.selected)}
 
 
 _TSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
@@ -547,15 +542,12 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
 
 
 @dataclass(frozen=True)
-class FPivotReport:
+class FPivotReport(JsonFields):
     ks_distance: float
     degenerate_count: int
     used: int
     dim: int
     denominator_dof: int
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1) -> FPivotReport:

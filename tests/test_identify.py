@@ -414,6 +414,8 @@ def test_exact_path_reports_no_restarts():
     assert uni.restarts == 0 and one.restarts == 0
     assert uni == one
     assert uni.value == uni.upper_cert == pytest.approx(uni.lower_cert, rel=1e-12)
+    # two LAPACK routes to one eigenvalue: the certificate is clamped to the value
+    assert uni.lower_cert <= uni.value
     assert uni.converged_fraction == 1.0
 
 

@@ -267,12 +267,16 @@ def test_jobs_do_not_change_results():
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_unconverged_screen_names_its_replicate(jobs):
     # replicate 8's Lasso needs about 16,000 sweeps, past the 10,000 limit;
-    # the error keeps its type and names the replicate and its seed streams
+    # the error keeps its type and names the replicate, its seed streams and
+    # the fit's KKT gap and sweep count
     cfg = ScenarioConfig(
         n=10, p=14, t=2, b=5, penalty_rule="explicit", r=1, r_l=0.2,
         replicates=10, master_seed=2,
     )
-    with pytest.raises(NotConverged, match=r"^replicate 8 \(seed 2:8:8\): screening"):
+    with pytest.raises(
+        NotConverged,
+        match=r"^replicate 8 \(seed 2:8:8\): screening .* \(KKT gap \d\.\de[-+]\d+ after 10000 sweeps\)$",
+    ):
         run_experiment(cfg, jobs=jobs)
 
 
