@@ -1,18 +1,21 @@
 """Closed-form evaluators for the selection-error probability bounds.
 
-Each selection-pipeline step (screening, ordering, underselection,
-overselection) has a displayed bound of the Mill-ratio shape
-coef * exp(-e) / sqrt(pi * g). Evaluators return that value together with a
-named assumption ledger: the formula is computed even when assumptions fail,
-but assumptions_ok gates its validity. Values are capped at 1 with the raw
-value kept alongside. All logarithms are natural.
+Every displayed bound (T1-T4 for the screened pipeline's steps: screening,
+ordering, underselection, overselection; T2-full for the no-screening
+ordering; the totals C1 and C3) has the Mill-ratio shape
+coef * exp(-(1-a) g) / sqrt(pi g) and is one row of ``BOUNDS``: coefficient,
+scale g and assumption predicates. Evaluators return that value together with
+its ledger, the names of the failing predicates: the formula is computed even
+when assumptions fail, but assumptions_ok gates its validity. Values are
+capped at 1 with the raw value kept alongside. All logarithms are natural.
 """
 
 import math
 from dataclasses import dataclass, fields
 
-from .design import JsonFields
+from .design import JsonFields, read_json_fields
 from .errors import DomainError
+from .identify import _estimate, _support_request, _uniform_request, delta_scaled
 
 # the two small constants entering the ordering/beta-min conditions
 C1_CONST = 1.0 / (3.0 + 6.0 * math.sqrt(2.0))  # ~0.08713
@@ -105,7 +108,10 @@ class BoundInput(JsonFields):
 
     @classmethod
     def from_json_dict(cls, blob):
-        return cls(**{f.name: f.type(blob[f.name]) for f in fields(cls)})
+        """Read the schema's object; every field is required, and each is
+        converted to its type (``"r": 12`` reads as 12.0)."""
+        values = read_json_fields(cls, blob)
+        return cls(**{f.name: f.type(values[f.name]) for f in fields(cls)})
 
 
 def derived_screen_size(t, kappa):
@@ -120,7 +126,7 @@ def derived_screen_size(t, kappa):
 
 
 @dataclass(frozen=True)
-class BoundResult:
+class BoundResult(JsonFields):
     name: str
     value: float
     raw: float
@@ -128,24 +134,7 @@ class BoundResult:
     failed_assumptions: tuple
 
     def to_json_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "raw": self.raw if math.isfinite(self.raw) else None,
-            "assumptions_ok": self.assumptions_ok,
-            "failed_assumptions": list(self.failed_assumptions),
-        }
-
-
-def _result(name, raw, checks):
-    failed = tuple(k for k, ok in checks.items() if not ok)
-    return BoundResult(
-        name=name,
-        value=min(raw, 1.0),
-        raw=raw,
-        assumptions_ok=not failed,
-        failed_assumptions=failed,
-    )
+        return {**super().to_json_dict(), "raw": self.raw if math.isfinite(self.raw) else None}
 
 
 # ------------------------------------------------------ assumption predicates
@@ -228,6 +217,38 @@ def full_design_penalty_cap(inp):
 # ------------------------------------------------------------- evaluators
 
 
+def _penalty_scale(inp):
+    return inp.r / (2.0 * inp.sigma2)
+
+
+# name -> (coefficient, scale g(inp), assumption predicates in ledger order)
+BOUNDS = {
+    "T1": (1.0, lambda inp: inp.r_l**2 / (8.0 * inp.sigma2),
+           (screen_penalty_floor, beta_min_margin, screen_budget_within_sample)),
+    "T2": (1.5, lambda inp: C2_CONST * inp.delta_s / inp.sigma2,
+           (ordering_separation, screen_budget_within_sample)),
+    "T3": (0.5, lambda inp: (1.0 - inp.a) ** 2 * inp.delta_t / (8.0 * inp.sigma2),
+           (underselect_penalty_cap, underselect_log_gap)),
+    "T4": (1.0, _penalty_scale, (overselect_penalty_floor,)),
+    "T2-full": (1.5, lambda inp: C2_CONST * inp.delta_p / inp.sigma2,
+                (ordering_separation_full, design_within_sample)),
+    "C1": (4.0, _penalty_scale, (penalty_link, a_below_one_minus_c1, overselect_penalty_floor,
+                                 combined_beta_min_cap, combined_ordering_cap)),
+    "C3": (3.0, _penalty_scale, (a_below_two_c2, overselect_penalty_floor,
+                                 full_design_penalty_cap, design_within_sample)),
+}
+
+
+def _bound(inp, name):
+    """The ``BOUNDS`` entry ``name`` evaluated on ``inp``: the value is capped
+    at 1, and the ledger names each failing predicate."""
+    coef, scale, predicates = BOUNDS[name]
+    g = scale(inp)
+    raw = _mill_form(coef, (1.0 - inp.a) * g, g)
+    failed = tuple(pred.__name__ for pred in predicates if not pred(inp))
+    return BoundResult(name, min(raw, 1.0), raw, not failed, failed)
+
+
 def theorem1_bounds(inp):
     """Per-step error bounds for the screened pipeline.
 
@@ -237,83 +258,22 @@ def theorem1_bounds(inp):
     T3: screening and ordering fine, the cut selects too few predictors.
     T4: screening and ordering fine, the cut selects too many.
     """
-    a = inp.a
-    q1 = inp.r_l**2 / (8.0 * inp.sigma2)
-    t1 = _result(
-        "T1",
-        _mill_form(1.0, (1.0 - a) * q1, q1),
-        {
-            "screen_penalty_floor": screen_penalty_floor(inp),
-            "beta_min_margin": beta_min_margin(inp),
-            "screen_budget_within_sample": screen_budget_within_sample(inp),
-        },
-    )
-    m2 = C2_CONST * inp.delta_s / inp.sigma2
-    t2 = _result(
-        "T2",
-        _mill_form(1.5, (1.0 - a) * m2, m2),
-        {
-            "ordering_separation": ordering_separation(inp),
-            "screen_budget_within_sample": screen_budget_within_sample(inp),
-        },
-    )
-    g3 = (1.0 - a) ** 2 * inp.delta_t / (8.0 * inp.sigma2)
-    t3 = _result(
-        "T3",
-        _mill_form(0.5, (1.0 - a) * g3, g3),
-        {
-            "underselect_penalty_cap": underselect_penalty_cap(inp),
-            "underselect_log_gap": underselect_log_gap(inp),
-        },
-    )
-    q4 = inp.r / (2.0 * inp.sigma2)
-    t4 = _result(
-        "T4",
-        _mill_form(1.0, (1.0 - a) * q4, q4),
-        {"overselect_penalty_floor": overselect_penalty_floor(inp)},
-    )
-    return {"T1": t1, "T2": t2, "T3": t3, "T4": t4}
+    return {name: _bound(inp, name) for name in ("T1", "T2", "T3", "T4")}
 
 
 def theorem2_bound(inp):
     """Ordering-error bound for the no-screening pipeline (all p predictors
     ordered); the follow-on under/overselection bounds are the T3/T4 entries
     of theorem1_bounds."""
-    m = C2_CONST * inp.delta_p / inp.sigma2
-    return _result(
-        "T2-full",
-        _mill_form(1.5, (1.0 - inp.a) * m, m),
-        {
-            "ordering_separation_full": ordering_separation_full(inp),
-            "design_within_sample": design_within_sample(inp),
-        },
-    )
+    return _bound(inp, "T2-full")
 
 
 def corollary_bounds(inp, which):
     """Total selection-error bound: which="C1" for the screened pipeline
     (coefficient 4), "C3" for the no-screening pipeline (coefficient 3)."""
-    q = inp.r / (2.0 * inp.sigma2)
-    if which == "C1":
-        checks = {
-            "penalty_link": penalty_link(inp),
-            "a_below_one_minus_c1": a_below_one_minus_c1(inp),
-            "overselect_penalty_floor": overselect_penalty_floor(inp),
-            "combined_beta_min_cap": combined_beta_min_cap(inp),
-            "combined_ordering_cap": combined_ordering_cap(inp),
-        }
-        coef = 4.0
-    elif which == "C3":
-        checks = {
-            "a_below_two_c2": a_below_two_c2(inp),
-            "overselect_penalty_floor": overselect_penalty_floor(inp),
-            "full_design_penalty_cap": full_design_penalty_cap(inp),
-            "design_within_sample": design_within_sample(inp),
-        }
-        coef = 3.0
-    else:
+    if which not in ("C1", "C3"):
         raise ValueError(f"unknown corollary {which!r}; expected 'C1' or 'C3'")
-    return _result(which, _mill_form(coef, (1.0 - inp.a) * q, q), checks)
+    return _bound(inp, which)
 
 
 # the displayed bounds that concern each pipeline: screened (sos) and
@@ -352,8 +312,6 @@ def bound_input_from_design(design, truth, penalties, a, *, s=None, restarts=64)
     """Assemble a BoundInput by measuring the margins and restricted
     eigenvalues of an actual standardized design (kappa(T, 3) and kappa(t, 3)
     in one batched search). Enumeration guards apply (small p only)."""
-    from .identify import _estimate, _support_request, _uniform_request, delta_scaled
-
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
     t = truth.t

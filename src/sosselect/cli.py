@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .bounds import BoundInput, bound_report, event_a_bound, exhaustive_lower_bound
-from .design import Dataset, ModelSet, ls_fit, standardize
+from .design import Dataset, ModelSet, json_value, ls_fit, standardize
 from .errors import SosSelectError
 from .identify import TruthSpec, check_propositions
 from .lasso import PenaltyPair, default_penalties
@@ -274,7 +274,9 @@ def _truth_from_json(blob: dict, design) -> TruthSpec:
         raise ValueError(f"unknown truth fields: {sorted(extra)}")
     if "support" not in blob or "beta" not in blob:
         raise ValueError("truth file needs 'support' (1-based) and 'beta' arrays")
-    support = [int(j) - 1 for j in blob["support"]]
+    if not isinstance(blob["support"], list):
+        raise ValueError("truth field 'support' must be a list of predictor numbers")
+    support = [json_value("support", int, j) - 1 for j in blob["support"]]
     if any(j < 0 or j >= design.p for j in support):
         raise ValueError(f"support indices must lie in 1..{design.p}")
     return TruthSpec.from_beta(

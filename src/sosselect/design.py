@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -231,6 +231,39 @@ class JsonFields:
                 v = list(v)
             out[f.name] = v
         return out
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+
+
+def json_value(name: str, kind: type, value):
+    """``value`` read as a JSON ``kind`` the way the shipped schemas type it:
+    a float takes any number, an int an integral one (read as int), a bool
+    or str only its own type; a boolean is never a number. Raises ValueError
+    naming ``name`` otherwise."""
+    if kind in (bool, str) or isinstance(value, bool):
+        ok = type(value) is kind
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if not ok:
+        raise ValueError(f"field {name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return int(value) if kind is int else value
+
+
+def read_json_fields(cls, blob: dict) -> dict:
+    """The fields of dataclass ``cls`` named in the JSON object ``blob``, each
+    checked by :func:`json_value`. An unknown key, or a missing field that has
+    no default, raises ValueError naming it."""
+    known = {f.name: f for f in fields(cls)}
+    extra = sorted(set(blob) - set(known))
+    if extra:
+        raise ValueError(f"unknown fields: {extra}")
+    missing = [k for k, f in known.items() if k not in blob and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing fields: {missing}")
+    return {k: json_value(k, known[k].type, v) for k, v in blob.items()}
 
 
 @dataclass(frozen=True, eq=False)

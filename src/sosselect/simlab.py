@@ -51,6 +51,7 @@ from .design import (
     StandardizedDesign,
     _cached,
     _center_response,
+    read_json_fields,
     standardize,
 )
 from .errors import DegenerateSelection, NotConverged, ScreenTooLarge
@@ -61,6 +62,9 @@ from .selection import ExhaustiveResult, _exhaustive_block, run_os, run_sos
 _DESIGN_STREAM = 1
 _NOISE_STREAM = 2
 _BOUND_GUARD_P = 12  # per-replicate margin/eigenvalue work only below this
+# restricted-eigenvalue restarts of one design draw's bound ledger, keyed by
+# fixed_design: a fixed design's single ledger can afford the larger budget
+_LEDGER_RESTARTS = {True: 64, False: 24}
 # replicates of a fixed design that share one exhaustive-search walk and one
 # factor cache; bounds the responses held at once and the cache (at most 4
 # entries per replicate: screened set, ordering, refit, pivot)
@@ -138,11 +142,9 @@ class ScenarioConfig(JsonFields):
 
     @classmethod
     def from_json_dict(cls, blob: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(blob) - known
-        if extra:
-            raise ValueError(f"unknown config fields: {sorted(extra)}")
-        return cls(**blob)
+        """Read the schema's object without coercion: ``"b": 40`` stays the
+        int 40, and ``"n": "100"`` or ``"p": 8.7`` raises ValueError."""
+        return cls(**read_json_fields(cls, blob))
 
 
 def _design_rng(config: ScenarioConfig, index: int) -> np.random.Generator:
@@ -310,8 +312,7 @@ def _single_trial(
     trial: tuple,
     best: "ExhaustiveResult | None",
     penalties: PenaltyPair,
-    want_bounds: bool,
-):
+) -> TrialRecord:
     dataset, design, truth, eps = trial
     seed = f"{config.master_seed}:{0 if config.fixed_design else index}:{index}"
     true_set = set(truth.support.indices)
@@ -350,7 +351,7 @@ def _single_trial(
     exhaustive_exact = None if best is None else best.model == truth.support
     f_val = _f_stat(draw, dataset.y, config.mode, selected)
 
-    record = TrialRecord(
+    return TrialRecord(
         index=index,
         seed=seed,
         screen_ok=screen_ok,
@@ -365,19 +366,10 @@ def _single_trial(
         f_stat=f_val,
     )
 
-    bound_blob = None
-    if want_bounds:
-        inp = bound_input_from_design(design, truth, penalties, config.a, restarts=24)
-        bound_blob = bound_report(inp, PIPELINE_BOUNDS[config.algorithm])
-    return record, bound_blob
 
-
-def _worst_bounds(blobs) -> "dict | None":
-    """Fold per-replicate bound ledgers into the conservative worst case:
-    largest bound value, assumptions_ok only if every replicate passed."""
-    blobs = [b for b in blobs if b is not None]
-    if not blobs:
-        return None
+def _worst_bounds(blobs) -> dict:
+    """Fold the design draws' bound ledgers into the conservative worst case:
+    largest bound value, assumptions_ok only if every draw passed."""
     names = list(blobs[0]["bounds"])
     folded = {}
     for name in names:
@@ -394,19 +386,28 @@ def _worst_bounds(blobs) -> "dict | None":
 
 
 def _run_block(config: ScenarioConfig, lo: int, hi: int, want_bounds: bool):
+    """Records of replicates ``lo..hi-1`` and, with ``want_bounds``, the bound
+    ledgers of their design draws: one per replicate for fresh designs, and a
+    fixed design's single ledger from the block that holds replicate 0."""
     penalties = config.penalties()
-    pairs = []
+    records, ledgers = [], []
     for draw, trials in _response_blocks(config, lo, hi):
         bests = [None] * len(trials)
         if config.compare_exhaustive:
             responses = [trial[1].y0 for _, trial in trials]
             bests = _exhaustive_block(draw.noiseless, responses, penalties.r)
-        pairs += [
-            _single_trial(config, draw, i, trial, best, penalties, want_bounds)
+        records += [
+            _single_trial(config, draw, i, trial, best, penalties)
             for (i, trial), best in zip(trials, bests)
         ]
+        if want_bounds and (trials[0][0] == 0 or not config.fixed_design):
+            inp = bound_input_from_design(
+                draw.noiseless, draw.truth, penalties, config.a,
+                restarts=_LEDGER_RESTARTS[config.fixed_design],
+            )
+            ledgers.append(bound_report(inp, PIPELINE_BOUNDS[config.algorithm]))
         del draw, trials
-    return pairs
+    return records, ledgers
 
 
 @dataclass(frozen=True)
@@ -468,8 +469,13 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
     greedy-vs-exhaustive comparison, and the pivot check into a summary.
 
     Results are a pure function of ``config``: worker outputs are reassembled
-    in replicate order, so ``jobs`` never changes any reported number.
+    in replicate order, so ``jobs`` never changes any reported number. The
+    bound ledger (only for p <= ``_BOUND_GUARD_P`` and positive noise and
+    penalties) folds the ledgers the blocks build, one per design draw.
+    Raises ValueError when ``jobs < 1``.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.time()
     penalties = config.penalties()
     want_bounds = (
@@ -478,21 +484,17 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
         and penalties.r > 0.0
         and penalties.r_l > 0.0
     )
-    per_replicate_bounds = want_bounds and not config.fixed_design
 
     reps = config.replicates
-    if jobs <= 1 or reps < 4:
-        pairs = _run_block(config, 0, reps, per_replicate_bounds)
+    if jobs == 1 or reps < 4:
+        blocks = [_run_block(config, 0, reps, want_bounds)]
     else:
         chunk = max(1, math.ceil(reps / (4 * jobs)))
         spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_block, config, lo, hi, per_replicate_bounds)
-                for lo, hi in spans
-            ]
-            pairs = [pair for fut in futures for pair in fut.result()]
-    records = tuple(pair[0] for pair in pairs)
+            futures = [pool.submit(_run_block, config, lo, hi, want_bounds) for lo, hi in spans]
+            blocks = [fut.result() for fut in futures]
+    records = tuple(rec for block in blocks for rec in block[0])
 
     counts = {b: 0 for b in _BUCKETS}
     for rec in records:
@@ -511,12 +513,7 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
 
     ledger = None
     if want_bounds:
-        if config.fixed_design:
-            _, design, truth, _ = generate_trial(config, 0)
-            inp = bound_input_from_design(design, truth, penalties, config.a, restarts=64)
-            ledger = _worst_bounds([bound_report(inp, PIPELINE_BOUNDS[config.algorithm])])
-        else:
-            ledger = _worst_bounds([pair[1] for pair in pairs])
+        ledger = _worst_bounds([blob for block in blocks for blob in block[1]])
         ledger["event_a_bound"] = event_a_bound(config.p, penalties.r_l, config.sigma2)
         if config.compare_exhaustive:
             ledger["exhaustive_lower"] = exhaustive_lower_bound(penalties.r, config.sigma2)

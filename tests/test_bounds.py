@@ -1,5 +1,6 @@
 """Bound evaluators: sandwich brackets, frozen hand values, predicates."""
 
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.stats
 
 from sosselect.bounds import (
+    PIPELINE_BOUNDS,
     BoundInput,
     C1_CONST,
     C2_CONST,
@@ -14,6 +16,7 @@ from sosselect.bounds import (
     a_below_two_c2,
     beta_min_margin,
     bound_input_from_design,
+    bound_report,
     chi2_tail_sandwich,
     combined_beta_min_cap,
     combined_ordering_cap,
@@ -165,6 +168,27 @@ def test_bound_input_json_roundtrip():
     inp = make_input()
     again = BoundInput.from_json_dict(inp.to_json_dict())
     assert again == inp
+
+
+def test_bound_input_json_rejects_what_the_schema_forbids():
+    blob = make_input().to_json_dict()
+    cases = [
+        ({**blob, "bogus": 1}, "bogus"),
+        ({k: v for k, v in blob.items() if k != "delta_t"}, "delta_t"),
+        ({**blob, "n": 60.9}, "'n'"),
+        ({**blob, "n": True}, "'n'"),
+        ({**blob, "sigma2": False}, "'sigma2'"),
+        ({**blob, "r": "12"}, "'r'"),
+    ]
+    for bad, name in cases:
+        with pytest.raises(ValueError, match=name):
+            BoundInput.from_json_dict(bad)
+
+
+def test_bound_input_json_reads_integral_numbers_by_field_type():
+    inp = BoundInput.from_json_dict({**make_input().to_json_dict(), "n": 60.0, "r": 12})
+    assert type(inp.n) is int and inp.n == 60
+    assert type(inp.r) is float and json.dumps(inp.to_json_dict()["r"]) == "12.0"
 
 
 def test_derived_screen_size():
@@ -356,3 +380,171 @@ def test_bound_input_rejects_restarts_below_one():
     pens = default_penalties(n=40, p=6, sigma2=1.0, a=0.9)
     with pytest.raises(ValueError, match="restarts"):
         bound_input_from_design(d, truth, pens, 0.9, restarts=0)
+
+
+# ------------------------------------------- the table against the formulas
+# The evaluators as they were written out by hand, one body per bound, kept
+# verbatim as the reference for the BOUNDS table (only renamed with a _ref
+# prefix, and with the former BoundResult JSON form folded into _ref_result).
+
+
+def _ref_mill_form(coef, exponent, scale):
+    if scale <= 0.0:
+        return math.inf
+    return coef * math.exp(-exponent) / math.sqrt(math.pi * scale)
+
+
+def _ref_result(name, raw, checks):
+    failed = tuple(k for k, ok in checks.items() if not ok)
+    return {
+        "name": name,
+        "value": min(raw, 1.0),
+        "raw": raw if math.isfinite(raw) else None,
+        "assumptions_ok": not failed,
+        "failed_assumptions": list(failed),
+    }
+
+
+def _ref_theorem1_bounds(inp):
+    a = inp.a
+    q1 = inp.r_l**2 / (8.0 * inp.sigma2)
+    t1 = _ref_result(
+        "T1",
+        _ref_mill_form(1.0, (1.0 - a) * q1, q1),
+        {
+            "screen_penalty_floor": screen_penalty_floor(inp),
+            "beta_min_margin": beta_min_margin(inp),
+            "screen_budget_within_sample": screen_budget_within_sample(inp),
+        },
+    )
+    m2 = C2_CONST * inp.delta_s / inp.sigma2
+    t2 = _ref_result(
+        "T2",
+        _ref_mill_form(1.5, (1.0 - a) * m2, m2),
+        {
+            "ordering_separation": ordering_separation(inp),
+            "screen_budget_within_sample": screen_budget_within_sample(inp),
+        },
+    )
+    g3 = (1.0 - a) ** 2 * inp.delta_t / (8.0 * inp.sigma2)
+    t3 = _ref_result(
+        "T3",
+        _ref_mill_form(0.5, (1.0 - a) * g3, g3),
+        {
+            "underselect_penalty_cap": underselect_penalty_cap(inp),
+            "underselect_log_gap": underselect_log_gap(inp),
+        },
+    )
+    q4 = inp.r / (2.0 * inp.sigma2)
+    t4 = _ref_result(
+        "T4",
+        _ref_mill_form(1.0, (1.0 - a) * q4, q4),
+        {"overselect_penalty_floor": overselect_penalty_floor(inp)},
+    )
+    return {"T1": t1, "T2": t2, "T3": t3, "T4": t4}
+
+
+def _ref_theorem2_bound(inp):
+    m = C2_CONST * inp.delta_p / inp.sigma2
+    return _ref_result(
+        "T2-full",
+        _ref_mill_form(1.5, (1.0 - inp.a) * m, m),
+        {
+            "ordering_separation_full": ordering_separation_full(inp),
+            "design_within_sample": design_within_sample(inp),
+        },
+    )
+
+
+def _ref_corollary_bounds(inp, which):
+    q = inp.r / (2.0 * inp.sigma2)
+    if which == "C1":
+        checks = {
+            "penalty_link": penalty_link(inp),
+            "a_below_one_minus_c1": a_below_one_minus_c1(inp),
+            "overselect_penalty_floor": overselect_penalty_floor(inp),
+            "combined_beta_min_cap": combined_beta_min_cap(inp),
+            "combined_ordering_cap": combined_ordering_cap(inp),
+        }
+        coef = 4.0
+    elif which == "C3":
+        checks = {
+            "a_below_two_c2": a_below_two_c2(inp),
+            "overselect_penalty_floor": overselect_penalty_floor(inp),
+            "full_design_penalty_cap": full_design_penalty_cap(inp),
+            "design_within_sample": design_within_sample(inp),
+        }
+        coef = 3.0
+    else:
+        raise ValueError(f"unknown corollary {which!r}; expected 'C1' or 'C3'")
+    return _ref_result(which, _ref_mill_form(coef, (1.0 - inp.a) * q, q), checks)
+
+
+def _ref_bound_report(inp, names=None):
+    results = {
+        **_ref_theorem1_bounds(inp),
+        "T2-full": _ref_theorem2_bound(inp),
+        "C1": _ref_corollary_bounds(inp, "C1"),
+        "C3": _ref_corollary_bounds(inp, "C3"),
+    }
+    if names is None:
+        names = results
+    return {"input": inp.to_json_dict(), "bounds": {k: results[k] for k in names}}
+
+
+def _random_input(rng):
+    """A valid BoundInput spread so that every assumption both holds and
+    fails somewhere, with zero margins (an infinite raw value) now and then."""
+
+    def spread(lo, hi):
+        return float(10.0 ** rng.uniform(lo, hi))
+
+    p = int(rng.integers(2, 40))
+    t = int(rng.integers(1, p))
+    s = int(rng.integers(t, p + 1))
+    r = spread(-1.0, 3.0)
+    margins = [0.0 if rng.random() < 0.1 else spread(-1.0, 5.0) for _ in range(3)]
+    return BoundInput(
+        n=int(rng.integers(1, 60)),
+        p=p,
+        t=t,
+        s=s,
+        sigma2=spread(-1.0, 1.0),
+        r=r,
+        r_l=2.0 * math.sqrt(r) if rng.random() < 0.5 else spread(-1.0, 2.0),
+        # often near 2 c2 ~ 0.17, where a_below_two_c2 flips
+        a=float(rng.uniform(0.15, 0.2) if rng.random() < 0.3 else rng.uniform(1e-3, 0.999)),
+        delta_s=margins[0],
+        delta_t=margins[1],
+        delta_p=margins[2],
+        kappa_T3=float(rng.uniform(0.0, 1.2)),
+        kappa_t3=float(rng.uniform(0.0, 1.2)),
+        theta_min=spread(-1.0, 3.0),
+    )
+
+
+def test_bound_table_reports_what_the_hand_written_bodies_did():
+    rng = np.random.default_rng(2024)
+    failed, infinite = set(), 0
+    for _ in range(1500):
+        inp = _random_input(rng)
+        for names in (None, *PIPELINE_BOUNDS.values()):
+            got = json.dumps(bound_report(inp, names), sort_keys=True)
+            assert got == json.dumps(_ref_bound_report(inp, names), sort_keys=True)
+        want = _ref_bound_report(inp)["bounds"]
+        infinite += sum(res["raw"] is None for res in want.values())
+        for res in want.values():
+            failed.update(res["failed_assumptions"])
+            if len(res["failed_assumptions"]) > 1:
+                failed.add(("several", res["name"]))
+    # every predicate fails somewhere, several at once in every multi-predicate
+    # ledger (so their order is checked), and zero margins reach the null raw
+    assert failed >= {
+        "screen_penalty_floor", "beta_min_margin", "screen_budget_within_sample",
+        "ordering_separation", "underselect_penalty_cap", "underselect_log_gap",
+        "overselect_penalty_floor", "ordering_separation_full", "design_within_sample",
+        "penalty_link", "a_below_one_minus_c1", "combined_beta_min_cap",
+        "combined_ordering_cap", "a_below_two_c2", "full_design_penalty_cap",
+    }
+    assert {("several", k) for k in ("T1", "T2", "T3", "T2-full", "C1", "C3")} <= failed
+    assert infinite > 100

@@ -326,6 +326,28 @@ def test_simulate_bad_config_field_exits_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over, name", [({"n": "100"}, "'n'"), ({"p": 8.7}, "'p'")])
+def test_simulate_wrongly_typed_config_field_exits_1(tmp_path, capsys, over, name):
+    cfg_path = tmp_path / "scen.json"
+    cfg_path.write_text(json.dumps(base_config(**over)))
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
+def test_simulate_jobs_below_one_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "scen.json"
+    cfg_path.write_text(json.dumps(base_config(replicates=4)))
+    argv = ["simulate", "--config", str(cfg_path), "--out"]
+    assert main([*argv, str(tmp_path / "zero"), "--jobs", "0"]) == 1
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "zero").exists()
+    assert main([*argv, str(tmp_path / "one"), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "one" / "summary.json").read_text())
+    jsonschema.validate(summary, load_schema("summary"))
+
+
 def test_diagnose_table_and_json(tmp_path, capsys):
     rng = np.random.default_rng(3)
     n, p = 40, 5
@@ -373,6 +395,18 @@ def test_diagnose_truth_validation(tmp_path, capsys):
     worse.write_text(json.dumps({"support": [1], "beta": [1.0], "extra": 2}))
     assert main(["diagnose", str(data), "--truth", str(worse)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("support", [[1, 2.7], [1, True], "13"])
+def test_diagnose_rejects_non_integral_support(tmp_path, capsys, support):
+    x, y = strong_data(n=30, p=4)
+    data = tmp_path / "d.csv"
+    write_csv(data, x, y)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"support": support, "beta": [1.0, 1.0]}))
+    assert main(["diagnose", str(data), "--truth", str(truth)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'support'" in err
 
 
 def test_diagnose_rejects_restarts_below_one(tmp_path, capsys):
@@ -430,6 +464,23 @@ def test_bounds_bad_input_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(bound_blob(t=9)))  # violates t + 1 <= p
     assert main(["bounds", str(path)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "blob, name",
+    [
+        (bound_blob(n=60.9), "'n'"),
+        (bound_blob(s=False), "'s'"),
+        (bound_blob(bogus=1), "bogus"),
+        ({k: v for k, v in bound_blob().items() if k != "theta_min"}, "theta_min"),
+    ],
+)
+def test_bounds_misread_input_exits_1(tmp_path, capsys, blob, name):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(blob))
+    assert main(["bounds", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
 
 
 def test_scenario_schema_rejects_unknown_field():

@@ -9,6 +9,7 @@ import scipy.stats
 
 from sosselect import design as design_module
 from sosselect import simlab
+from sosselect.bounds import PIPELINE_BOUNDS, bound_input_from_design, bound_report
 from sosselect.errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from sosselect.simlab import (
     ExperimentSummary,
@@ -127,6 +128,28 @@ def test_config_validation():
         strong_config(beta_pattern="linear")
     with pytest.raises(ValueError):
         ScenarioConfig.from_json_dict({**strong_config().to_json_dict(), "bogus": 1})
+
+
+def test_config_json_rejects_wrongly_typed_fields():
+    blob = strong_config().to_json_dict()
+    cases = [
+        ({**blob, "n": "100"}, "'n'"),
+        ({**blob, "p": 8.7}, "'p'"),
+        ({**blob, "replicates": True}, "'replicates'"),
+        ({**blob, "rho": True}, "'rho'"),
+        ({**blob, "mode": 3}, "'mode'"),
+        ({**blob, "fixed_design": 1}, "'fixed_design'"),
+        ({k: v for k, v in blob.items() if k != "t"}, "'t'"),
+    ]
+    for bad, name in cases:
+        with pytest.raises(ValueError, match=name):
+            ScenarioConfig.from_json_dict(bad)
+
+
+def test_config_json_keeps_values_in_their_json_form():
+    cfg = ScenarioConfig.from_json_dict({"n": 40, "p": 6, "t": 2, "b": 40, "rho": 0})
+    assert cfg.to_json_dict()["b"] == 40 and type(cfg.b) is int
+    assert cfg == strong_config(b=40, rho=0, replicates=100, master_seed=0, fixed_design=False)
 
 
 def test_config_json_roundtrip_and_penalties():
@@ -383,8 +406,8 @@ def test_fixed_design_is_standardized_once_per_experiment(monkeypatch, compare_e
         calls.clear()
         run_experiment(exhaustive_race_config(replicates=reps, compare_exhaustive=compare_exhaustive))
         counts.append(len(calls))
-    # one design draw plus one for the bound ledger, whatever the replicate count
-    assert counts == [2, 2]
+    # one design draw, which the bound ledger reuses, whatever the replicate count
+    assert counts == [1, 1]
 
 
 def test_rerun_is_bit_identical_except_meta(tmp_path):
@@ -466,10 +489,28 @@ def test_bounds_skipped_when_guard_applies():
 
 def test_per_replicate_bounds_when_design_varies():
     cfg = strong_config(fixed_design=False, replicates=6, master_seed=19)
-    summary = run_experiment(cfg)
-    ledger = summary.bound_ledger
+    ledger, parallel = (run_experiment(cfg, jobs=jobs).bound_ledger for jobs in (1, 3))
     assert ledger is not None and ledger["evaluated_on"] == 6
     assert 0.0 <= ledger["worst"]["T4"]["pass_fraction"] <= 1.0
+    assert parallel == ledger  # every replicate's ledger, whichever worker drew it
+
+
+def test_fixed_design_ledger_is_built_once_by_the_block_of_replicate_0(monkeypatch):
+    cfg = exhaustive_race_config(compare_exhaustive=False, replicates=23)
+    monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", 4)
+    ledgers = [run_experiment(cfg, jobs=jobs).bound_ledger for jobs in (1, 3)]
+    assert ledgers[0] == ledgers[1]
+    assert ledgers[0]["evaluated_on"] == 1
+    # the ledger an experiment used to build on a redraw of design 0
+    _, design, truth, _ = generate_trial(cfg, 0)
+    inp = bound_input_from_design(design, truth, cfg.penalties(), cfg.a, restarts=64)
+    want = bound_report(inp, PIPELINE_BOUNDS[cfg.algorithm])
+    assert ledgers[0]["input"] == want["input"]
+    for name, entry in want["bounds"].items():
+        got = ledgers[0]["worst"][name]
+        assert got["value"] == entry["value"]
+        assert got["assumptions_ok"] == entry["assumptions_ok"]
+        assert got["failed_assumptions"] == sorted(entry["failed_assumptions"])
 
 
 # ------------------------------------------------- greedy vs all-subsets
