@@ -15,7 +15,13 @@ from dataclasses import dataclass, fields
 
 from .design import JsonFields, read_json_fields
 from .errors import DomainError
-from .identify import _estimate, _support_request, _uniform_request, delta_scaled
+from .identify import (
+    DEFAULT_RESTARTS,
+    _estimate,
+    _support_request,
+    _uniform_request,
+    delta_scaled,
+)
 
 # the two small constants entering the ordering/beta-min conditions
 C1_CONST = 1.0 / (3.0 + 6.0 * math.sqrt(2.0))  # ~0.08713
@@ -308,7 +314,7 @@ def exhaustive_lower_bound(r, sigma2):
     return _mill_form(r / (r + sigma2), q, q)
 
 
-def bound_input_from_design(design, truth, penalties, a, *, s=None, restarts=64):
+def bound_input_from_design(design, truth, penalties, a, *, s=None, restarts=DEFAULT_RESTARTS):
     """Assemble a BoundInput by measuring the margins and restricted
     eigenvalues of an actual standardized design (kappa(T, 3) and kappa(t, 3)
     in one batched search). Enumeration guards apply (small p only)."""

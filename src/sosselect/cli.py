@@ -25,8 +25,8 @@ import numpy as np
 from .bounds import BoundInput, bound_report, event_a_bound, exhaustive_lower_bound
 from .design import Dataset, ModelSet, json_value, ls_fit, standardize
 from .errors import SosSelectError
-from .identify import TruthSpec, check_propositions
-from .lasso import PenaltyPair, default_penalties
+from .identify import DEFAULT_RESTARTS, TruthSpec, check_propositions
+from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, PenaltyPair, default_penalties
 from .selection import exhaustive_gic, run_os, run_sos
 from .simlab import ScenarioConfig, persist, run_experiment
 
@@ -105,10 +105,8 @@ def _resolve_penalties(args, design) -> "tuple[PenaltyPair, float | None]":
         sigma2 = _estimate_sigma2(design)
         log.info("estimated sigma2 = %s from the full-model fit", _fmt(sigma2))
     else:
-        sigma2 = float(args.sigma2)
-        if sigma2 < 0:
-            raise ValueError("sigma2 must be nonnegative")
-    return default_penalties(design.n, design.p, sigma2, a), sigma2
+        sigma2 = args.sigma2  # a float; default_penalties rejects a negative one
+    return default_penalties(design.p, sigma2, a), sigma2
 
 
 def _intercept(dataset: Dataset, model: list, beta_hat, mode: str) -> "float | None":
@@ -137,9 +135,9 @@ def _fit_payload(args, dataset, design, penalties, sigma2_est) -> dict:
         beta = ls_fit(design, model, allow_degenerate=True).beta_hat.tolist()
     else:
         if args.algorithm == "sos":
-            outcome = run_sos(design, penalties=penalties, tol=args.tol, max_iter=args.max_iter)
+            outcome = run_sos(design, penalties, tol=args.tol, max_iter=args.max_iter)
         else:
-            outcome = run_os(design, penalties=penalties)
+            outcome = run_os(design, penalties)
         blob = outcome.to_json_dict()
         if blob["screen"] is not None:
             scr = blob["screen"]
@@ -234,15 +232,8 @@ def _cmd_fit(args) -> int:
 def _cmd_simulate(args) -> int:
     blob = _load_json(args.config)
     config = ScenarioConfig.from_json_dict(blob)
-    overrides = {}
     if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.fixed_design:
-        overrides["fixed_design"] = True
-    if args.compare_exhaustive:
-        overrides["compare_exhaustive"] = True
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
+        config = dataclasses.replace(config, master_seed=args.seed)
     log.info(
         "running %d replicates (n=%d p=%d t=%d, %s, jobs=%d)",
         config.replicates, config.n, config.p, config.t, config.algorithm, args.jobs,
@@ -274,14 +265,15 @@ def _truth_from_json(blob: dict, design) -> TruthSpec:
         raise ValueError(f"unknown truth fields: {sorted(extra)}")
     if "support" not in blob or "beta" not in blob:
         raise ValueError("truth file needs 'support' (1-based) and 'beta' arrays")
-    if not isinstance(blob["support"], list):
-        raise ValueError("truth field 'support' must be a list of predictor numbers")
+    for name in ("support", "beta"):
+        if not isinstance(blob[name], list):
+            raise ValueError(f"truth field {name!r} must be a list")
     support = [json_value("support", int, j) - 1 for j in blob["support"]]
     if any(j < 0 or j >= design.p for j in support):
         raise ValueError(f"support indices must lie in 1..{design.p}")
-    return TruthSpec.from_beta(
-        design, support, blob["beta"], sigma2=float(blob.get("sigma2", 1.0))
-    )
+    beta = [json_value("beta", float, v) for v in blob["beta"]]
+    sigma2 = json_value("sigma2", float, blob.get("sigma2", 1.0))
+    return TruthSpec.from_beta(design, support, beta, sigma2=sigma2)
 
 
 def _diagnose_view(report) -> dict:
@@ -406,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="screened greedy search, full-design greedy search, or "
         "exhaustive enumeration",
     )
-    fit.add_argument("--tol", type=float, default=1e-8, help="solver certificate tolerance")
-    fit.add_argument("--max-iter", type=int, default=10_000, help="solver sweep budget")
+    fit.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver certificate tolerance")
+    fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="solver sweep budget")
     fit.add_argument("--format", choices=["table", "json", "tsv"], default="table")
     fit.add_argument("--out", default=None, help="write results here instead of stdout")
     fit.set_defaults(handler=_cmd_fit)
@@ -416,14 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", required=True, help="scenario JSON file")
     sim.add_argument("--out", required=True, help="output directory")
     sim.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sim.add_argument(
-        "--compare-exhaustive", action="store_true",
-        help="also run the exhaustive selector per replicate (overrides config)",
-    )
-    sim.add_argument(
-        "--fixed-design", action="store_true",
-        help="draw one design and reuse it across replicates (overrides config)",
-    )
     sim.add_argument(
         "--seed", type=int, default=None,
         help="override the config's master seed",
@@ -439,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file with 'support' (1-based), 'beta', optional 'sigma2'",
     )
     dia.add_argument(
-        "--restarts", type=int, default=64,
+        "--restarts", type=int, default=DEFAULT_RESTARTS,
         help="restart budget for the restricted-eigenvalue search",
     )
     dia.add_argument("--format", choices=["table", "json"], default="table")

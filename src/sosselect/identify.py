@@ -52,6 +52,7 @@ _EPS = float(np.finfo(float).eps)
 _SLACK = 1e-9  # relative fp slack of every inequality check
 _V_ITERS = 40  # accelerated projected-gradient steps per off-J update
 _MAX_OUTER = 50  # alternating rounds before a subset's search stops
+DEFAULT_RESTARTS = 64  # start rows of each restricted-eigenvalue search
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,8 +237,6 @@ def _project_l1_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     A row is moved exactly when numpy's ``sum(|row|)`` exceeds its radius.
     When one BLAS row sum shows every row certainly inside its ball, v is
     returned as is, with no sort and no numpy reduction."""
-    if v.size == 0:
-        return v
     shape = v.shape
     q = shape[-1]
     v = v.reshape(-1, q)
@@ -272,8 +271,6 @@ def _project_l1_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
 def _batched_objective(u, v, s_jj, s_oj, s_oo):
     """``nu' Sigma nu`` per row, for row stacks (B, m, .) of B subsets."""
     quad_u = np.einsum("bij,bij->bi", u @ s_jj, u)
-    if v.shape[2] == 0:
-        return quad_u
     cross = np.einsum("bij,bij->bi", v @ s_oj, u)
     quad_v = np.einsum("bij,bij->bi", v @ s_oo, v)
     return quad_u + 2.0 * cross + quad_v
@@ -542,7 +539,7 @@ def kappa(
     j_set,
     c: float,
     *,
-    restarts: int = 64,
+    restarts: int = DEFAULT_RESTARTS,
     extra_starts=None,
 ) -> KappaEstimate:
     """Estimate ``kappa^2(J, c)`` by batched alternating minimization.
@@ -583,7 +580,7 @@ def kappa_uniform(
     s: int,
     c: float,
     *,
-    restarts: int = 64,
+    restarts: int = DEFAULT_RESTARTS,
     extra_starts=None,
 ) -> KappaEstimate:
     """Estimate ``kappa^2(s, c) = min over |J| = s of kappa^2(J, c)``.
@@ -651,7 +648,7 @@ def check_propositions(
     design: StandardizedDesign,
     truth: TruthSpec,
     *,
-    restarts: int = 64,
+    restarts: int = DEFAULT_RESTARTS,
 ) -> IdentifiabilityReport:
     """Compute the identifiability report and verify the cross-quantity
     inequalities that tie margins to restricted eigenvalues.

@@ -36,24 +36,21 @@ DEFAULT_MAX_ITER = 10_000
 
 @dataclass(frozen=True)
 class PenaltyPair:
-    """GIC penalty ``r`` and Lasso penalty ``r_l`` (plus their provenance)."""
+    """GIC penalty ``r`` and Lasso penalty ``r_l``."""
 
     r: float
     r_l: float
-    a: "float | None" = None
-    sigma2: "float | None" = None
 
     def __post_init__(self):
         if self.r < 0 or self.r_l < 0:
             raise ValueError("penalties must be nonnegative")
 
 
-def default_penalties(n: int, p: int, sigma2: float, a: float) -> PenaltyPair:
+def default_penalties(p: int, sigma2: float, a: float) -> PenaltyPair:
     """Penalty pair ``r = 4 sigma2 ln(p) / a``, ``r_l = 2 sqrt(r)``.
 
     This sits exactly on the lower admissible boundary of the selection
-    penalty and couples the Lasso penalty so that ``r_l^2 = 4 r``. ``n`` is
-    accepted for interface completeness; the rule does not depend on it.
+    penalty and couples the Lasso penalty so that ``r_l^2 = 4 r``.
     """
     if p < 2:
         raise ValueError("need at least two candidate predictors")
@@ -62,7 +59,7 @@ def default_penalties(n: int, p: int, sigma2: float, a: float) -> PenaltyPair:
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
     r = 4.0 * sigma2 * math.log(p) / a
-    return PenaltyPair(r=r, r_l=2.0 * math.sqrt(r), a=a, sigma2=sigma2)
+    return PenaltyPair(r=r, r_l=2.0 * math.sqrt(r))
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,10 +42,17 @@ from .design import (
     _full_rank_factor,
     ls_fit,
     rss,
-    standardize,
 )
 from .errors import EnumerationTooLarge, ScreenTooLarge, TooManyPredictors
-from .lasso import LassoFit, PenaltyPair, ScreenResult, screen, solve_lasso
+from .lasso import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    LassoFit,
+    PenaltyPair,
+    ScreenResult,
+    screen,
+    solve_lasso,
+)
 
 ENUMERATION_BUDGET = 1_000_000
 
@@ -280,18 +287,16 @@ def _finish(algorithm, design, penalties, scr, fit, ordering) -> SelectionOutcom
 
 
 def run_sos(
-    data,
-    mode="practical",
-    penalties: "PenaltyPair | None" = None,
+    design: StandardizedDesign,
+    penalties: PenaltyPair,
     *,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> SelectionOutcome:
     """Screen with the Lasso, order by t-statistics, select by the criterion.
 
-    ``data`` may be a :class:`Dataset` or an already standardized design
-    (whose mode then wins). An empty screened set short-circuits to the
-    empty selection with a null refit.
+    An empty screened set short-circuits to the empty selection with a null
+    refit.
 
     Raises
     ------
@@ -301,9 +306,6 @@ def run_sos(
     NotConverged
         If coordinate descent hits ``max_iter`` before its certificate.
     """
-    if penalties is None:
-        raise ValueError("penalties are required (see default_penalties)")
-    design = data if isinstance(data, StandardizedDesign) else standardize(data, mode)
     fit = solve_lasso(design, penalties.r_l, tol=tol, max_iter=max_iter)
     scr = screen(fit)  # raises NotConverged on an uncertified fit
     if len(scr.s1) >= design.n_effective:
@@ -312,23 +314,11 @@ def run_sos(
     return _finish("sos", design, penalties, scr, fit, ordering)
 
 
-def run_os(
-    data,
-    mode="practical",
-    r: "float | None" = None,
-    *,
-    penalties: "PenaltyPair | None" = None,
-) -> SelectionOutcome:
+def run_os(design: StandardizedDesign, penalties: PenaltyPair) -> SelectionOutcome:
     """Order all columns by t-statistics and select by the criterion.
 
-    Requires ``p < n_effective`` and a full-rank design. Either a bare
-    penalty ``r`` or a :class:`PenaltyPair` may be given.
+    Requires ``p < n_effective`` and a full-rank design.
     """
-    if penalties is None:
-        if r is None:
-            raise ValueError("an ordering penalty r is required")
-        penalties = PenaltyPair(r=float(r), r_l=2.0 * math.sqrt(float(r)))
-    design = data if isinstance(data, StandardizedDesign) else standardize(data, mode)
     if design.p >= design.n_effective:
         raise TooManyPredictors(
             f"p={design.p} >= n_effective={design.n_effective}; screen first"

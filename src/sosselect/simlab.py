@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+import scipy.special
 
 from .bounds import (
     PIPELINE_BOUNDS,
@@ -57,6 +57,7 @@ from .design import (
 from .errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from .identify import TruthSpec
 from .lasso import PenaltyPair, default_penalties, event_a
+from .schemas import load_schema
 from .selection import ExhaustiveResult, _exhaustive_block, run_os, run_sos
 
 _DESIGN_STREAM = 1
@@ -70,10 +71,19 @@ _LEDGER_RESTARTS = {True: 64, False: 24}
 # entries per replicate: screened set, ordering, refit, pivot)
 _RESPONSE_BLOCK = 128
 
-_DESIGN_KINDS = ("iid_gaussian", "ar1", "duplicated_spurious")
-_BETA_PATTERNS = ("constant", "decaying")
-_PENALTY_RULES = ("corollary1", "explicit")
-_ALGORITHMS = ("sos", "os")
+# a value test per schema keyword; ScenarioConfig checks every single-field
+# bound its schema states (types are checked when a config is read from JSON)
+_BOUND_TESTS = {
+    "enum": lambda v, b: v in b,
+    "minimum": lambda v, b: v >= b,
+    "exclusiveMinimum": lambda v, b: v > b,
+    "exclusiveMaximum": lambda v, b: v < b,
+    "not": lambda v, b: v != b["const"],
+}
+_FIELD_BOUNDS = {
+    name: {k: b for k, b in rule.items() if k != "type"}
+    for name, rule in load_schema("scenario_config")["properties"].items()
+}
 
 
 @dataclass(frozen=True)
@@ -102,42 +112,23 @@ class ScenarioConfig(JsonFields):
     compare_exhaustive: bool = False
 
     def __post_init__(self):
-        if self.t < 1 or self.t >= self.p:
-            raise ValueError("need 1 <= t < p")
-        if self.n < 3:
-            raise ValueError("need at least 3 observations")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.design_kind not in _DESIGN_KINDS:
-            raise ValueError(f"unknown design_kind {self.design_kind!r}")
-        if self.design_kind == "ar1" and not (0.0 <= self.rho < 1.0):
-            raise ValueError("ar1 needs rho in [0,1)")
-        if self.design_kind == "duplicated_spurious":
-            if self.copies < 1 or self.p - self.copies < self.t + 1:
-                raise ValueError("need 1 <= copies <= p - t - 1")
-        if self.beta_pattern not in _BETA_PATTERNS:
-            raise ValueError(f"unknown beta_pattern {self.beta_pattern!r}")
-        if self.b == 0.0:
-            raise ValueError("signal magnitude b must be nonzero")
-        if self.beta_pattern == "decaying" and self.ratio <= 0.0:
-            raise ValueError("decaying pattern needs ratio > 0")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
-        mode = Parametrization.parse(self.mode)
-        if self.algorithm == "os" and self.p >= mode.n_effective(self.n):
+        """Every single-field bound of the shipped schema, for every kind and
+        rule, then the cross-field rules the schema cannot state."""
+        for name, bounds in _FIELD_BOUNDS.items():
+            value = getattr(self, name)
+            for key, bound in bounds.items():
+                if not _BOUND_TESTS[key](value, bound):
+                    raise ValueError(f"field {name!r} must meet {key} {bound}, got {value!r}")
+        if self.t >= self.p:
+            raise ValueError("need t < p")
+        if self.design_kind == "duplicated_spurious" and self.p - self.copies < self.t + 1:
+            raise ValueError("need copies <= p - t - 1")
+        if self.algorithm == "os" and self.p >= Parametrization(self.mode).n_effective(self.n):
             raise ValueError("full-design algorithm needs p < effective sample size")
-        if self.penalty_rule not in _PENALTY_RULES:
-            raise ValueError(f"unknown penalty_rule {self.penalty_rule!r}")
-        if self.penalty_rule == "corollary1" and not (0.0 < self.a < 1.0):
-            raise ValueError("penalty rule needs a in (0,1)")
-        if self.penalty_rule == "explicit" and (self.r < 0.0 or self.r_l < 0.0):
-            raise ValueError("explicit penalties must be nonnegative")
-        if self.algorithm not in _ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
     def penalties(self) -> PenaltyPair:
         if self.penalty_rule == "corollary1":
-            return default_penalties(self.n, self.p, self.sigma2, self.a)
+            return default_penalties(self.p, self.sigma2, self.a)
         return PenaltyPair(r=self.r, r_l=self.r_l)
 
     @classmethod
@@ -324,9 +315,9 @@ def _single_trial(
     outcome = None
     try:
         if config.algorithm == "sos":
-            outcome = run_sos(design, penalties=penalties)
+            outcome = run_sos(design, penalties)
         else:
-            outcome = run_os(design, penalties=penalties)
+            outcome = run_os(design, penalties)
     except ScreenTooLarge:
         screen_ok = False  # kept set too large to refit: screening failure
     except NotConverged as err:
@@ -458,7 +449,7 @@ def _pivot_ks(config: ScenarioConfig, values) -> float:
     d = pivot_dimension(config.t, config.mode)
     vals = np.sort(np.asarray(values, dtype=float))
     n = len(vals)
-    ref = scipy.stats.f(d, config.n - d).cdf(vals)
+    ref = scipy.special.fdtr(d, config.n - d, vals)
     upper = np.max(np.arange(1, n + 1) / n - ref)
     lower = np.max(ref - np.arange(0, n) / n)
     return float(max(upper, lower))
@@ -553,9 +544,12 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
 
     With ``oracle=True`` the pivot is computed on the true support in every
     replicate (no selection), so the distance should sit inside pure Monte
-    Carlo noise. Raises DegenerateSelection when no replicate yields a
+    Carlo noise; it runs in one process, so ``jobs`` other than 1 raises
+    ValueError. Raises DegenerateSelection when no replicate yields a
     usable statistic.
     """
+    if oracle and jobs != 1:
+        raise ValueError(f"the oracle pivot runs in one process; got jobs={jobs}")
     d = pivot_dimension(config.t, config.mode)
     if config.n - d < 1:
         raise ValueError("reference needs n larger than the model dimension")

@@ -313,7 +313,7 @@ def test_each_predicate_pass_and_fail():
 
 def test_boundary_penalty_satisfies_floor_exactly():
     # r at exactly 4 a^-1 sigma^2 log p must pass the floor predicate
-    pens = default_penalties(n=50, p=10, sigma2=1.0, a=0.5)
+    pens = default_penalties(p=10, sigma2=1.0, a=0.5)
     inp = make_input(r=pens.r, r_l=pens.r_l, a=0.5, sigma2=1.0, p=10)
     assert overselect_penalty_floor(inp)
     assert screen_penalty_floor(inp)
@@ -327,7 +327,7 @@ def test_bound_input_from_design_orthonormal_all_pass():
     x = np.eye(40)[:, :6]
     d = standardize(Dataset(x=x, y=np.zeros(40)), "formal")
     truth = TruthSpec.from_beta(d, [0, 1], [120.0, -120.0], sigma2=1.0)
-    pens = default_penalties(n=40, p=6, sigma2=1.0, a=0.9)
+    pens = default_penalties(p=6, sigma2=1.0, a=0.9)
     inp = bound_input_from_design(d, truth, pens, 0.9, restarts=16)
     assert inp.s == 3  # t + floor(sqrt(2)) with kappa ~ 1
     assert inp.kappa_T3 == pytest.approx(1.0, abs=1e-4)
@@ -357,7 +357,7 @@ def test_bound_input_kappas_are_exactly_the_public_estimates(monkeypatch, seed, 
     x = rng.standard_normal((30, 5))
     d = standardize(Dataset(x=x, y=rng.standard_normal(30)), "formal")
     truth = TruthSpec.from_beta(d, [1, 3], [2.0, -1.5], sigma2=1.0)
-    pens = default_penalties(n=30, p=5, sigma2=1.0, a=0.9)
+    pens = default_penalties(p=5, sigma2=1.0, a=0.9)
     passes = []
     real = identify._alternating_min
 
@@ -377,7 +377,7 @@ def test_bound_input_rejects_restarts_below_one():
     x = np.eye(40)[:, :6]
     d = standardize(Dataset(x=x, y=np.zeros(40)), "formal")
     truth = TruthSpec.from_beta(d, [0, 1], [120.0, -120.0], sigma2=1.0)
-    pens = default_penalties(n=40, p=6, sigma2=1.0, a=0.9)
+    pens = default_penalties(p=6, sigma2=1.0, a=0.9)
     with pytest.raises(ValueError, match="restarts"):
         bound_input_from_design(d, truth, pens, 0.9, restarts=0)
 

@@ -254,6 +254,11 @@ def test_auto_sigma2_needs_spare_dof(tmp_path, capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
+def test_auto_penalty_rejects_negative_sigma2(data_csv, capsys):
+    assert main(["fit", data_csv, "--auto-penalty", "--sigma2", "-1"]) == 1
+    assert "sigma2 must be nonnegative" in capsys.readouterr().err
+
+
 def base_config(**over):
     cfg = {
         "n": 40,
@@ -299,24 +304,26 @@ def test_simulate_end_to_end_schema_and_determinism(tmp_path, capsys):
 
 def test_simulate_seed_and_flag_overrides(tmp_path, capsys):
     cfg_path = tmp_path / "scen.json"
-    cfg_path.write_text(json.dumps(base_config(replicates=6, fixed_design=False)))
-    out = tmp_path / "run"
-    code = main(
-        [
-            "simulate",
-            "--config", str(cfg_path),
-            "--out", str(out),
-            "--seed", "99",
-            "--fixed-design",
-            "--compare-exhaustive",
-        ]
+    cfg_path.write_text(
+        json.dumps(base_config(replicates=6, fixed_design=True, compare_exhaustive=True))
     )
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seed", "99"])
     assert code == 0
     assert "exhaustive error" in capsys.readouterr().out
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["master_seed"] == 99
     assert summary["config"]["fixed_design"] is True
     assert summary["exhaustive_error"] is not None
+
+
+@pytest.mark.parametrize("flag", ["--fixed-design", "--compare-exhaustive"])
+def test_simulate_config_fields_have_no_second_flag(tmp_path, capsys, flag):
+    cfg_path = tmp_path / "scen.json"
+    cfg_path.write_text(json.dumps(base_config(replicates=2)))
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"), flag]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_simulate_bad_config_field_exits_1(tmp_path, capsys):
@@ -395,6 +402,27 @@ def test_diagnose_truth_validation(tmp_path, capsys):
     worse.write_text(json.dumps({"support": [1], "beta": [1.0], "extra": 2}))
     assert main(["diagnose", str(data), "--truth", str(worse)]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "truth, name",
+    [
+        ({"support": [1], "beta": ["3.0"]}, "'beta'"),
+        ({"support": [1], "beta": [True]}, "'beta'"),
+        ({"support": [1], "beta": 3.0}, "'beta'"),
+        ({"support": [1], "beta": [3.0], "sigma2": True}, "'sigma2'"),
+        ({"support": [1], "beta": [3.0], "sigma2": "1.0"}, "'sigma2'"),
+    ],
+)
+def test_diagnose_rejects_misread_truth_fields(tmp_path, capsys, truth, name):
+    x, y = strong_data(n=30, p=4)
+    data = tmp_path / "d.csv"
+    write_csv(data, x, y)
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    assert main(["diagnose", str(data), "--truth", str(path), "--restarts", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
 
 
 @pytest.mark.parametrize("support", [[1, 2.7], [1, True], "13"])

@@ -105,7 +105,7 @@ def outputs():
     x = rng.standard_normal((n, p))
     noise = rng.standard_normal(n)
     design = standardize(Dataset(x, x[:, :2] @ np.array([3.0, -2.0]) + noise))
-    penalties = default_penalties(n, p, 1.0, 0.5)
+    penalties = default_penalties(p, 1.0, 0.5)
     outcome = run_sos(design, penalties=penalties)
     truth = TruthSpec.from_beta(design, [0, 1], [3.0, -2.0])
     report = check_propositions(design, truth, restarts=8)

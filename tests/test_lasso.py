@@ -6,6 +6,7 @@ column/response inner products) and an accelerated proximal-gradient solver
 of the same objective written below, sharing no code with the package.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from sosselect.lasso import (
     EventAWitness,
     LassoFit,
     OracleCheckReport,
+    PenaltyPair,
     default_penalties,
     event_a,
     kkt_gap,
@@ -183,7 +185,7 @@ def _skip_case(name):
     corr = float(np.max(np.abs(d.x0.T @ d.y0)))
     warm = np.where(rng.random(p) < 0.2, 2.0 * rng.standard_normal(p), 0.0)
     if name == "wide":
-        return d, default_penalties(n, p, 1.0, 0.5).r_l, {}
+        return d, default_penalties(p, 1.0, 0.5).r_l, {}
     if name == "wide-small-penalty":
         return d, 1.0, {}
     if name == "wide-one-sweep":
@@ -234,16 +236,26 @@ def test_skipping_sweeps_equal_full_sweeps(name):
 
 
 def test_default_penalties_corollary_coupling():
-    pen = default_penalties(50, 10, 1.0, 0.5)
+    pen = default_penalties(10, 1.0, 0.5)
     assert pen.r == pytest.approx(8.0 * math.log(10.0), rel=1e-15)  # 18.4207...
     assert pen.r_l**2 == pytest.approx(4.0 * pen.r, rel=1e-15)
     assert pen.r == pytest.approx(18.420680743952367)
     with pytest.raises(ValueError):
-        default_penalties(50, 1, 1.0, 0.5)
+        default_penalties(1, 1.0, 0.5)
     with pytest.raises(ValueError):
-        default_penalties(50, 10, 1.0, 1.5)
-    zero = default_penalties(50, 10, 0.0, 0.5)
+        default_penalties(10, 1.0, 1.5)
+    zero = default_penalties(10, 0.0, 0.5)
     assert zero.r == 0.0 and zero.r_l == 0.0
+
+
+def test_penalty_pair_holds_only_the_two_penalties():
+    with pytest.raises(TypeError):
+        default_penalties(50, 10, 1.0, 0.5)  # the rule never read n
+    with pytest.raises(TypeError):
+        PenaltyPair(r=1.0, r_l=2.0, a=0.5)
+    with pytest.raises(TypeError):
+        PenaltyPair(r=1.0, r_l=2.0, sigma2=1.0)
+    assert [f.name for f in dataclasses.fields(PenaltyPair)] == ["r", "r_l"]
 
 
 def _manual_fit(theta, r_l):
@@ -337,7 +349,7 @@ def test_verify_oracle_inequalities_monte_carlo_on_noise_event():
     x = rng.standard_normal((n, p))
     beta = np.zeros(p)
     beta[:t] = [2.0, -1.5, 1.0]
-    pen = default_penalties(n, p, 1.0, 0.5)
+    pen = default_penalties(p, 1.0, 0.5)
     held, violations = 0, 0
     for _ in range(200):
         eps = rng.standard_normal(n)
@@ -366,7 +378,7 @@ def test_verify_oracle_default_kappa_is_the_support_estimate():
     beta = np.array([1.5, 0.0, -1.0, 0.0, 0.0, 0.0])
     y = x @ beta + 0.5 * rng.standard_normal(30)
     d = standardize(Dataset(x=x, y=y), "practical")
-    fit = solve_lasso(d, default_penalties(30, 6, 0.25, 0.5).r_l)
+    fit = solve_lasso(d, default_penalties(6, 0.25, 0.5).r_l)
     mu0 = d.x0 @ (d.scales * beta)
     implicit = verify_oracle_inequalities(d, fit, beta, mu0)
     explicit = verify_oracle_inequalities(

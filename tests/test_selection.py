@@ -292,8 +292,8 @@ def test_run_sos_recovers_strong_signal():
     beta = np.zeros(p)
     beta[[1, 4]] = [20.0, -15.0]  # clears 6 r_l on the standardized scale
     y = x @ beta + rng.standard_normal(n)
-    pen = default_penalties(n, p, 1.0, 0.5)
-    out = run_sos(Dataset(x=x, y=y), "practical", pen)
+    pen = default_penalties(p, 1.0, 0.5)
+    out = run_sos(standardize(Dataset(x=x, y=y), "practical"), pen)
     assert out.selected == ModelSet.of([1, 4])
     assert ModelSet.of([1, 4]).issubset(out.screen.s1)
     assert out.path.selected_size == 2
@@ -305,8 +305,8 @@ def test_run_sos_pure_noise_selects_nothing():
     n, p = 50, 6
     x = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
-    pen = default_penalties(n, p, 1.0, 0.5)
-    out = run_sos(Dataset(x=x, y=y), "practical", pen)
+    pen = default_penalties(p, 1.0, 0.5)
+    out = run_sos(standardize(Dataset(x=x, y=y), "practical"), pen)
     assert out.selected == ModelSet.empty()
     assert out.refit.rss == pytest.approx(float(out.design.y0 @ out.design.y0))
 
@@ -316,7 +316,7 @@ def test_run_sos_empty_screen_short_circuit():
     n, p = 30, 5
     x = rng.standard_normal((n, p))
     y = 0.01 * rng.standard_normal(n)
-    out = run_sos(Dataset(x=x, y=y), "practical", PenaltyPair(r=100.0, r_l=20.0))
+    out = run_sos(standardize(Dataset(x=x, y=y), "practical"), PenaltyPair(r=100.0, r_l=20.0))
     assert out.screen.s1 == ModelSet.empty()
     assert out.selected == ModelSet.empty()
     assert len(out.ordering) == 0 and out.path.selected_size == 0
@@ -329,8 +329,8 @@ def test_run_sos_noiseless_recovery_with_zero_penalties():
     beta = np.zeros(p)
     beta[[0, 3]] = [1.0, -2.0]
     y = x @ beta  # no noise; default penalties at sigma2 = 0 are exactly 0
-    pen = default_penalties(n, p, 0.0, 0.5)
-    out = run_sos(Dataset(x=x, y=y), "practical", pen)
+    pen = default_penalties(p, 0.0, 0.5)
+    out = run_sos(standardize(Dataset(x=x, y=y), "practical"), pen)
     assert out.selected == ModelSet.of([0, 3])
     assert out.refit.t_squared is None  # zero-residual refit tolerated
 
@@ -341,7 +341,7 @@ def test_run_sos_screen_too_large():
     x = rng.standard_normal((n, p))
     y = rng.standard_normal(n)
     with pytest.raises(ScreenTooLarge):
-        run_sos(Dataset(x=x, y=y), "practical", PenaltyPair(r=0.0, r_l=0.0))
+        run_sos(standardize(Dataset(x=x, y=y), "practical"), PenaltyPair(r=0.0, r_l=0.0))
 
 
 def test_run_os_against_oracles():
@@ -350,7 +350,7 @@ def test_run_os_against_oracles():
         n, p = 30, 6
         x = rng.standard_normal((n, p))
         y = x[:, 0] * 3 + rng.standard_normal(n)
-        out = run_os(Dataset(x=x, y=y), "practical", r=1.0)
+        out = run_os(standardize(Dataset(x=x, y=y), "practical"), PenaltyPair(r=1.0, r_l=2.0))
         d = out.design
         expected_order = order_by_t(d, ModelSet.full(p)).sequence
         assert out.ordering.sequence == expected_order
@@ -364,7 +364,7 @@ def test_run_os_orthonormal_agrees_with_exhaustive():
     q = np.linalg.qr(rng.standard_normal((25, 5)))[0]
     y = q @ np.array([3.0, 0.1, -2.0, 0.05, 1.0]) + 0.2 * rng.standard_normal(25)
     data = Dataset(x=q, y=y)
-    out = run_os(data, "formal", r=0.5)
+    out = run_os(standardize(data, "formal"), PenaltyPair(r=0.5, r_l=2.0 * 0.5**0.5))
     res = exhaustive_gic(out.design, 0.5)
     assert out.selected == res.model
 
@@ -372,8 +372,26 @@ def test_run_os_orthonormal_agrees_with_exhaustive():
 def test_run_os_requires_small_p():
     rng = np.random.default_rng(72)
     x = rng.standard_normal((6, 6))
+    d = standardize(Dataset(x=x, y=rng.standard_normal(6)), "formal")
     with pytest.raises(TooManyPredictors):
-        run_os(Dataset(x=x, y=rng.standard_normal(6)), "formal", r=1.0)
+        run_os(d, PenaltyPair(r=1.0, r_l=2.0))
+
+
+def test_run_sos_and_run_os_take_only_a_design_and_penalties():
+    rng = np.random.default_rng(76)
+    x = rng.standard_normal((30, 4))
+    data = Dataset(x=x, y=x[:, 0] + rng.standard_normal(30))
+    d = standardize(data, "practical")
+    pen = PenaltyPair(r=4.0, r_l=4.0)
+    with pytest.raises(TypeError):
+        run_sos(d, "formal", pen)  # the mode comes from the design alone
+    with pytest.raises(TypeError):
+        run_os(d, r=5000.0)
+    with pytest.raises(TypeError):
+        run_os(d, r=5000.0, penalties=pen)
+    with pytest.raises(TypeError):
+        run_sos(d)
+    assert run_os(d, pen).penalties is pen
 
 
 def test_selection_invariant_to_column_rescaling():
@@ -383,10 +401,10 @@ def test_selection_invariant_to_column_rescaling():
     beta = np.zeros(p)
     beta[[2, 5]] = [6.0, -5.0]
     y = x @ beta + rng.standard_normal(n)
-    pen = default_penalties(n, p, 1.0, 0.5)
-    out1 = run_sos(Dataset(x=x, y=y), "practical", pen)
+    pen = default_penalties(p, 1.0, 0.5)
+    out1 = run_sos(standardize(Dataset(x=x, y=y), "practical"), pen)
     scale = np.array([2.0, 0.01, 30.0, 1.0, 0.5, 100.0])
-    out2 = run_sos(Dataset(x=x * scale, y=y), "practical", pen)
+    out2 = run_sos(standardize(Dataset(x=x * scale, y=y), "practical"), pen)
     assert out1.screen.s0 == out2.screen.s0
     assert out1.screen.s1 == out2.screen.s1
     assert out1.ordering.sequence == out2.ordering.sequence
@@ -398,9 +416,9 @@ def test_selection_invariant_to_response_shift_in_practical_mode():
     n, p = 35, 5
     x = rng.standard_normal((n, p))
     y = x[:, 1] * 4 + rng.standard_normal(n)
-    pen = default_penalties(n, p, 1.0, 0.5)
-    out1 = run_sos(Dataset(x=x, y=y), "practical", pen)
-    out2 = run_sos(Dataset(x=x, y=y + 57.3), "practical", pen)
+    pen = default_penalties(p, 1.0, 0.5)
+    out1 = run_sos(standardize(Dataset(x=x, y=y), "practical"), pen)
+    out2 = run_sos(standardize(Dataset(x=x, y=y + 57.3), "practical"), pen)
     assert out1.selected == out2.selected
     assert out1.ordering.sequence == out2.ordering.sequence
     np.testing.assert_allclose(out1.path.rss_path, out2.path.rss_path, atol=1e-8)
@@ -411,7 +429,7 @@ def test_selection_outcome_serialization_roundtrip():
     n, p = 30, 4
     x = rng.standard_normal((n, p))
     y = x[:, 0] + rng.standard_normal(n)
-    out = run_sos(Dataset(x=x, y=y), "practical", default_penalties(n, p, 1.0, 0.5))
+    out = run_sos(standardize(Dataset(x=x, y=y), "practical"), default_penalties(p, 1.0, 0.5))
     blob = out.to_json_dict()
     assert blob["algorithm"] == "sos" and blob["mode"] == "practical"
     assert isinstance(blob["selected"], list)

@@ -2,13 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
+import jsonschema
 import numpy as np
 import pytest
 import scipy.stats
 
+import sosselect
 from sosselect import design as design_module
-from sosselect import simlab
+from sosselect import load_schema, simlab
 from sosselect.bounds import PIPELINE_BOUNDS, bound_input_from_design, bound_report
 from sosselect.errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from sosselect.simlab import (
@@ -122,12 +127,71 @@ def test_config_validation():
         strong_config(design_kind="duplicated_spurious", copies=4)
     with pytest.raises(ValueError):
         strong_config(penalty_rule="corollary1", a=0.0)
+    with pytest.raises(ValueError, match="'a'"):  # a is checked under every rule
+        strong_config(penalty_rule="explicit", r=2.0, r_l=2.0, a=1.5)
     with pytest.raises(ValueError):
         strong_config(algorithm="os", p=45)
     with pytest.raises(ValueError):
         strong_config(beta_pattern="linear")
     with pytest.raises(ValueError):
         ScenarioConfig.from_json_dict({**strong_config().to_json_dict(), "bogus": 1})
+
+
+_SCENARIO_SCHEMA = load_schema("scenario_config")
+
+
+def _probe_values(rule, rng):
+    """Values of one field around each bound its schema entry states, plus a
+    few seeded draws, in the field's own JSON type."""
+    if "enum" in rule:
+        return rule["enum"] + ["bogus", rule["enum"][0].upper()]
+    if rule["type"] == "boolean":
+        return [True, False]
+    edges = [rule[k] for k in ("minimum", "exclusiveMinimum", "exclusiveMaximum") if k in rule]
+    edges += [rule["not"]["const"]] if "not" in rule else []
+    if rule["type"] == "integer":
+        near = {e + d for e in edges for d in (-1, 0, 1)}
+        return sorted(near | set(rng.integers(-3, 40, size=4).tolist()))
+    near = {float(e) + d for e in edges for d in (-0.5, -1e-9, 0.0, 1e-9, 0.5)}
+    return sorted(near | set(rng.uniform(-2.0, 3.0, size=4).tolist()))
+
+
+def _cross_field_ok(blob):
+    """The rules tying several fields, which the schema cannot state."""
+    n_eff = blob["n"] - 1 if blob["mode"] == "practical" else blob["n"]
+    spare = blob["p"] - blob["t"] - 1
+    return (
+        blob["t"] < blob["p"]
+        and (blob["design_kind"] != "duplicated_spurious" or blob["copies"] <= spare)
+        and (blob["algorithm"] != "os" or blob["p"] < n_eff)
+    )
+
+
+@pytest.mark.parametrize("kind", _SCENARIO_SCHEMA["properties"]["design_kind"]["enum"])
+@pytest.mark.parametrize("rule", _SCENARIO_SCHEMA["properties"]["penalty_rule"]["enum"])
+def test_config_enforces_every_single_field_schema_bound(kind, rule):
+    base = dict(
+        n=40, p=12, t=1, design_kind=kind, rho=0.3, copies=2, beta_pattern="decaying",
+        b=5.0, ratio=0.5, sigma2=1.0, mode="practical", penalty_rule=rule, a=0.5, r=2.0,
+        r_l=2.0, algorithm="sos", replicates=3, master_seed=1, fixed_design=False,
+        compare_exhaustive=False,
+    )
+    jsonschema.validate(base, _SCENARIO_SCHEMA)
+    validator = jsonschema.Draft7Validator(_SCENARIO_SCHEMA)
+    rng = np.random.default_rng(2026)
+    single_field_rejections = 0
+    for name, field_rule in _SCENARIO_SCHEMA["properties"].items():
+        for value in _probe_values(field_rule, rng):
+            blob = {**base, name: value}
+            schema_ok = validator.is_valid(blob)
+            try:
+                ScenarioConfig.from_json_dict(blob)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (schema_ok and _cross_field_ok(blob)), (name, value)
+            single_field_rejections += not schema_ok and _cross_field_ok(blob)
+    assert single_field_rejections >= 40
 
 
 def test_config_json_rejects_wrongly_typed_fields():
@@ -570,6 +634,37 @@ def test_selected_pivot_close_to_reference_when_recovery_is_strong():
     miss = 1.0 - summary.frequencies["exact"]
     slack = 3.0 * math.sqrt(math.log(2.0 / 0.05) / (2.0 * 400))
     assert report.ks_distance <= miss + slack
+
+
+def test_oracle_pivot_runs_in_one_process():
+    cfg = strong_config(replicates=4)
+    with pytest.raises(ValueError, match="jobs=2"):
+        f_pivot_check(cfg, oracle=True, jobs=2)
+    assert f_pivot_check(cfg, oracle=True, jobs=1) == f_pivot_check(cfg, oracle=True)
+
+
+def test_pivot_ks_matches_the_scipy_stats_reference_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for mode in ("practical", "formal"):
+        cfg = ScenarioConfig(n=30, p=6, t=2, mode=mode)
+        d = pivot_dimension(cfg.t, cfg.mode)
+        for size in (1, 7, 400):
+            vals = rng.f(d, cfg.n - d, size=size) * rng.uniform(0.2, 5.0)
+            if size > 1:
+                vals[0] = 0.0  # the smallest value a pivot takes
+            srt = np.sort(vals)
+            ref = scipy.stats.f(d, cfg.n - d).cdf(srt)
+            upper = np.max(np.arange(1, size + 1) / size - ref)
+            lower = np.max(ref - np.arange(0, size) / size)
+            assert simlab._pivot_ks(cfg, vals) == float(max(upper, lower))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sosselect.__file__)))
+    code = "import sys, sosselect; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_noiseless_pivot_is_degenerate():
