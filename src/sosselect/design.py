@@ -71,9 +71,9 @@ class Parametrization(str, enum.Enum):
 
     @classmethod
     def parse(cls, value: "Parametrization | str") -> "Parametrization":
-        if isinstance(value, Parametrization):
-            return value
-        return cls(str(value).lower())
+        """The member whose value is exactly ``value`` ("practical" or
+        "formal"); any other spelling raises ValueError."""
+        return cls(value)
 
 
 @dataclass(frozen=True, eq=False)

@@ -286,6 +286,14 @@ def _finish(algorithm, design, penalties, scr, fit, ordering) -> SelectionOutcom
     )
 
 
+def _check_design(design) -> None:
+    """A pipeline call takes the standardized design, not the raw data."""
+    if not isinstance(design, StandardizedDesign):
+        raise TypeError(
+            f"expected a StandardizedDesign (see standardize), got {type(design).__name__}"
+        )
+
+
 def run_sos(
     design: StandardizedDesign,
     penalties: PenaltyPair,
@@ -300,13 +308,26 @@ def run_sos(
 
     Raises
     ------
+    TypeError
+        If ``design`` is not a :class:`StandardizedDesign`, as in
+        :func:`run_os`.
     ScreenTooLarge
         If the screened set reaches the effective sample size, so no
         ordering fit exists.
     NotConverged
         If coordinate descent hits ``max_iter`` before its certificate.
     """
-    fit = solve_lasso(design, penalties.r_l, tol=tol, max_iter=max_iter)
+    _check_design(design)
+    return _sos_from_fit(
+        design, penalties, solve_lasso(design, penalties.r_l, tol=tol, max_iter=max_iter)
+    )
+
+
+def _sos_from_fit(
+    design: StandardizedDesign, penalties: PenaltyPair, fit: LassoFit
+) -> SelectionOutcome:
+    """:func:`run_sos` from its Lasso fit ``fit`` at ``penalties.r_l`` on
+    ``design``; a fixed-design experiment solves a block of them at once."""
     scr = screen(fit)  # raises NotConverged on an uncertified fit
     if len(scr.s1) >= design.n_effective:
         raise ScreenTooLarge(f"|S1|={len(scr.s1)} >= n_effective={design.n_effective}")
@@ -319,6 +340,7 @@ def run_os(design: StandardizedDesign, penalties: PenaltyPair) -> SelectionOutco
 
     Requires ``p < n_effective`` and a full-rank design.
     """
+    _check_design(design)
     if design.p >= design.n_effective:
         raise TooManyPredictors(
             f"p={design.p} >= n_effective={design.n_effective}; screen first"

@@ -16,12 +16,15 @@ independent of the parallelism degree.
 A replicate splits into an X side (the design draw, its standardized
 columns, the truth and the noiseless mean) and a y side (noise, response,
 centered response). A fixed design's X side is built once per block of
-replicates, and their exhaustive searches share one subset-lattice walk; the
-seed streams, and so every record, are exactly those of drawing each
-replicate on its own. Each block's designs share one ``design.FactorCache``,
-so the least-squares factors of each screened set, ordering and refit and the
-pivot's per-model projections are computed once per block (byte-identically,
-see ``design``); the cache dies with the block.
+replicates, their screening Lassos are one block coordinate descent
+(``lasso._lasso_block``, whose fits do not depend on the block, so neither
+``jobs`` nor the block size moves them; fresh designs keep one
+``solve_lasso`` per replicate) and their exhaustive searches share one
+subset-lattice walk; the seed streams, and so every record, are exactly those
+of drawing each replicate on its own. Each block's designs share one
+``design.FactorCache``, so the least-squares factors of each screened set,
+ordering and refit and the pivot's per-model projections are computed once
+per block (byte-identically, see ``design``); the cache dies with the block.
 """
 
 import json
@@ -56,9 +59,9 @@ from .design import (
 )
 from .errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from .identify import TruthSpec
-from .lasso import PenaltyPair, default_penalties, event_a
+from .lasso import LassoFit, PenaltyPair, _lasso_block, default_penalties, event_a
 from .schemas import load_schema
-from .selection import ExhaustiveResult, _exhaustive_block, run_os, run_sos
+from .selection import ExhaustiveResult, _exhaustive_block, _sos_from_fit, run_os, run_sos
 
 _DESIGN_STREAM = 1
 _NOISE_STREAM = 2
@@ -66,9 +69,9 @@ _BOUND_GUARD_P = 12  # per-replicate margin/eigenvalue work only below this
 # restricted-eigenvalue restarts of one design draw's bound ledger, keyed by
 # fixed_design: a fixed design's single ledger can afford the larger budget
 _LEDGER_RESTARTS = {True: 64, False: 24}
-# replicates of a fixed design that share one exhaustive-search walk and one
-# factor cache; bounds the responses held at once and the cache (at most 4
-# entries per replicate: screened set, ordering, refit, pivot)
+# replicates of a fixed design that share one Lasso block, one exhaustive-search
+# walk and one factor cache; bounds the responses held at once and the cache
+# (at most 4 entries per replicate: screened set, ordering, refit, pivot)
 _RESPONSE_BLOCK = 128
 
 # a value test per schema keyword; ScenarioConfig checks every single-field
@@ -302,6 +305,7 @@ def _single_trial(
     index: int,
     trial: tuple,
     best: "ExhaustiveResult | None",
+    fit: "LassoFit | None",
     penalties: PenaltyPair,
 ) -> TrialRecord:
     dataset, design, truth, eps = trial
@@ -314,7 +318,9 @@ def _single_trial(
     selected = ModelSet.empty()
     outcome = None
     try:
-        if config.algorithm == "sos":
+        if fit is not None:
+            outcome = _sos_from_fit(design, penalties, fit)
+        elif config.algorithm == "sos":
             outcome = run_sos(design, penalties)
         else:
             outcome = run_os(design, penalties)
@@ -383,13 +389,15 @@ def _run_block(config: ScenarioConfig, lo: int, hi: int, want_bounds: bool):
     penalties = config.penalties()
     records, ledgers = [], []
     for draw, trials in _response_blocks(config, lo, hi):
-        bests = [None] * len(trials)
+        responses = [trial[1].y0 for _, trial in trials]
+        bests = fits = [None] * len(trials)
         if config.compare_exhaustive:
-            responses = [trial[1].y0 for _, trial in trials]
             bests = _exhaustive_block(draw.noiseless, responses, penalties.r)
+        if config.fixed_design and config.algorithm == "sos":
+            fits = _lasso_block(draw.noiseless, responses, penalties.r_l)
         records += [
-            _single_trial(config, draw, i, trial, best, penalties)
-            for (i, trial), best in zip(trials, bests)
+            _single_trial(config, draw, i, trial, best, fit, penalties)
+            for (i, trial), best, fit in zip(trials, bests, fits)
         ]
         if want_bounds and (trials[0][0] == 0 or not config.fixed_design):
             inp = bound_input_from_design(

@@ -107,6 +107,15 @@ def test_standardize_practical_centers_and_scales():
     np.testing.assert_allclose(np.linalg.norm(d.x0, axis=0), 1.0)
 
 
+def test_standardize_accepts_only_the_exact_mode_names():
+    data = Dataset(x=np.array([[1.0], [2.0], [3.0]]), y=np.array([1.0, 4.0, 1.0]))
+    for mode in ("PRACTICAL", "Formal", " practical", "informal"):
+        with pytest.raises(ValueError):
+            standardize(data, mode)
+    assert standardize(data, "formal").mode is Parametrization.FORMAL
+    assert Parametrization.parse(Parametrization.PRACTICAL) is Parametrization.PRACTICAL
+
+
 def test_standardize_rejects_constant_column_in_practical_mode():
     data = Dataset(x=np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]]), y=np.zeros(3))
     with pytest.raises(ZeroNormColumn) as err:

@@ -21,6 +21,7 @@ from sosselect.lasso import (
     LassoFit,
     OracleCheckReport,
     PenaltyPair,
+    _lasso_block,
     default_penalties,
     event_a,
     kkt_gap,
@@ -233,6 +234,101 @@ def test_skipping_sweeps_equal_full_sweeps(name):
     assert fit.iterations == sweeps
     assert repr(fit.kkt_gap) == repr(gap)
     assert fit.converged == (gap <= kw.get("tol", 1e-8))
+
+
+def fixed_design_block(seed, n=80, p=6, width=128, mode="practical", rho=0.2):
+    """One AR(1) design and ``width`` noisy responses on it, as their
+    standardized designs (equal x0, own y0), with a screening penalty that
+    keeps some columns and zeroes others."""
+    rng = np.random.default_rng(seed)
+    cov = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    x = rng.standard_normal((n, p)) @ np.linalg.cholesky(cov).T
+    beta = np.zeros(p)
+    beta[[0, p // 2]] = [4.0, -3.0]
+    signal = x @ beta
+    designs = [
+        standardize(Dataset(x=x, y=signal + rng.standard_normal(n) * (1 + k % 4)), mode)
+        for k in range(width)
+    ]
+    return designs, default_penalties(p, 1.0, 0.9).r_l / 4.0
+
+
+def _same_fit(a, b):
+    return (
+        a.theta_hat.tobytes() == b.theta_hat.tobytes()
+        and a.iterations == b.iterations
+        and repr(a.kkt_gap) == repr(b.kkt_gap)
+        and a.converged == b.converged
+    )
+
+
+def test_lasso_block_fit_does_not_depend_on_the_block():
+    designs, r_l = fixed_design_block(51)
+    d0 = designs[0]
+    ys = [d.y0 for d in designs]
+    kept = [y.copy() for y in ys]
+    whole = _lasso_block(d0, ys, r_l)
+    assert len({f.iterations for f in whole}) > 1  # responses leave the block at different sweeps
+    assert all(np.array_equal(y, k) for y, k in zip(ys, kept))  # the responses are copied
+    alone = [_lasso_block(d0, [y], r_l)[0] for y in ys]
+    pairs = [f for k in range(0, len(ys), 2) for f in _lasso_block(d0, ys[k : k + 2], r_l)]
+    pieces = [f for k in range(0, len(ys), 13) for f in _lasso_block(d0, ys[k : k + 13], r_l)]
+    perm = np.random.default_rng(52).permutation(len(ys))
+    permuted = [None] * len(ys)
+    for k, fit in zip(perm, _lasso_block(d0, [ys[k] for k in perm], r_l)):
+        permuted[k] = fit
+    for split in (alone, pairs, pieces, permuted):
+        assert all(_same_fit(a, b) for a, b in zip(whole, split))
+    assert all(f.converged for f in whole)
+
+
+@pytest.mark.parametrize(
+    "seed, mode, p", [(53, "practical", 6), (54, "formal", 9), (55, "practical", 12)]
+)
+def test_lasso_block_agrees_with_solve_lasso(seed, mode, p):
+    designs, r_l = fixed_design_block(seed, p=p, width=40, mode=mode, rho=0.6)
+    block = _lasso_block(designs[0], [d.y0 for d in designs], r_l)
+    for d, got in zip(designs, block):
+        want = solve_lasso(d, r_l)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert screen(got) == screen(want)
+        zeros = want.theta_hat == 0.0
+        assert np.array_equal(got.theta_hat == 0.0, zeros)
+        assert np.array_equal(np.signbit(got.theta_hat[zeros]), np.signbit(want.theta_hat[zeros]))
+        scale = float(np.max(np.abs(want.theta_hat)))
+        assert np.max(np.abs(got.theta_hat - want.theta_hat)) <= 1e-15 * scale
+        assert got.penalty == r_l
+        np.testing.assert_array_equal(got.beta_hat, got.theta_hat / d.scales)
+
+
+def test_lasso_block_orthonormal_soft_threshold_closed_form():
+    rng = np.random.default_rng(56)
+    d = orthonormal_design(rng, 25, 6)
+    q = d.x0
+    ys = [d.y0] + [rng.standard_normal(25) for _ in range(7)]
+    top = 1.1 * max(float(np.max(np.abs(q.T @ y))) for y in ys)
+    for r_l in np.linspace(0.0, top, 20):
+        for y, fit in zip(ys, _lasso_block(d, ys, float(r_l))):
+            assert fit.converged and fit.kkt_gap <= 1e-8
+            z = q.T @ y
+            expected = np.sign(z) * np.maximum(np.abs(z) - r_l, 0.0)
+            np.testing.assert_allclose(fit.theta_hat, expected, atol=1e-10)
+
+
+def test_lasso_block_stops_each_response_at_max_iter():
+    designs, r_l = fixed_design_block(57, p=8, width=24, rho=0.9)
+    r_l *= 4.0  # the full screening penalty: a few fits converge in one sweep
+    block = _lasso_block(designs[0], [d.y0 for d in designs], r_l, max_iter=3)
+    stopped = 0
+    for d, got in zip(designs, block):
+        want = solve_lasso(d, r_l, max_iter=3)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        stopped += not got.converged
+        if not got.converged:
+            assert got.iterations == 3 and got.kkt_gap > 1e-8
+            with pytest.raises(NotConverged):
+                screen(got)
+    assert 0 < stopped < len(designs)
 
 
 def test_default_penalties_corollary_coupling():

@@ -391,6 +391,10 @@ def test_run_sos_and_run_os_take_only_a_design_and_penalties():
         run_os(d, r=5000.0, penalties=pen)
     with pytest.raises(TypeError):
         run_sos(d)
+    # the raw data in place of its standardized design fails at the call
+    for run in (run_sos, run_os):
+        with pytest.raises(TypeError, match="StandardizedDesign"):
+            run(data, pen)
     assert run_os(d, pen).penalties is pen
 
 

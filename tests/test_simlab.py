@@ -406,6 +406,27 @@ def test_jobs_and_block_size_do_not_change_fixed_design_sos(monkeypatch):
     assert len({r.selected for r in one.records}) > 1
 
 
+def test_fixed_design_sos_block_equals_each_replicates_own_run_sos():
+    # one Lasso block serves all replicates; each must select what its own
+    # run_sos selects, with the bucket that selection implies
+    cfg = strong_config(p=13, b=11.0, a=0.9, replicates=60)
+    pen = cfg.penalties()
+    records = run_experiment(cfg).records
+    for rec in records:
+        _, design, truth, _ = generate_trial(cfg, rec.index)
+        out = run_sos(design, pen)
+        truth_set = set(truth.support.indices)
+        size = len(out.selected)
+        if not truth_set.issubset(out.ordering.sequence):
+            bucket = "screen_fail"
+        elif not _order_correct(out.ordering.sequence, truth_set):
+            bucket = "order_fail"
+        else:
+            bucket = "underfit" if size < truth.t else "overfit" if size > truth.t else "exact"
+        assert (rec.selected, rec.bucket) == (out.selected.indices, bucket)
+    assert len({rec.bucket for rec in records}) > 1
+
+
 def test_fixed_design_block_factors_each_model_once(monkeypatch):
     cfg = strong_config(n=80, b=40.0, a=0.9, design_kind="ar1", rho=0.2, replicates=40)
     block = 16
