@@ -22,6 +22,7 @@ from .identify import (
     _uniform_request,
     delta_scaled,
 )
+from .schemas import check_field_bounds
 
 # the two small constants entering the ordering/beta-min conditions
 C1_CONST = 1.0 / (3.0 + 6.0 * math.sqrt(2.0))  # ~0.08713
@@ -98,19 +99,13 @@ class BoundInput(JsonFields):
     theta_min: float
 
     def __post_init__(self):
-        if not (self.p >= self.t + 1 >= 2):
-            raise ValueError("need p >= t+1 >= 2")
+        """Every single-field bound of the shipped schema, then the
+        cross-field rules the schema cannot state."""
+        check_field_bounds(self, "bound_input")
+        if self.p < self.t + 1:
+            raise ValueError("need p >= t+1")
         if not (self.t <= self.s <= self.p):
             raise ValueError("need t <= s <= p")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.sigma2 <= 0.0 or self.r <= 0.0 or self.r_l <= 0.0:
-            raise ValueError("sigma2, r, r_l must be positive")
-        if not (0.0 < self.a < 1.0):
-            raise ValueError("a must lie in (0,1)")
-        for name in ("delta_s", "delta_t", "delta_p", "kappa_T3", "kappa_t3", "theta_min"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative")
 
     @classmethod
     def from_json_dict(cls, blob):

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .bounds import BoundInput, bound_report, event_a_bound, exhaustive_lower_bound
-from .design import Dataset, ModelSet, json_value, ls_fit, standardize
+from .design import Dataset, ModelSet, json_text, json_value, ls_fit, standardize
 from .errors import SosSelectError
 from .identify import DEFAULT_RESTARTS, TruthSpec, check_propositions
 from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, PenaltyPair, default_penalties
@@ -41,10 +41,6 @@ def _emit(text: str, out: "str | None") -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-
-
-def _json_text(blob) -> str:
-    return json.dumps(blob, indent=2, sort_keys=True)
 
 
 def _fmt(x: float) -> str:
@@ -219,7 +215,7 @@ def _cmd_fit(args) -> int:
     penalties, sigma2_est = _resolve_penalties(args, design)
     payload = _fit_payload(args, dataset, design, penalties, sigma2_est)
     if args.format == "json":
-        _emit(_json_text(payload), args.out)
+        _emit(json_text(payload), args.out)
     elif args.format == "tsv":
         _emit(_fit_tsv(payload), args.out)
     else:
@@ -310,7 +306,7 @@ def _cmd_diagnose(args) -> int:
     report = check_propositions(design, truth, restarts=args.restarts)
     blob = _diagnose_view(report)
     if args.format == "json":
-        _emit(_json_text(blob), args.out)
+        _emit(json_text(blob), args.out)
     else:
         _emit(_diagnose_table(blob), args.out)
     return 0
@@ -326,7 +322,7 @@ def _cmd_bounds(args) -> int:
         "exhaustive_lower_bound": exhaustive_lower_bound(inp.r, inp.sigma2),
     }
     if args.format == "json":
-        _emit(_json_text(blob), args.out)
+        _emit(json_text(blob), args.out)
         return 0
     lines = ["bound         value       assumptions"]
     for name, res in sorted(blob["bounds"].items()):

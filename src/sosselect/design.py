@@ -35,6 +35,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from typing import Iterable
@@ -151,12 +153,12 @@ class Dataset:
             ycol = int(response)
             if not 0 <= ycol < ncol:
                 raise ValueError(f"response column {ycol} out of range for {ncol} columns")
+        if any(len(row) != ncol for row in rows):
+            raise ValueError(f"{path}: ragged rows")
         try:
             data = np.array([[float(c) for c in row] for row in rows])
         except ValueError as exc:
             raise ValueError(f"{path}: non-numeric cell ({exc})") from None
-        if data.shape[1] != ncol:
-            raise ValueError(f"{path}: ragged rows")
         y = data[:, ycol]
         x = np.delete(data, ycol, axis=1)
         return cls(x=x, y=y)
@@ -233,18 +235,25 @@ class JsonFields:
         return out
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+def json_text(blob) -> str:
+    """The text of every JSON artifact the package writes: keys sorted,
+    two-space indent, one trailing newline."""
+    return json.dumps(blob, indent=2, sort_keys=True) + "\n"
+
+
+_JSON_TYPES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
 
 
 def json_value(name: str, kind: type, value):
     """``value`` read as a JSON ``kind`` the way the shipped schemas type it:
-    a float takes any number, an int an integral one (read as int), a bool
-    or str only its own type; a boolean is never a number. Raises ValueError
-    naming ``name`` otherwise."""
+    a float takes any finite number (Python's reader also yields NaN and
+    Infinity, which JSON does not have), an int an integral one (read as
+    int), a bool or str only its own type; a boolean is never a number.
+    Raises ValueError naming ``name`` otherwise."""
     if kind in (bool, str) or isinstance(value, bool):
         ok = type(value) is kind
     elif kind is float:
-        ok = isinstance(value, (int, float))
+        ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     else:
         ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
     if not ok:

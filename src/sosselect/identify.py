@@ -80,8 +80,18 @@ class TruthSpec(JsonFields):
 
     @classmethod
     def from_beta(cls, design: StandardizedDesign, support, beta_values, sigma2=1.0):
-        support = ModelSet.of(support)
+        """The truth whose coefficient on column ``support[k]`` is
+        ``beta_values[k]``, with the support in any order. A repeated or
+        out-of-range index raises ValueError."""
+        idx = [int(j) for j in support]
         beta = np.asarray(beta_values, dtype=float).ravel()
+        if len(set(idx)) < len(idx):
+            raise ValueError("support repeats an index")
+        if any(not 0 <= j < design.p for j in idx):
+            raise ValueError(f"support indices must lie in 0..{design.p - 1}, got {idx}")
+        if beta.shape[0] != len(idx):
+            raise ValueError("coefficient arrays must align with the support")
+        support, beta = ModelSet(tuple(sorted(idx))), beta[np.argsort(idx)]
         theta = beta * design.scales[list(support.indices)]
         return cls(support=support, beta_star=beta, theta_star=theta, sigma2=float(sigma2))
 

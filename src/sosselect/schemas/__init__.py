@@ -1,9 +1,20 @@
-"""Bundled JSON schema documents for the package's file formats."""
+"""Bundled JSON schema documents for the package's file formats, and the one
+check of a dataclass against a schema's single-field bounds."""
 
 import json
+from functools import lru_cache
 from importlib import resources
 
 _NAMES = ("scenario_config", "summary", "bound_input")
+
+# a value test per schema keyword that bounds one field on its own
+_BOUND_TESTS = {
+    "enum": lambda v, b: v in b,
+    "minimum": lambda v, b: v >= b,
+    "exclusiveMinimum": lambda v, b: v > b,
+    "exclusiveMaximum": lambda v, b: v < b,
+    "not": lambda v, b: v != b["const"],
+}
 
 
 def load_schema(name: str) -> dict:
@@ -16,3 +27,24 @@ def load_schema(name: str) -> dict:
     ref = resources.files(__name__).joinpath(f"{name}.schema.json")
     with ref.open("r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+@lru_cache(maxsize=None)
+def _field_bounds(name: str) -> tuple:
+    """``(field, keyword, bound)`` for every single-field bound of schema
+    ``name``, in schema order; types are checked where JSON is read."""
+    return tuple(
+        (field, key, bound)
+        for field, rule in load_schema(name)["properties"].items()
+        for key, bound in rule.items()
+        if key != "type"
+    )
+
+
+def check_field_bounds(obj, name: str) -> None:
+    """Raise ValueError naming the first field of ``obj`` that misses a
+    single-field bound of the shipped schema ``name``."""
+    for field, key, bound in _field_bounds(name):
+        value = getattr(obj, field)
+        if not _BOUND_TESTS[key](value, bound):
+            raise ValueError(f"field {field!r} must meet {key} {bound}, got {value!r}")

@@ -27,7 +27,6 @@ ordering and refit and the pivot's per-model projections are computed once
 per block (byte-identically, see ``design``); the cache dies with the block.
 """
 
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -54,13 +53,14 @@ from .design import (
     StandardizedDesign,
     _cached,
     _center_response,
+    json_text,
     read_json_fields,
     standardize,
 )
 from .errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from .identify import TruthSpec
 from .lasso import LassoFit, PenaltyPair, _lasso_block, default_penalties, event_a
-from .schemas import load_schema
+from .schemas import check_field_bounds
 from .selection import ExhaustiveResult, _exhaustive_block, _sos_from_fit, run_os, run_sos
 
 _DESIGN_STREAM = 1
@@ -73,20 +73,6 @@ _LEDGER_RESTARTS = {True: 64, False: 24}
 # walk and one factor cache; bounds the responses held at once and the cache
 # (at most 4 entries per replicate: screened set, ordering, refit, pivot)
 _RESPONSE_BLOCK = 128
-
-# a value test per schema keyword; ScenarioConfig checks every single-field
-# bound its schema states (types are checked when a config is read from JSON)
-_BOUND_TESTS = {
-    "enum": lambda v, b: v in b,
-    "minimum": lambda v, b: v >= b,
-    "exclusiveMinimum": lambda v, b: v > b,
-    "exclusiveMaximum": lambda v, b: v < b,
-    "not": lambda v, b: v != b["const"],
-}
-_FIELD_BOUNDS = {
-    name: {k: b for k, b in rule.items() if k != "type"}
-    for name, rule in load_schema("scenario_config")["properties"].items()
-}
 
 
 @dataclass(frozen=True)
@@ -117,11 +103,7 @@ class ScenarioConfig(JsonFields):
     def __post_init__(self):
         """Every single-field bound of the shipped schema, for every kind and
         rule, then the cross-field rules the schema cannot state."""
-        for name, bounds in _FIELD_BOUNDS.items():
-            value = getattr(self, name)
-            for key, bound in bounds.items():
-                if not _BOUND_TESTS[key](value, bound):
-                    raise ValueError(f"field {name!r} must meet {key} {bound}, got {value!r}")
+        check_field_bounds(self, "scenario_config")
         if self.t >= self.p:
             raise ValueError("need t < p")
         if self.design_kind == "duplicated_spurious" and self.p - self.copies < self.t + 1:
@@ -607,19 +589,11 @@ def persist(summary: ExperimentSummary, out_dir) -> dict:
         "trials": out / "trials.tsv",
         "bounds": out / "bounds.json",
     }
-    with open(paths["summary"], "w") as fh:
-        json.dump(summary.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    paths["summary"].write_text(json_text(summary.to_json_dict()))
     with open(paths["trials"], "w") as fh:
         fh.write("\t".join(_TSV_COLUMNS) + "\n")
         for rec in summary.records:
             fh.write("\t".join(_tsv_cell(getattr(rec, c)) for c in _TSV_COLUMNS) + "\n")
-    with open(paths["bounds"], "w") as fh:
-        json.dump(
-            summary.bound_ledger if summary.bound_ledger is not None else {"checked": False},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    ledger = summary.bound_ledger
+    paths["bounds"].write_text(json_text(ledger if ledger is not None else {"checked": False}))
     return {k: str(v) for k, v in paths.items()}

@@ -380,6 +380,9 @@ def test_bound_input_rejects_restarts_below_one():
     pens = default_penalties(p=6, sigma2=1.0, a=0.9)
     with pytest.raises(ValueError, match="restarts"):
         bound_input_from_design(d, truth, pens, 0.9, restarts=0)
+    for a in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="a must lie in"):
+            bound_input_from_design(d, truth, pens, a, restarts=16)
 
 
 # ------------------------------------------- the table against the formulas

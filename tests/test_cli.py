@@ -3,6 +3,7 @@ formats, 1-based indexing, file outputs and schema conformance."""
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -254,6 +255,32 @@ def test_auto_sigma2_needs_spare_dof(tmp_path, capsys):
     assert "sigma2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--penalty-r", "inf"], "finite"),
+        (["--penalty-r", "nan"], "finite"),
+        (["--penalty-r", "12", "--penalty-rl", "inf"], "finite"),
+        (["--penalty-r", "12", "--tol", "-1"], "tol"),
+        (["--penalty-r", "12", "--tol", "nan"], "tol"),
+        (["--penalty-r", "12", "--max-iter", "-3"], "max_iter"),
+        (["--penalty-r", "12", "--response", "0"], "start at 1"),
+        (["--penalty-r", "12", "--tol", "inf"], "tol"),
+    ],
+)
+def test_fit_rejects_invalid_numbers_exit_1(data_csv, capsys, flags, name):
+    assert main(["fit", data_csv, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:") and name in captured.err
+
+
+def test_auto_sigma2_is_the_default_estimate(data_csv, capsys):
+    argv = ["fit", data_csv, "--auto-penalty", "--format", "json"]
+    default = run_json(capsys, argv)
+    auto = run_json(capsys, [*argv, "--sigma2", "auto"])
+    assert auto == default and auto["sigma2_estimate"] > 0.0
+
+
 def test_auto_penalty_rejects_negative_sigma2(data_csv, capsys):
     assert main(["fit", data_csv, "--auto-penalty", "--sigma2", "-1"]) == 1
     assert "sigma2 must be nonnegative" in capsys.readouterr().err
@@ -333,13 +360,22 @@ def test_simulate_bad_config_field_exits_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("over, name", [({"n": "100"}, "'n'"), ({"p": 8.7}, "'p'")])
+@pytest.mark.parametrize(
+    "over, name",
+    [
+        ({"n": "100"}, "'n'"),
+        ({"p": 8.7}, "'p'"),
+        ({"penalty_rule": "explicit", "r": math.inf, "r_l": 1.0}, "'r'"),
+        ({"penalty_rule": "explicit", "r": 1.0, "r_l": math.nan}, "'r_l'"),
+    ],
+)
 def test_simulate_wrongly_typed_config_field_exits_1(tmp_path, capsys, over, name):
     cfg_path = tmp_path / "scen.json"
     cfg_path.write_text(json.dumps(base_config(**over)))
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_jobs_below_one_exits_1(tmp_path, capsys):
@@ -412,6 +448,11 @@ def test_diagnose_truth_validation(tmp_path, capsys):
         ({"support": [1], "beta": 3.0}, "'beta'"),
         ({"support": [1], "beta": [3.0], "sigma2": True}, "'sigma2'"),
         ({"support": [1], "beta": [3.0], "sigma2": "1.0"}, "'sigma2'"),
+        ({"support": [1], "beta": [math.nan]}, "'beta'"),
+        ({"support": [1], "beta": [3.0], "sigma2": math.inf}, "'sigma2'"),
+        ({"support": [1]}, "'beta'"),
+        ({"support": [2, 2], "beta": [3.0]}, "repeats"),
+        ({"support": [2, 2], "beta": [3.0, 3.0]}, "repeats"),
     ],
 )
 def test_diagnose_rejects_misread_truth_fields(tmp_path, capsys, truth, name):
@@ -423,6 +464,21 @@ def test_diagnose_rejects_misread_truth_fields(tmp_path, capsys, truth, name):
     assert main(["diagnose", str(data), "--truth", str(path), "--restarts", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
+
+
+def test_diagnose_pairs_each_coefficient_with_its_own_index(tmp_path, capsys):
+    x, y = strong_data(n=30, p=4)
+    data = tmp_path / "d.csv"
+    write_csv(data, x, y)
+    texts = []
+    for name, support, beta in [("sorted", [1, 3], [6.0, -5.0]), ("swapped", [3, 1], [-5.0, 6.0])]:
+        truth, out = tmp_path / f"{name}.json", tmp_path / f"{name}.out.json"
+        truth.write_text(json.dumps({"support": support, "beta": beta}))
+        argv = ["diagnose", str(data), "--truth", str(truth), "--restarts", "4"]
+        assert main([*argv, "--format", "json", "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+    assert json.loads(texts[0])["truth"]["beta_star"] == [6.0, -5.0]
 
 
 @pytest.mark.parametrize("support", [[1, 2.7], [1, True], "13"])
@@ -501,6 +557,9 @@ def test_bounds_bad_input_exits_1(tmp_path, capsys):
         (bound_blob(s=False), "'s'"),
         (bound_blob(bogus=1), "bogus"),
         ({k: v for k, v in bound_blob().items() if k != "theta_min"}, "theta_min"),
+        (bound_blob(delta_s=math.nan), "'delta_s'"),
+        (bound_blob(delta_p=math.inf), "'delta_p'"),
+        ([bound_blob()], "JSON object"),
     ],
 )
 def test_bounds_misread_input_exits_1(tmp_path, capsys, blob, name):

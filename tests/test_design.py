@@ -391,6 +391,44 @@ def test_from_csv_index_response_and_errors(tmp_path):
         Dataset.from_csv(g)
 
 
+@pytest.mark.parametrize(
+    "text, kwargs, match",
+    [
+        ("", {}, "empty file"),
+        ("\n \n", {}, "empty file"),
+        ("a,b\n", {}, "header but no data"),
+        ("y\n1\n2\n", {}, "at least one predictor"),
+        ("1,2\n3,4\n", {"has_header": False, "response": "y"}, "no header"),
+        ("u,v\n1,2\n", {"response": 2}, "out of range"),
+        ("u,v\n1,2\n", {"response": -1}, "out of range"),
+        ("u,v,w\n1,2,3\n4,5\n", {}, "ragged"),
+        ("u,v\n1,2\n3,4,5\n", {}, "ragged"),
+        ("u,v\n1,x\n", {}, "non-numeric"),
+    ],
+)
+def test_from_csv_rejects_malformed_files(tmp_path, text, kwargs, match):
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        Dataset.from_csv(f, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "x, y, match",
+    [
+        (np.ones(3), np.ones(3), "2-d"),
+        (np.ones((3, 2)), np.ones(4), "3 rows but y has 4"),
+        (np.ones((0, 2)), np.ones(0), "at least one"),
+        (np.ones((3, 0)), np.ones(3), "at least one"),
+        (np.array([[1.0], [np.nan]]), np.ones(2), "non-finite"),
+        (np.ones((2, 1)), np.array([1.0, np.inf]), "non-finite"),
+    ],
+)
+def test_dataset_rejects_bad_shapes_and_non_finite_values(x, y, match):
+    with pytest.raises(ValueError, match=match):
+        Dataset(x=x, y=y)
+
+
 def test_design_json_export_shapes():
     rng = np.random.default_rng(26)
     d = standardize(random_dataset(rng, 7, 3), "practical")

@@ -590,8 +590,17 @@ def test_truthspec_validation():
         TruthSpec.from_beta(d, [], [])
     with pytest.raises(ValueError):
         TruthSpec.from_beta(d, [0, 1], [1.0, 0.0])
+    repeated = [([1, 1], [2.0, 3.0]), ([2, 2], [3.0])]
+    out_of_range = [([0, 3], [1.0, 2.0]), ([-1], [1.0])]
+    for support, beta in repeated + out_of_range:
+        with pytest.raises(ValueError, match="support"):
+            TruthSpec.from_beta(d, support, beta)
     truth = TruthSpec.from_beta(d, [0, 2], [2.0, -1.0], sigma2=2.0)
     assert truth.t == 2 and truth.theta_min == pytest.approx(1.0)
+    swapped = TruthSpec.from_beta(d, np.array([2, 0]), [-1.0, 2.0], sigma2=2.0)
+    assert swapped.support == truth.support
+    assert swapped.beta_star.tobytes() == truth.beta_star.tobytes()
+    assert swapped.theta_star.tobytes() == truth.theta_star.tobytes()
     full = truth.full_theta(3)
     assert full[1] == 0.0 and full[0] == pytest.approx(2.0)
 

@@ -158,6 +158,24 @@ def test_warm_start_and_unconverged_flag():
     assert polished.converged
     with pytest.raises(NotConverged):
         screen(rough)
+    untouched = solve_lasso(d, 0.1, max_iter=0, tol=0.0)
+    assert untouched.iterations == 0 and not untouched.theta_hat.any()
+
+
+@pytest.mark.parametrize(
+    "budget, name",
+    [
+        ({"tol": -1.0}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ({"max_iter": -3}, "max_iter"),
+    ],
+)
+def test_solve_lasso_rejects_invalid_budgets(budget, name):
+    rng = np.random.default_rng(38)
+    d = standardize(Dataset(x=rng.standard_normal((20, 6)), y=rng.standard_normal(20)), "formal")
+    with pytest.raises(ValueError, match=name):
+        solve_lasso(d, 0.1, **budget)
 
 
 def _skip_case(name):
@@ -352,6 +370,14 @@ def test_penalty_pair_holds_only_the_two_penalties():
     with pytest.raises(TypeError):
         PenaltyPair(r=1.0, r_l=2.0, sigma2=1.0)
     assert [f.name for f in dataclasses.fields(PenaltyPair)] == ["r", "r_l"]
+
+
+@pytest.mark.parametrize(
+    "r, r_l", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan), (-1.0, 1.0)]
+)
+def test_penalty_pair_takes_only_finite_nonnegative_penalties(r, r_l):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        PenaltyPair(r=r, r_l=r_l)
 
 
 def _manual_fit(theta, r_l):

@@ -14,7 +14,12 @@ import scipy.stats
 import sosselect
 from sosselect import design as design_module
 from sosselect import load_schema, simlab
-from sosselect.bounds import PIPELINE_BOUNDS, bound_input_from_design, bound_report
+from sosselect.bounds import (
+    PIPELINE_BOUNDS,
+    BoundInput,
+    bound_input_from_design,
+    bound_report,
+)
 from sosselect.errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from sosselect.simlab import (
     ExperimentSummary,
@@ -194,6 +199,32 @@ def test_config_enforces_every_single_field_schema_bound(kind, rule):
     assert single_field_rejections >= 40
 
 
+def test_bound_input_enforces_every_single_field_schema_bound():
+    schema = load_schema("bound_input")
+    base = dict(
+        n=60, p=6, t=2, s=3, sigma2=1.0, r=12.0, r_l=6.9, a=0.5, delta_s=120.0,
+        delta_t=3000.0, delta_p=60.0, kappa_T3=0.8, kappa_t3=0.7, theta_min=55.0,
+    )
+    validator = jsonschema.Draft7Validator(schema)
+    assert validator.is_valid(base)
+    rng = np.random.default_rng(2027)
+    probes = single_field_rejections = 0
+    for name, field_rule in schema["properties"].items():
+        for value in _probe_values(field_rule, rng):
+            blob = {**base, name: value}
+            schema_ok = validator.is_valid(blob)
+            cross_ok = blob["p"] >= blob["t"] + 1 and blob["t"] <= blob["s"] <= blob["p"]
+            try:
+                BoundInput.from_json_dict(blob)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == (schema_ok and cross_ok), (name, value)
+            probes += 1
+            single_field_rejections += not schema_ok and cross_ok
+    assert probes >= 100 and single_field_rejections >= 40
+
+
 def test_config_json_rejects_wrongly_typed_fields():
     blob = strong_config().to_json_dict()
     cases = [
@@ -203,6 +234,8 @@ def test_config_json_rejects_wrongly_typed_fields():
         ({**blob, "rho": True}, "'rho'"),
         ({**blob, "mode": 3}, "'mode'"),
         ({**blob, "fixed_design": 1}, "'fixed_design'"),
+        ({**blob, "rho": math.nan}, "'rho'"),
+        ({**blob, "b": -math.inf}, "'b'"),
         ({k: v for k, v in blob.items() if k != "t"}, "'t'"),
     ]
     for bad, name in cases:
