@@ -71,12 +71,6 @@ class Parametrization(str, enum.Enum):
         """Sample size available to least squares (centering costs one)."""
         return n - 1 if self is Parametrization.PRACTICAL else n
 
-    @classmethod
-    def parse(cls, value: "Parametrization | str") -> "Parametrization":
-        """The member whose value is exactly ``value`` ("practical" or
-        "formal"); any other spelling raises ValueError."""
-        return cls(value)
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -216,16 +210,28 @@ class ModelSet:
         return set(self.indices) <= set(ModelSet.of(other).indices)
 
 
+# metadata of a dataclass field that its JsonFields form leaves out
+NOT_JSON = {"json": False}
+
+
 class JsonFields:
-    """Base of the dataclass results whose JSON form is exactly their fields,
-    by name: an array becomes its list, a ModelSet its index list, a tuple a
-    list; scalars and None pass through."""
+    """Base of the dataclass results whose JSON form is their fields, by
+    name, except those whose metadata is ``NOT_JSON``: a nested JsonFields
+    value becomes its own form, an enum member its value, an array its list,
+    a ModelSet its index list, a tuple a list; scalars, dicts and None pass
+    through."""
 
     def to_json_dict(self) -> dict:
         out = {}
         for f in fields(self):
+            if not f.metadata.get("json", True):
+                continue
             v = getattr(self, f.name)
-            if isinstance(v, np.ndarray):
+            if isinstance(v, JsonFields):
+                v = v.to_json_dict()
+            elif isinstance(v, enum.Enum):
+                v = v.value
+            elif isinstance(v, np.ndarray):
                 v = v.tolist()
             elif isinstance(v, ModelSet):
                 v = list(v.indices)
@@ -276,7 +282,7 @@ def read_json_fields(cls, blob: dict) -> dict:
 
 
 @dataclass(frozen=True, eq=False)
-class StandardizedDesign:
+class StandardizedDesign(JsonFields):
     """Unit-norm (and possibly centered) design with matching response.
 
     Attributes
@@ -295,7 +301,7 @@ class StandardizedDesign:
     y0: np.ndarray
     scales: np.ndarray
     mode: Parametrization
-    factors: "FactorCache | None" = field(default=None, repr=False)
+    factors: "FactorCache | None" = field(default=None, repr=False, metadata=NOT_JSON)
 
     @property
     def n(self) -> int:
@@ -318,14 +324,7 @@ class StandardizedDesign:
         return self.x0[:, list(ModelSet.of(model).indices)]
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "n": self.n,
-            "p": self.p,
-            "scales": self.scales.tolist(),
-            "x0": self.x0.tolist(),
-            "y0": self.y0.tolist(),
-        }
+        return {**super().to_json_dict(), "n": self.n, "p": self.p}
 
 
 def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
@@ -337,7 +336,7 @@ def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
         If some column has norm < 1e-12 after centering (e.g. a constant
         column in practical mode).
     """
-    mode = Parametrization.parse(mode)
+    mode = Parametrization(mode)
     if mode is Parametrization.PRACTICAL:
         xc = data.x - data.x.mean(axis=0)
     else:
@@ -354,7 +353,7 @@ def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
 def _center_response(y: np.ndarray, mode) -> np.ndarray:
     """The response half of :func:`standardize`: centered in the practical
     mode, copied in the formal one."""
-    if Parametrization.parse(mode) is Parametrization.PRACTICAL:
+    if Parametrization(mode) is Parametrization.PRACTICAL:
         return y - y.mean()
     return y.copy()
 

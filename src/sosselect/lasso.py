@@ -49,7 +49,7 @@ DEFAULT_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
-class PenaltyPair:
+class PenaltyPair(JsonFields):
     """GIC penalty ``r`` and Lasso penalty ``r_l``."""
 
     r: float

@@ -2,13 +2,16 @@
 check of a dataclass against a schema's single-field bounds."""
 
 import json
+import math
 from functools import lru_cache
 from importlib import resources
 
 _NAMES = ("scenario_config", "summary", "bound_input")
 
-# a value test per schema keyword that bounds one field on its own
+# a value test per schema keyword that bounds one field on its own; of the
+# types, only "number" is such a bound: JSON has no non-finite numbers
 _BOUND_TESTS = {
+    "type": lambda v, b: math.isfinite(v),
     "enum": lambda v, b: v in b,
     "minimum": lambda v, b: v >= b,
     "exclusiveMinimum": lambda v, b: v > b,
@@ -32,12 +35,12 @@ def load_schema(name: str) -> dict:
 @lru_cache(maxsize=None)
 def _field_bounds(name: str) -> tuple:
     """``(field, keyword, bound)`` for every single-field bound of schema
-    ``name``, in schema order; types are checked where JSON is read."""
+    ``name``, in schema order; other types are checked where JSON is read."""
     return tuple(
         (field, key, bound)
         for field, rule in load_schema(name)["properties"].items()
         for key, bound in rule.items()
-        if key != "type"
+        if key != "type" or bound == "number"
     )
 
 

@@ -27,11 +27,12 @@ resolve lexicographically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design import (
+    NOT_JSON,
     RANK_TOL,
     JsonFields,
     LsFit,
@@ -240,7 +241,7 @@ def _exhaustive_block(
 
 
 @dataclass(frozen=True, eq=False)
-class SelectionOutcome:
+class SelectionOutcome(JsonFields):
     """End-to-end result of a screening/ordering/selection run."""
 
     algorithm: str
@@ -252,20 +253,7 @@ class SelectionOutcome:
     selected: ModelSet
     refit: LsFit
     lasso: "LassoFit | None"
-    design: StandardizedDesign
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "mode": self.mode.value,
-            "penalties": {"r": self.penalties.r, "r_l": self.penalties.r_l},
-            "screen": None if self.screen is None else self.screen.to_json_dict(),
-            "ordering": self.ordering.to_json_dict(),
-            "path": self.path.to_json_dict(),
-            "selected": list(self.selected.indices),
-            "refit": self.refit.to_json_dict(),
-            "lasso": None if self.lasso is None else self.lasso.to_json_dict(),
-        }
+    design: StandardizedDesign = field(metadata=NOT_JSON)
 
 
 def _finish(algorithm, design, penalties, scr, fit, ordering) -> SelectionOutcome:

@@ -45,6 +45,7 @@ from .bounds import (
 )
 from .design import (
     DEGENERATE_RSS,
+    NOT_JSON,
     Dataset,
     FactorCache,
     JsonFields,
@@ -392,9 +393,9 @@ def _run_block(config: ScenarioConfig, lo: int, hi: int, want_bounds: bool):
 
 
 @dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(JsonFields):
     config: ScenarioConfig
-    records: tuple
+    records: tuple = field(metadata=NOT_JSON)  # written to trials.tsv
     frequencies: dict
     standard_errors: dict
     event_a_freq: float
@@ -406,19 +407,7 @@ class ExperimentSummary:
     meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "replicates": len(self.records),
-            "frequencies": self.frequencies,
-            "standard_errors": self.standard_errors,
-            "event_a_freq": self.event_a_freq,
-            "greedy_error": self.greedy_error,
-            "exhaustive_error": self.exhaustive_error,
-            "ks_distance_f": self.ks_distance_f,
-            "f_degenerate_count": self.f_degenerate_count,
-            "bound_ledger": self.bound_ledger,
-            "meta": dict(self.meta),
-        }
+        return {**super().to_json_dict(), "replicates": len(self.records)}
 
 
 _BUCKETS = ("screen_fail", "order_fail", "underfit", "overfit", "exact")
@@ -431,7 +420,7 @@ def _binomial_se(freq: float, count: int) -> float:
 def pivot_dimension(t: int, mode: str) -> int:
     """Model dimension entering the pivot's reference distribution: the
     intercept counts as a fitted coordinate in the practical parametrization."""
-    return t + (1 if Parametrization.parse(mode) is Parametrization.PRACTICAL else 0)
+    return t + (1 if Parametrization(mode) is Parametrization.PRACTICAL else 0)
 
 
 def _pivot_ks(config: ScenarioConfig, values) -> float:

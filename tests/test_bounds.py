@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -162,6 +163,16 @@ def test_bound_input_validation():
         make_input(sigma2=0.0)
     with pytest.raises(ValueError):
         make_input(delta_t=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bound_input_rejects_non_finite_values_in_every_float_field(value):
+    # an accepted delta_p = inf reported T2-full as 0.0 with its assumptions ok
+    names = [f.name for f in fields(BoundInput) if f.type is float]
+    assert len(names) == 10
+    for name in names:
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            make_input(**{name: value})
 
 
 def test_bound_input_json_roundtrip():

@@ -113,7 +113,7 @@ def test_standardize_accepts_only_the_exact_mode_names():
         with pytest.raises(ValueError):
             standardize(data, mode)
     assert standardize(data, "formal").mode is Parametrization.FORMAL
-    assert Parametrization.parse(Parametrization.PRACTICAL) is Parametrization.PRACTICAL
+    assert Parametrization(Parametrization.PRACTICAL) is Parametrization.PRACTICAL
 
 
 def test_standardize_rejects_constant_column_in_practical_mode():
@@ -441,4 +441,4 @@ def test_design_json_export_shapes():
 def test_parametrization_effective_sample_size():
     assert Parametrization.PRACTICAL.n_effective(10) == 9
     assert Parametrization.FORMAL.n_effective(10) == 10
-    assert Parametrization.parse("formal") is Parametrization.FORMAL
+    assert Parametrization("formal") is Parametrization.FORMAL

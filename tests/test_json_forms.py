@@ -13,18 +13,28 @@ import numpy as np
 import pytest
 
 from sosselect.bounds import BoundInput, bound_input_from_design
-from sosselect.design import Dataset, LsFit, ls_fit, standardize
+from sosselect.design import Dataset, LsFit, StandardizedDesign, ls_fit, standardize
 from sosselect.identify import KappaEstimate, TruthSpec, check_propositions, kappa_uniform
-from sosselect.lasso import EventAWitness, LassoFit, ScreenResult, default_penalties, event_a
+from sosselect.lasso import (
+    EventAWitness,
+    LassoFit,
+    PenaltyPair,
+    ScreenResult,
+    default_penalties,
+    event_a,
+)
 from sosselect.selection import (
     ExhaustiveResult,
     GicPath,
     Ordering,
+    SelectionOutcome,
     exhaustive_gic,
     order_by_t,
+    run_os,
     run_sos,
 )
 from sosselect.simlab import (
+    ExperimentSummary,
     FPivotReport,
     ScenarioConfig,
     TrialRecord,
@@ -95,6 +105,39 @@ REFERENCE = {
         "restarts": o.restarts,
         "converged_fraction": o.converged_fraction,
     },
+    PenaltyPair: lambda o: {"r": o.r, "r_l": o.r_l},
+    StandardizedDesign: lambda o: {
+        "mode": o.mode.value,
+        "n": o.n,
+        "p": o.p,
+        "scales": o.scales.tolist(),
+        "x0": o.x0.tolist(),
+        "y0": o.y0.tolist(),
+    },
+    SelectionOutcome: lambda o: {
+        "algorithm": o.algorithm,
+        "mode": o.mode.value,
+        "penalties": {"r": o.penalties.r, "r_l": o.penalties.r_l},
+        "screen": None if o.screen is None else o.screen.to_json_dict(),
+        "ordering": o.ordering.to_json_dict(),
+        "path": o.path.to_json_dict(),
+        "selected": list(o.selected.indices),
+        "refit": o.refit.to_json_dict(),
+        "lasso": None if o.lasso is None else o.lasso.to_json_dict(),
+    },
+    ExperimentSummary: lambda o: {
+        "config": o.config.to_json_dict(),
+        "replicates": len(o.records),
+        "frequencies": o.frequencies,
+        "standard_errors": o.standard_errors,
+        "event_a_freq": o.event_a_freq,
+        "greedy_error": o.greedy_error,
+        "exhaustive_error": o.exhaustive_error,
+        "ks_distance_f": o.ks_distance_f,
+        "f_degenerate_count": o.f_degenerate_count,
+        "bound_ledger": o.bound_ledger,
+        "meta": dict(o.meta),
+    },
 }
 
 
@@ -116,6 +159,10 @@ def outputs():
         compare_exhaustive=True,
     )
     summary = run_experiment(config)
+    # p above the bound guard: no bound ledger, and no exhaustive comparison
+    wide = run_experiment(ScenarioConfig(n=30, p=14, t=1, b=8.0, replicates=3, master_seed=2))
+    formal = standardize(Dataset(x, x[:, :2] @ np.array([3.0, -2.0]) + noise), "formal")
+    explicit = PenaltyPair(r=9.0, r_l=6.0)
     pivot_config = ScenarioConfig(n=30, p=5, t=2, b=30.0, replicates=20, master_seed=3)
     found = {
         LsFit: [outcome.refit, ls_fit(exact, [0, 1], allow_degenerate=True)],
@@ -134,7 +181,17 @@ def outputs():
         KappaEstimate: [
             report.kappa_support, report.kappa_uniform_t, kappa_uniform(design, p, 1.0)
         ],
+        PenaltyPair: [penalties, explicit],
+        StandardizedDesign: [design, exact, formal],
+        # sos and os runs (os has no screen and no Lasso) in both modes
+        SelectionOutcome: [
+            outcome, run_os(design, penalties), run_sos(formal, explicit), run_os(formal, explicit)
+        ],
+        ExperimentSummary: [summary, wide],
     }
+    assert found[SelectionOutcome][1].screen is None and found[SelectionOutcome][1].lasso is None
+    assert summary.bound_ledger is not None and summary.exhaustive_error is not None
+    assert wide.bound_ledger is None and wide.exhaustive_error is None
     assert found[LsFit][1].t_squared is None and found[Ordering][1].t_squared is None
     return found
 

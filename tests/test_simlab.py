@@ -243,6 +243,28 @@ def test_config_json_rejects_wrongly_typed_fields():
             ScenarioConfig.from_json_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "over, name",
+    [
+        (dict(b=math.nan), "'b'"),
+        (dict(b=math.inf), "'b'"),
+        (dict(penalty_rule="explicit", r=math.inf, r_l=1.0), "'r'"),
+    ],
+)
+def test_config_constructor_rejects_non_finite_numbers(over, name):
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(n=30, p=4, t=1, **over)
+
+
+def test_config_constructor_rejects_non_finite_values_in_every_number_field():
+    numbers = [k for k, v in _SCENARIO_SCHEMA["properties"].items() if v.get("type") == "number"]
+    assert len(numbers) == 7
+    for name in numbers:
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"'{name}'"):
+                strong_config(**{name: value})
+
+
 def test_config_json_keeps_values_in_their_json_form():
     cfg = ScenarioConfig.from_json_dict({"n": 40, "p": 6, "t": 2, "b": 40, "rho": 0})
     assert cfg.to_json_dict()["b"] == 40 and type(cfg.b) is int
