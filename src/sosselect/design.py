@@ -43,6 +43,7 @@ from typing import Iterable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import (
     DegenerateResidual,
@@ -178,6 +179,14 @@ class ModelSet:
         if isinstance(indices, ModelSet):
             return indices
         return cls(tuple(sorted(set(int(j) for j in indices))))
+
+    @classmethod
+    def _sorted(cls, indices: tuple) -> "ModelSet":
+        """A set of ``indices`` the caller knows to be a strictly increasing
+        tuple of non-negative Python ints; skips the checks."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "indices", indices)
+        return model
 
     @classmethod
     def empty(cls) -> "ModelSet":
@@ -372,6 +381,26 @@ def _factor(x: np.ndarray):
     return q, r, perm, rank
 
 
+def _solve_upper(r: np.ndarray, b: np.ndarray, *, check_r: bool = True) -> np.ndarray:
+    """``x`` with ``r @ x = b`` for an upper-triangular ``r``: the LAPACK
+    ``trtrs`` call scipy's triangular solve makes, with its layout rule (a
+    ``r`` that is not F-contiguous is solved as the lower system ``r.T``
+    transposed), so the same bytes, and its checks, without its wrapper.
+    ``check_r=False`` skips the finiteness check of an ``r`` that passed it
+    once already."""
+    if (check_r and not np.isfinite(r).all()) or not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if r.flags.f_contiguous:
+        x, info = dtrtrs(r, b, lower=0, trans=0)
+    else:
+        x, info = dtrtrs(r.T, b, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def span_basis(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span, tolerant to rank deficiency."""
     q, _, _, rank = _factor(x)
@@ -411,7 +440,7 @@ def _ls_factors(design: StandardizedDesign, model: ModelSet):
 
     def build():
         q, r, perm = _full_rank_factor(design.columns(model), model)
-        rinv = scipy.linalg.solve_triangular(r, np.eye(len(model)))
+        rinv = _solve_upper(r, np.eye(len(model)))
         unit_var = np.empty(len(model))
         unit_var[perm] = np.sum(rinv * rinv, axis=1)
         return q, r, perm, unit_var, design.scales[list(model.indices)]
@@ -475,7 +504,7 @@ def ls_fit(design: StandardizedDesign, model, *, allow_degenerate: bool = False)
     q, rmat, perm, unit_var, scales = _ls_factors(design, model)
     qty = q.T @ design.y0
     theta = np.empty(k)
-    theta[perm] = scipy.linalg.solve_triangular(rmat, qty)
+    theta[perm] = _solve_upper(rmat, qty, check_r=False)  # checked by _ls_factors
     resid = design.y0 - q @ qty
     rss_val = float(resid @ resid)
     df = n_eff - k

@@ -272,9 +272,10 @@ def screen(fit: LassoFit) -> ScreenResult:
     r_l = fit.penalty
     a0 = 6.0 * r_l
     abs_theta = np.abs(fit.theta_hat)
-    s0 = ModelSet.of(np.nonzero(abs_theta >= a0)[0])
+    # np.nonzero is strictly increasing; tolist gives Python ints
+    s0 = ModelSet._sorted(tuple(np.nonzero(abs_theta >= a0)[0].tolist()))
     a1 = 6.0 * r_l * math.sqrt(max(len(s0), 1))
-    s1 = ModelSet.of(np.nonzero(abs_theta >= a1)[0])
+    s1 = ModelSet._sorted(tuple(np.nonzero(abs_theta >= a1)[0].tolist()))
     return ScreenResult(s0=s0, s1=s1, a0=a0, a1=a1)
 
 

@@ -3,15 +3,25 @@ check of a dataclass against a schema's single-field bounds."""
 
 import json
 import math
+import numbers
 from functools import lru_cache
 from importlib import resources
 
 _NAMES = ("scenario_config", "summary", "bound_input")
 
-# a value test per schema keyword that bounds one field on its own; of the
-# types, only "number" is such a bound: JSON has no non-finite numbers
+# a value test per schema type; a bool is never a number, and JSON has no
+# non-finite numbers
+_TYPE_TESTS = {
+    "boolean": lambda v: type(v) is bool,
+    "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "number": lambda v: (
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    ),
+}
+
+# a value test per schema keyword that bounds one field on its own
 _BOUND_TESTS = {
-    "type": lambda v, b: math.isfinite(v),
+    "type": lambda v, b: _TYPE_TESTS[b](v),
     "enum": lambda v, b: v in b,
     "minimum": lambda v, b: v >= b,
     "exclusiveMinimum": lambda v, b: v > b,
@@ -35,12 +45,11 @@ def load_schema(name: str) -> dict:
 @lru_cache(maxsize=None)
 def _field_bounds(name: str) -> tuple:
     """``(field, keyword, bound)`` for every single-field bound of schema
-    ``name``, in schema order; other types are checked where JSON is read."""
+    ``name``, in schema order, so a field's type before its range."""
     return tuple(
         (field, key, bound)
         for field, rule in load_schema(name)["properties"].items()
         for key, bound in rule.items()
-        if key != "type" or bound == "number"
     )
 
 

@@ -125,13 +125,14 @@ def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPat
     if not seq:
         path = np.array([r_empty])
         return GicPath(rss_path=path, values=path.copy(), selected_size=0, penalty=r)
-    model = ModelSet.of(seq)
-    if len(model) != len(seq):
-        raise ValueError("ordering contains repeated indices")
-    if model.indices[-1] >= design.p:
-        raise ValueError("ordering index out of range")
 
     def build():
+        # checked here: a cache hit is this very ordering, checked when built
+        model = ModelSet.of(seq)
+        if len(model) != len(seq):
+            raise ValueError("ordering contains repeated indices")
+        if model.indices[-1] >= design.p:
+            raise ValueError("ordering index out of range")
         # a rank-deficient prefix would contribute a spurious ~0 direction
         q, rmat, perm = _full_rank_factor(design.x0[:, seq], model)
         # R back in the ordering, re-triangularized: its Q turns q into the
@@ -259,7 +260,8 @@ class SelectionOutcome(JsonFields):
 def _finish(algorithm, design, penalties, scr, fit, ordering) -> SelectionOutcome:
     """Cut the ordering's criterion path and refit the selected prefix."""
     path = gic_path(design, ordering, penalties.r)
-    selected = ModelSet.of(ordering.sequence[: path.selected_size])
+    # the ordering is a permutation of a ModelSet, so its sorted prefix is one
+    selected = ModelSet._sorted(tuple(sorted(ordering.sequence[: path.selected_size])))
     return SelectionOutcome(
         algorithm=algorithm,
         mode=design.mode,

@@ -74,6 +74,8 @@ _LEDGER_RESTARTS = {True: 64, False: 24}
 # walk and one factor cache; bounds the responses held at once and the cache
 # (at most 4 entries per replicate: screened set, ordering, refit, pivot)
 _RESPONSE_BLOCK = 128
+# a replicate's selection until its pipeline returns one (sets are immutable)
+_NO_MODEL = ModelSet.empty()
 
 
 @dataclass(frozen=True)
@@ -298,7 +300,7 @@ def _single_trial(
 
     screen_ok = True
     order_ok = False
-    selected = ModelSet.empty()
+    selected = _NO_MODEL
     outcome = None
     try:
         if fit is not None:

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sosselect.design import (
     Dataset,
@@ -18,6 +19,8 @@ from sosselect.design import (
     LsFit,
     ModelSet,
     Parametrization,
+    _factor,
+    _solve_upper,
     ls_fit,
     rss,
     span_basis,
@@ -442,3 +445,55 @@ def test_parametrization_effective_sample_size():
     assert Parametrization.PRACTICAL.n_effective(10) == 9
     assert Parametrization.FORMAL.n_effective(10) == 10
     assert Parametrization("formal") is Parametrization.FORMAL
+
+
+def test_solve_upper_is_bytewise_the_scipy_solve():
+    """The direct LAPACK call keeps scipy's layout rule: a C-ordered R is
+    solved as its transpose, so every byte matches, for both layouts and for
+    a vector and an identity right-hand side."""
+    rng = np.random.default_rng(2017)
+    solves = 0
+    for k in range(1, 9):
+        for _ in range(250):
+            r = _factor(rng.standard_normal((k + 1 + int(rng.integers(0, 12)), k)))[1]
+            assert not r.flags.f_contiguous or k == 1  # _factor's R is C-ordered
+            for layout in (r, np.asfortranarray(r)):
+                for b in (rng.standard_normal(k), np.eye(k)):
+                    got = _solve_upper(layout, b)
+                    want = scipy.linalg.solve_triangular(layout, b)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            solves += 1
+    assert solves == 2000
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_upper_keeps_scipys_checks(order):
+    r = np.asarray([[2.0, 1.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 3.0]], order=order)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _solve_upper(r, np.ones(3))
+    r[1, 1] = 1.0
+    for bad in (np.nan, np.inf, -np.inf):
+        broken = r.copy(order=order)
+        broken[0, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_upper(broken, np.ones(3))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_upper(r, np.array([1.0, bad, 1.0]))
+
+
+def test_ls_fit_rejects_a_non_finite_response_cached_or_not():
+    rng = np.random.default_rng(2018)
+    good = standardize(random_dataset(rng, 20, 4), "practical")
+    y0 = good.y0.copy()
+    y0[3] = np.nan
+    model = ModelSet.of([0, 2, 3])
+    with pytest.raises(ValueError, match="infs or NaNs"):  # no cache
+        ls_fit(dataclasses.replace(good, y0=y0), model)
+    cache = FactorCache(good)
+    with pytest.raises(ValueError, match="infs or NaNs"):  # a miss
+        ls_fit(dataclasses.replace(good, y0=y0, factors=cache), model)
+    warm = FactorCache(good)
+    ls_fit(dataclasses.replace(good, factors=warm), model)  # a finite response fills it
+    assert len(warm) == 1
+    with pytest.raises(ValueError, match="infs or NaNs"):  # a hit
+        ls_fit(dataclasses.replace(good, y0=y0, factors=warm), model)

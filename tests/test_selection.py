@@ -7,6 +7,7 @@ the same exact tie rules.
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -438,3 +439,38 @@ def test_selection_outcome_serialization_roundtrip():
     assert blob["algorithm"] == "sos" and blob["mode"] == "practical"
     assert isinstance(blob["selected"], list)
     assert len(blob["path"]["rss_path"]) == len(out.ordering) + 1
+
+
+def test_internal_model_sets_are_sorted_python_ints():
+    """The pipeline builds its screened and selected sets without re-checking
+    them; they must still be what the public constructor gives."""
+    rng = np.random.default_rng(2019)
+    outcomes = []
+    for n, p, support in [(60, 8, [1, 4]), (45, 6, [0, 5]), (80, 10, [2, 3, 7])]:
+        x = rng.standard_normal((n, p))
+        beta = np.zeros(p)
+        beta[support] = rng.choice([-1.0, 1.0], len(support)) * rng.uniform(12.0, 25.0, len(support))
+        design = standardize(Dataset(x=x, y=x @ beta + rng.standard_normal(n)), "practical")
+        pen = default_penalties(p, 1.0, 0.5)
+        outcomes += [run_sos(design, pen), run_os(design, pen)]
+    for out in outcomes:
+        sets = [out.selected] + ([out.screen.s0, out.screen.s1] if out.screen else [])
+        for model in sets:
+            assert model == ModelSet.of(model.indices)
+            assert all(type(j) is int for j in model.indices)
+            assert all(a < b for a, b in zip(model.indices, model.indices[1:]))
+        json.dumps(out.to_json_dict())
+    assert all(out.selected for out in outcomes)
+
+
+def test_gic_path_checks_its_ordering_with_a_shared_cache():
+    rng = np.random.default_rng(2020)
+    design = random_design(rng, 20, 5)
+    warm = dataclasses.replace(design, factors=FactorCache(design))
+    for seq, match in [((0, 2, 0), "repeated"), ((1, 5), "out of range"), ((1, -1), "negative")]:
+        for _ in range(2):  # the first call and a repeat
+            with pytest.raises(ValueError, match=match):
+                gic_path(warm, Ordering(sequence=seq), 0.5)
+    assert len(warm.factors) == 0  # a raise is never stored
+    gic_path(warm, Ordering(sequence=(4, 0)), 0.5)
+    assert len(warm.factors) == 1

@@ -225,6 +225,36 @@ def test_bound_input_enforces_every_single_field_schema_bound():
     assert probes >= 100 and single_field_rejections >= 40
 
 
+_CONFIG_BASE = dict(n=30, p=4, t=1)
+_BOUND_BASE = dict(
+    n=60, p=6, t=2, s=3, sigma2=1.0, r=12.0, r_l=6.9, a=0.5, delta_s=120.0,
+    delta_t=3000.0, delta_p=60.0, kappa_T3=0.8, kappa_t3=0.7, theta_min=55.0,
+)
+
+
+@pytest.mark.parametrize(
+    "cls, base, name, value",
+    [
+        (ScenarioConfig, _CONFIG_BASE, "fixed_design", "yes"),  # boolean: a bool only
+        (ScenarioConfig, _CONFIG_BASE, "compare_exhaustive", 1),
+        (ScenarioConfig, _CONFIG_BASE, "master_seed", True),  # integer: never a bool
+        (ScenarioConfig, _CONFIG_BASE, "replicates", 4.0),
+        (ScenarioConfig, _CONFIG_BASE, "b", "x"),  # number: a real, never a bool
+        (ScenarioConfig, _CONFIG_BASE, "sigma2", True),
+        (BoundInput, _BOUND_BASE, "n", True),
+        (BoundInput, _BOUND_BASE, "delta_s", "120"),
+    ],
+)
+def test_python_built_configs_check_field_types(cls, base, name, value):
+    with pytest.raises(ValueError, match=f"'{name}'"):
+        cls(**{**base, name: value})
+
+
+def test_python_built_configs_take_numpy_scalars():
+    ScenarioConfig(**{**_CONFIG_BASE, "n": np.int64(30), "b": np.float64(2.0)})
+    BoundInput(**{**_BOUND_BASE, "n": np.int64(60), "delta_s": np.float64(120.0)})
+
+
 def test_config_json_rejects_wrongly_typed_fields():
     blob = strong_config().to_json_dict()
     cases = [
