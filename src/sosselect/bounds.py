@@ -13,7 +13,7 @@ capped at 1 with the raw value kept alongside. All logarithms are natural.
 import math
 from dataclasses import dataclass, fields
 
-from .design import JsonFields, read_json_fields
+from .design import JsonFields
 from .errors import DomainError
 from .identify import (
     DEFAULT_RESTARTS,
@@ -22,7 +22,7 @@ from .identify import (
     _uniform_request,
     delta_scaled,
 )
-from .schemas import check_field_bounds
+from .schemas import check_field_bounds, read_json_fields
 
 # the two small constants entering the ordering/beta-min conditions
 C1_CONST = 1.0 / (3.0 + 6.0 * math.sqrt(2.0))  # ~0.08713
@@ -111,7 +111,7 @@ class BoundInput(JsonFields):
     def from_json_dict(cls, blob):
         """Read the schema's object; every field is required, and each is
         converted to its type (``"r": 12`` reads as 12.0)."""
-        values = read_json_fields(cls, blob)
+        values = read_json_fields(cls, blob, "bound_input")
         return cls(**{f.name: f.type(values[f.name]) for f in fields(cls)})
 
 

@@ -23,10 +23,11 @@ import sys
 import numpy as np
 
 from .bounds import BoundInput, bound_report, event_a_bound, exhaustive_lower_bound
-from .design import Dataset, ModelSet, json_text, json_value, ls_fit, standardize
+from .design import Dataset, ModelSet, json_text, ls_fit, standardize
 from .errors import SosSelectError
 from .identify import DEFAULT_RESTARTS, TruthSpec, check_propositions
 from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, PenaltyPair, default_penalties
+from .schemas import json_value
 from .selection import exhaustive_gic, run_os, run_sos
 from .simlab import ScenarioConfig, persist, run_experiment
 
@@ -264,11 +265,11 @@ def _truth_from_json(blob: dict, design) -> TruthSpec:
     for name in ("support", "beta"):
         if not isinstance(blob[name], list):
             raise ValueError(f"truth field {name!r} must be a list")
-    support = [json_value("support", int, j) - 1 for j in blob["support"]]
+    support = [json_value("support", "integer", j) - 1 for j in blob["support"]]
     if any(j < 0 or j >= design.p for j in support):
         raise ValueError(f"support indices must lie in 1..{design.p}")
-    beta = [json_value("beta", float, v) for v in blob["beta"]]
-    sigma2 = json_value("sigma2", float, blob.get("sigma2", 1.0))
+    beta = [json_value("beta", "number", v) for v in blob["beta"]]
+    sigma2 = json_value("sigma2", "number", blob.get("sigma2", 1.0))
     return TruthSpec.from_beta(design, support, beta, sigma2=sigma2)
 
 

@@ -36,8 +36,8 @@ from __future__ import annotations
 import csv
 import enum
 import json
-import math
-from dataclasses import MISSING, dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -159,6 +159,16 @@ class Dataset:
         return cls(x=x, y=y)
 
 
+def _column_index(j) -> int:
+    """``j`` as a 0-based column index: an int or numpy integer, never a bool
+    or a float (which would truncate); anything else raises ValueError."""
+    if type(j) is int:
+        return j
+    if isinstance(j, numbers.Integral) and not isinstance(j, bool):
+        return int(j)
+    raise ValueError(f"column index must be an integer, got {j!r}")
+
+
 @dataclass(frozen=True)
 class ModelSet:
     """Immutable set of 0-based column indices, stored sorted."""
@@ -166,7 +176,7 @@ class ModelSet:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(j) for j in self.indices)
+        idx = tuple(_column_index(j) for j in self.indices)
         if any(j < 0 for j in idx):
             raise ValueError(f"negative column index in {idx}")
         if list(idx) != sorted(set(idx)):
@@ -178,7 +188,7 @@ class ModelSet:
         """Normalize any iterable of indices (deduplicated, sorted)."""
         if isinstance(indices, ModelSet):
             return indices
-        return cls(tuple(sorted(set(int(j) for j in indices))))
+        return cls(tuple(sorted(set(map(_column_index, indices)))))
 
     @classmethod
     def _sorted(cls, indices: tuple) -> "ModelSet":
@@ -203,7 +213,7 @@ class ModelSet:
         return iter(self.indices)
 
     def __contains__(self, j):
-        return int(j) in self.indices
+        return _column_index(j) in self.indices
 
     def __bool__(self):
         return bool(self.indices)
@@ -254,40 +264,6 @@ def json_text(blob) -> str:
     """The text of every JSON artifact the package writes: keys sorted,
     two-space indent, one trailing newline."""
     return json.dumps(blob, indent=2, sort_keys=True) + "\n"
-
-
-_JSON_TYPES = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
-
-
-def json_value(name: str, kind: type, value):
-    """``value`` read as a JSON ``kind`` the way the shipped schemas type it:
-    a float takes any finite number (Python's reader also yields NaN and
-    Infinity, which JSON does not have), an int an integral one (read as
-    int), a bool or str only its own type; a boolean is never a number.
-    Raises ValueError naming ``name`` otherwise."""
-    if kind in (bool, str) or isinstance(value, bool):
-        ok = type(value) is kind
-    elif kind is float:
-        ok = isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-    else:
-        ok = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if not ok:
-        raise ValueError(f"field {name!r} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return int(value) if kind is int else value
-
-
-def read_json_fields(cls, blob: dict) -> dict:
-    """The fields of dataclass ``cls`` named in the JSON object ``blob``, each
-    checked by :func:`json_value`. An unknown key, or a missing field that has
-    no default, raises ValueError naming it."""
-    known = {f.name: f for f in fields(cls)}
-    extra = sorted(set(blob) - set(known))
-    if extra:
-        raise ValueError(f"unknown fields: {extra}")
-    missing = [k for k, f in known.items() if k not in blob and f.default is MISSING]
-    if missing:
-        raise ValueError(f"missing fields: {missing}")
-    return {k: json_value(k, known[k].type, v) for k, v in blob.items()}
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .design import JsonFields, ModelSet, StandardizedDesign, _full_rank_factor, span_basis
+from .design import (
+    JsonFields,
+    ModelSet,
+    StandardizedDesign,
+    _column_index,
+    _full_rank_factor,
+    span_basis,
+)
 from .errors import EnumerationTooLarge
 
 DELTA_BUDGET = 1_000_000
@@ -81,9 +88,9 @@ class TruthSpec(JsonFields):
     @classmethod
     def from_beta(cls, design: StandardizedDesign, support, beta_values, sigma2=1.0):
         """The truth whose coefficient on column ``support[k]`` is
-        ``beta_values[k]``, with the support in any order. A repeated or
-        out-of-range index raises ValueError."""
-        idx = [int(j) for j in support]
+        ``beta_values[k]``, with the support in any order. A repeated,
+        out-of-range or non-integer index raises ValueError."""
+        idx = [_column_index(j) for j in support]
         beta = np.asarray(beta_values, dtype=float).ravel()
         if len(set(idx)) < len(idx):
             raise ValueError("support repeats an index")

@@ -1,21 +1,23 @@
-"""Bundled JSON schema documents for the package's file formats, and the one
-check of a dataclass against a schema's single-field bounds."""
+"""Bundled JSON schema documents for the package's file formats; by them, the
+one reader of JSON input fields and the one single-field bound check."""
 
 import json
-import math
 import numbers
+import sys
+from dataclasses import MISSING, fields
 from functools import lru_cache
 from importlib import resources
 
 _NAMES = ("scenario_config", "summary", "bound_input")
 
-# a value test per schema type; a bool is never a number, and JSON has no
-# non-finite numbers
+# a value test per schema type; a bool is never a number, and a number is a
+# finite double: JSON has no NaN or Infinity, and an integer literal beyond the
+# double range would overflow where it is used
 _TYPE_TESTS = {
     "boolean": lambda v: type(v) is bool,
     "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     "number": lambda v: (
-        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
     ),
 }
 
@@ -51,6 +53,32 @@ def _field_bounds(name: str) -> tuple:
         for field, rule in load_schema(name)["properties"].items()
         for key, bound in rule.items()
     )
+
+
+def json_value(field: str, kind: "str | None", value):
+    """``value`` as schema type ``kind`` (None passes it through), an integral
+    number in an ``integer`` field read as an int; raises ValueError naming
+    ``field`` if it fails ``kind``'s test."""
+    if kind == "integer" and type(value) is float and value.is_integer():
+        value = int(value)
+    if kind is not None and not _TYPE_TESTS[kind](value):
+        raise ValueError(f"field {field!r} must meet type {kind}, got {value!r}")
+    return value
+
+
+def read_json_fields(cls, blob: dict, name: str) -> dict:
+    """The fields of dataclass ``cls`` in the JSON object ``blob``, each read by
+    :func:`json_value` as its type in schema ``name``. An unknown key, or a
+    missing field that has no default, raises ValueError naming it."""
+    known = {f.name: f for f in fields(cls)}
+    extra = sorted(set(blob) - set(known))
+    if extra:
+        raise ValueError(f"unknown fields: {extra}")
+    missing = [k for k, f in known.items() if k not in blob and f.default is MISSING]
+    if missing:
+        raise ValueError(f"missing fields: {missing}")
+    kinds = {field: bound for field, key, bound in _field_bounds(name) if key == "type"}
+    return {k: json_value(k, kinds.get(k), v) for k, v in blob.items()}
 
 
 def check_field_bounds(obj, name: str) -> None:

@@ -55,13 +55,12 @@ from .design import (
     _cached,
     _center_response,
     json_text,
-    read_json_fields,
     standardize,
 )
 from .errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from .identify import TruthSpec
 from .lasso import LassoFit, PenaltyPair, _lasso_block, default_penalties, event_a
-from .schemas import check_field_bounds
+from .schemas import check_field_bounds, read_json_fields
 from .selection import ExhaustiveResult, _exhaustive_block, _sos_from_fit, run_os, run_sos
 
 _DESIGN_STREAM = 1
@@ -123,7 +122,7 @@ class ScenarioConfig(JsonFields):
     def from_json_dict(cls, blob: dict) -> "ScenarioConfig":
         """Read the schema's object without coercion: ``"b": 40`` stays the
         int 40, and ``"n": "100"`` or ``"p": 8.7`` raises ValueError."""
-        return cls(**read_json_fields(cls, blob))
+        return cls(**read_json_fields(cls, blob, "scenario_config"))
 
 
 def _design_rng(config: ScenarioConfig, index: int) -> np.random.Generator:
@@ -174,12 +173,11 @@ def _draw_design(config: ScenarioConfig, index: int) -> _DesignDraw:
 
 
 def _draw_response(config: ScenarioConfig, draw: _DesignDraw, index: int):
-    """The y side of replicate ``index`` on its design ``draw``: (dataset,
-    standardized design, truth, noise)."""
+    """The y side of replicate ``index`` on its design ``draw``: (response,
+    standardized design, noise); the X side was checked when drawn."""
     eps = _noise_rng(config, index).standard_normal(config.n) * math.sqrt(config.sigma2)
-    dataset = Dataset(x=draw.x, y=draw.mu + eps)
-    y0 = _center_response(dataset.y, draw.noiseless.mode)
-    return dataset, replace(draw.noiseless, y0=y0), draw.truth, eps
+    y = draw.mu + eps
+    return y, replace(draw.noiseless, y0=_center_response(y, draw.noiseless.mode)), eps
 
 
 def generate_trial(config: ScenarioConfig, index: int):
@@ -189,7 +187,9 @@ def generate_trial(config: ScenarioConfig, index: int):
     base columns; the duplicated_spurious kind appends exact copies of the
     first spurious base columns, which therefore never enter the truth.
     """
-    return _draw_response(config, _draw_design(config, index), index)
+    draw = _draw_design(config, index)
+    y, design, eps = _draw_response(config, draw, index)
+    return Dataset(x=draw.x, y=y), design, draw.truth, eps
 
 
 @dataclass(frozen=True)
@@ -293,7 +293,8 @@ def _single_trial(
     fit: "LassoFit | None",
     penalties: PenaltyPair,
 ) -> TrialRecord:
-    dataset, design, truth, eps = trial
+    y, design, eps = trial
+    truth = draw.truth
     seed = f"{config.master_seed}:{0 if config.fixed_design else index}:{index}"
     true_set = set(truth.support.indices)
     t = truth.t
@@ -331,7 +332,7 @@ def _single_trial(
     witness = event_a(design, eps, penalties.r_l)
 
     exhaustive_exact = None if best is None else best.model == truth.support
-    f_val = _f_stat(draw, dataset.y, config.mode, selected)
+    f_val = _f_stat(draw, y, config.mode, selected)
 
     return TrialRecord(
         index=index,
@@ -537,7 +538,7 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
     if oracle:
         vals = []
         for draw, trials in _response_blocks(config, 0, config.replicates):
-            vals += [_f_stat(draw, ds.y, config.mode, tr.support) for _, (ds, _, tr, _) in trials]
+            vals += [_f_stat(draw, y, config.mode, draw.truth.support) for _, (y, _, _) in trials]
             del draw, trials
     else:
         vals = [r.f_stat for r in run_experiment(config, jobs=jobs).records]

@@ -1,0 +1,152 @@
+"""Each public entry point rejects the malformed input its docstring names:
+an index out of range or of the wrong type, arrays of the wrong length or
+shape, a negative penalty or variance, an empty or degenerate set."""
+
+import json
+
+import numpy as np
+import pytest
+
+from sosselect.bounds import BoundInput
+from sosselect.cli import main
+from sosselect.design import Dataset, ModelSet, ls_fit, rss, standardize
+from sosselect.errors import KappaDegenerate
+from sosselect.identify import TruthSpec, delta_pair, kappa, kappa_uniform, min_subset_eigen
+from sosselect.lasso import event_a, solve_lasso, verify_oracle_inequalities
+from sosselect.selection import Ordering, exhaustive_gic, gic_path
+from sosselect.simlab import ScenarioConfig, f_pivot_check
+
+N, P = 30, 6
+
+
+@pytest.fixture(scope="module")
+def design():
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((N, P))
+    return standardize(Dataset(x, 4.0 * x[:, 0] - 3.0 * x[:, 2] + rng.standard_normal(N)))
+
+
+@pytest.fixture(scope="module")
+def truth(design):
+    return TruthSpec.from_beta(design, [0, 2], [4.0, -3.0])
+
+
+REJECTIONS = {
+    "rss_index_at_p": (lambda d, t: rss(d, [1, P]), ValueError, "out of range"),
+    "ls_fit_index_at_p": (lambda d, t: ls_fit(d, [P]), ValueError, "out of range"),
+    "truth_misaligned": (
+        lambda d, t: TruthSpec(ModelSet((0, 1)), np.ones(1), np.ones(2)),
+        ValueError,
+        "align",
+    ),
+    "truth_negative_sigma2": (
+        lambda d, t: TruthSpec(ModelSet((0,)), np.ones(1), np.ones(1), sigma2=-1.0),
+        ValueError,
+        "sigma2",
+    ),
+    "delta_pair_index_at_p": (lambda d, t: delta_pair(d, t, [0, P]), ValueError, "out of range"),
+    "kappa_empty_j": (lambda d, t: kappa(d, [], 3.0), ValueError, "nonempty"),
+    "kappa_j_at_p": (lambda d, t: kappa(d, [0, P], 3.0), ValueError, "out of range"),
+    "kappa_uniform_s_zero": (lambda d, t: kappa_uniform(d, 0, 3.0), ValueError, "s must be"),
+    "min_subset_eigen_size_zero": (
+        lambda d, t: min_subset_eigen(d, 0),
+        ValueError,
+        "size must be",
+    ),
+    "solve_lasso_negative_r_l": (lambda d, t: solve_lasso(d, -1.0), ValueError, "r_l"),
+    "solve_lasso_theta0_shape": (
+        lambda d, t: solve_lasso(d, 1.0, theta0=np.zeros(P + 1)),
+        ValueError,
+        "theta0",
+    ),
+    "event_a_noise_length": (lambda d, t: event_a(d, np.zeros(N + 1), 1.0), ValueError, "length"),
+    "oracle_reference_length": (
+        lambda d, t: verify_oracle_inequalities(
+            d, solve_lasso(d, 1.0), np.ones(P + 1), d.x0 @ t.full_theta(P)
+        ),
+        ValueError,
+        "length p",
+    ),
+    "oracle_kappa_zero": (
+        lambda d, t: verify_oracle_inequalities(
+            d, solve_lasso(d, 1.0), t.full_theta(P) / d.scales, d.x0 @ t.full_theta(P),
+            kappa_sq=0.0,
+        ),
+        KappaDegenerate,
+        "kappa",
+    ),
+    "gic_path_negative_r": (
+        lambda d, t: gic_path(d, Ordering((0, 2)), -1.0),
+        ValueError,
+        "nonnegative",
+    ),
+    "exhaustive_negative_r": (lambda d, t: exhaustive_gic(d, -1.0), ValueError, "nonnegative"),
+    "f_pivot_without_residual_dof": (
+        lambda d, t: f_pivot_check(ScenarioConfig(n=3, p=3, t=2)),
+        ValueError,
+        "larger than the model dimension",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_entry_point_rejects_malformed_input(design, truth, case):
+    call, error, match = REJECTIONS[case]
+    with pytest.raises(error, match=match):
+        call(design, truth)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: ModelSet((1.7, 3)),
+        lambda d: ModelSet((1, 3.0)),
+        lambda d: ModelSet.of([True, 2]),
+        lambda d: ModelSet.of([np.bool_(True), 2]),
+        lambda d: 1.7 in ModelSet((1, 3)),
+        lambda d: ls_fit(d, [0.9, 2.5]),
+        lambda d: rss(d, [2.0]),
+        lambda d: TruthSpec.from_beta(d, [0.5, 2.7], [1.0, 1.0]),
+        lambda d: TruthSpec.from_beta(d, [False, 2], [1.0, 1.0]),
+    ],
+)
+def test_column_indices_must_be_integers(design, call):
+    # a float or bool index used to truncate: (1.7, 3) became (1, 3)
+    with pytest.raises(ValueError, match="column index must be an integer"):
+        call(design)
+
+
+def test_numpy_integer_indices_are_accepted(design):
+    assert ModelSet((np.int64(1), np.int32(3))).indices == (1, 3)
+    assert ModelSet.of(np.array([3, 1, 3])).indices == (1, 3)
+    assert all(type(j) is int for j in ModelSet.of(np.array([3, 1])).indices)
+    truth = TruthSpec.from_beta(design, np.sort(np.array([2, 0])), [4.0, -3.0])
+    assert truth.support.indices == (0, 2)
+
+
+def test_kappa_drops_a_witness_that_vanishes_on_j(design):
+    # a witness zero on J carries no direction for the on-J block
+    off_j = np.zeros(P)
+    off_j[[1, 4]] = [0.7, -0.2]
+    plain = kappa(design, [0, 2], 3.0, restarts=8)
+    witnessed = kappa(design, [0, 2], 3.0, restarts=8, extra_starts=[off_j])
+    assert witnessed.to_json_dict() == plain.to_json_dict()
+
+
+def test_json_number_beyond_the_double_range_is_named(tmp_path, capsys):
+    # a 400-digit integer literal is a JSON number; it used to end in an
+    # OverflowError traceback instead of an error naming its field
+    huge = 10**400
+    with pytest.raises(ValueError, match="'b'"):
+        ScenarioConfig.from_json_dict({"n": 30, "p": 4, "t": 1, "b": huge})
+    blob = dict(
+        n=60, p=6, t=2, s=3, sigma2=1.0, r=12.0, r_l=6.9, a=0.5, delta_s=huge,
+        delta_t=3000.0, delta_p=60.0, kappa_T3=0.8, kappa_t3=0.7, theta_min=55.0,
+    )
+    with pytest.raises(ValueError, match="'delta_s'"):
+        BoundInput.from_json_dict(blob)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(blob))
+    assert main(["bounds", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'delta_s'" in err

@@ -546,15 +546,16 @@ def test_engine_replicates_equal_generate_trial(monkeypatch):
     inner = simlab._single_trial
 
     def spy(config, draw, index, trial, *rest):
-        seen[index] = trial
+        seen[index] = (*trial, draw.truth)
         return inner(config, draw, index, trial, *rest)
 
     monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", 4)
     monkeypatch.setattr(simlab, "_single_trial", spy)
     run_experiment(cfg)
     assert sorted(seen) == list(range(9))
-    for i, (_, design, truth, eps) in seen.items():
-        _, want, want_truth, want_eps = generate_trial(cfg, i)
+    for i, (y, design, eps, truth) in seen.items():
+        dataset, want, want_truth, want_eps = generate_trial(cfg, i)
+        assert np.array_equal(y, dataset.y)
         for attr in ("x0", "y0", "scales"):
             assert np.array_equal(getattr(design, attr), getattr(want, attr))
         assert np.array_equal(truth.theta_star, want_truth.theta_star)
