@@ -15,7 +15,8 @@ Two families of quantities are computed for a sparse truth
   gradient steps in ``nu_J``) from many restarts, batched across restarts,
   subsets and every estimate of a report: equal searches run once, and all
   searches of one size run in one pass. The l1-ball projection returns at
-  once when a certified row sum puts every row inside its ball.
+  once when a certified row sum puts every row inside its ball, and the
+  search checks that sum itself before it calls the projection.
   Certified envelopes accompany every estimate: ``lambda_min(Sigma)`` from
   below, ``lambda_min(Sigma_J)`` (the c = 0 value, also the estimate's
   initialization) from above.
@@ -58,6 +59,13 @@ _EIG_CLIP = 0.0  # eigenvalues of gram matrices are >= 0 up to fp noise
 _EPS = float(np.finfo(float).eps)
 _SLACK = 1e-9  # relative fp slack of every inequality check
 _V_ITERS = 40  # accelerated projected-gradient steps per off-J update
+# FISTA's momentum (t_k - 1) / t_{k+1} per step; t_k restarts at 1 every round
+_MOMENTUM = tuple(
+    (t_k - 1.0) / t_next
+    for t_k, t_next in itertools.pairwise(itertools.accumulate(
+        range(_V_ITERS), lambda t, _: 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), initial=1.0
+    ))
+)
 _MAX_OUTER = 50  # alternating rounds before a subset's search stops
 DEFAULT_RESTARTS = 64  # start rows of each restricted-eigenvalue search
 
@@ -247,27 +255,34 @@ class KappaEstimate(JsonFields):
         return {**super().to_json_dict(), "kappa": self.kappa}
 
 
+def _shortcut_bound(radii: np.ndarray, q: int) -> np.ndarray:
+    """Row sums of q magnitudes at or under this bound, summed in any order,
+    put numpy's ``sum(|row|)`` at or under ``radii``.
+
+    Summed in any order, q terms >= 0 with exact sum S give fl(S) within
+    S (1 -+ g), g = (q-1) u / (1 - (q-1) u), u = eps / 2 (additions never err
+    by underflow). So numpy's sum is at most another order's sum times
+    (1+g)/(1-g) = 1 / (1 - (q-1) eps), and a sum at most radius
+    (1 - (q-1) eps) puts the row's numpy sum at or below its radius. The
+    bound radius (1 - 4 q eps) stays under that after its two roundings
+    unless the product is subnormal; then every sum at or under it is below
+    2^-1021, where sums of q terms are exact in any order."""
+    return radii * (1.0 - 4 * q * _EPS)
+
+
 def _project_l1_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Project each row of v (its last axis) onto the l1 ball of the matching
     radius; leading axes are flattened into rows and restored.
 
     A row is moved exactly when numpy's ``sum(|row|)`` exceeds its radius.
-    When one BLAS row sum shows every row certainly inside its ball, v is
+    When one BLAS row sum puts every row under its ``_shortcut_bound``, v is
     returned as is, with no sort and no numpy reduction."""
     shape = v.shape
     q = shape[-1]
     v = v.reshape(-1, q)
     radii = radii.reshape(-1)
     a = np.abs(v)
-    # Shortcut. Summed in any order, q terms >= 0 with exact sum S give
-    # fl(S) within S (1 -+ g), g = (q-1) u / (1 - (q-1) u), u = eps / 2
-    # (additions never err by underflow). So numpy's sum is at most the BLAS
-    # sum times (1+g)/(1-g) = 1 / (1 - (q-1) eps), and a BLAS sum at most
-    # radius (1 - (q-1) eps) puts the row's numpy sum at or below its radius.
-    # The threshold radius (1 - 4 q eps) stays under that bound after its two
-    # roundings unless the product is subnormal; then every sum at or under
-    # it is below 2^-1021, where sums of q terms are exact in any order.
-    if (a @ np.ones(q) <= radii * (1.0 - 4 * q * _EPS)).all():
+    if (a @ np.ones(q) <= _shortcut_bound(radii, q)).all():
         return v.reshape(shape)
     over = a.sum(axis=1) > radii
     if not over.any():
@@ -299,7 +314,11 @@ def _lam_min(sigma: np.ndarray) -> float:
 
 def _restart_rows(k: int, restarts: int) -> np.ndarray:
     """On-J start directions shared by every subset of size k: ``restarts``
-    rows, random sign patterns then random Gaussian directions (seed 97531)."""
+    rows, random sign patterns then random Gaussian directions (seed 97531).
+
+    ``restarts // 2`` sign rows hold at most 2^k distinct rows, so they
+    repeat when 2^k < restarts / 2: at k = 2 and 64 restarts, 4 of 32 are
+    distinct and the draw holds 36 distinct rows."""
     rng = np.random.default_rng(97531)
     half = restarts // 2
     signs = rng.choice([-1.0, 1.0], size=(half, k)) / math.sqrt(k)
@@ -341,55 +360,69 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, real):
     improved. Returns each search's best objective and the fraction of its
     real rows that had stopped improving.
     """
-    n_sub, m, _ = u.shape
+    n_sub, m, q = u.shape[0], u.shape[1], v.shape[2]
     best_out = np.empty(n_sub)
     frac_out = np.empty(n_sub)
     live = np.arange(n_sub)
     top = top_v[:, None, None]
     eta0 = np.array([0.5 / max(lam, 1e-6) for lam in lam_j])
+    ones = np.ones(q)
 
+    v = v.copy()  # its buffer is reused below; the caller's array is not
     best = _batched_objective(u, v, s_jj, s_oj, s_oo)
     prev = best.copy()
     improving = np.ones((n_sub, m), dtype=bool)
     for _ in range(_MAX_OUTER):
         # exact convex step in the off-J block (accelerated projected gradient,
-        # step 1 / (2 top) on the gradient 2 (u Sigma_JJc + z Sigma_JcJc))
+        # step 1 / (2 top) on the gradient 2 (u Sigma_JJc + z Sigma_JcJc)), in
+        # buffers made once per round: w and v swap after each step
         radii = c * np.abs(u).sum(axis=2)
+        bound = _shortcut_bound(radii, q).ravel()
         u_soj = u @ s_oj.transpose(0, 2, 1)
-        z = v
-        t_k = 1.0
-        for _ in range(_V_ITERS):
-            w = z @ s_oo
+        # (2 g) / (2 top) and g / top round the same quotient, broadcast or not
+        tops = np.broadcast_to(top, v.shape).copy()
+        z, w, mag, sums = v.copy(), np.empty_like(v), np.empty(v.shape), np.empty(bound.size)
+        mag_rows = mag.reshape(-1, q)
+        for coef in _MOMENTUM:
+            np.matmul(z, s_oo, out=w)
             w += u_soj
-            w /= top  # (2 g) / (2 top) and g / top round the same quotient
+            w /= tops
             np.subtract(z, w, out=w)
-            v_new = _project_l1_rows(w, radii)
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
-            z = v_new - v
-            z *= (t_k - 1.0) / t_next
-            z += v_new
-            v, t_k = v_new, t_next
+            # the projection runs only when a row may leave its ball, and
+            # then returns w or a projected copy
+            np.abs(w, out=mag)
+            if np.count_nonzero(np.dot(mag_rows, ones, out=sums) > bound):
+                w = _project_l1_rows(w, radii)
+            np.subtract(w, v, out=z)
+            z *= coef
+            z += w
+            v, w = w, v
         v = _project_l1_rows(v, radii)
 
         # normalized gradient steps in the on-J block, with backtracking; v
-        # stays fixed through them, so its product with Sigma_JcJ is made once
+        # stays fixed through them, so its product with Sigma_JcJ is made
+        # once, and u's product with Sigma_JJ moves along with u
         v_soj = v @ s_oj
 
-        def h(uu):
-            val = np.einsum("bij,bij->bi", uu @ s_jj, uu)
+        def h(uu, uu_s):
+            val = np.einsum("bij,bij->bi", uu_s, uu)
             val += 2.0 * np.einsum("bij,bij->bi", v_soj, uu)
             return val
 
         eta = np.repeat(eta0[:, None], m, axis=1)
-        hu = h(u)
+        us = u @ s_jj
+        hu = h(u, us)
         for _ in range(4):
-            grad_u = 2.0 * (u @ s_jj + v_soj)
+            grad_u = 2.0 * (us + v_soj)
             cand = u - eta[:, :, None] * grad_u
-            norms = np.linalg.norm(cand, axis=2, keepdims=True)
+            # np.linalg.norm(cand, axis=2, keepdims=True), without its wrapper
+            norms = np.sqrt(np.add.reduce(cand * cand, axis=2, keepdims=True))
             cand = np.where(norms > 1e-12, cand / np.where(norms > 0, norms, 1.0), u)
-            hc = h(cand)
+            cand_s = cand @ s_jj
+            hc = h(cand, cand_s)
             better = hc < hu
-            u = np.where(better[:, :, None], cand, u)
+            keep = better[:, :, None]
+            u, us = np.where(keep, cand, u), np.where(keep, cand_s, us)
             hu = np.where(better, hc, hu)
             eta = np.where(better, eta, eta * 0.25)
         # u moved: re-fit the off-J block budget before scoring

@@ -512,15 +512,138 @@ def test_l1_projection_is_the_reference_bit_for_bit():
     assert through_q_free_margin > 0
 
 
+def spy(monkeypatch, name, record):
+    """Wrap ``identify.<name>``, calling ``record(args, result)`` per call."""
+    real = getattr(identify, name)
+
+    def spying(*args):
+        out = real(*args)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(identify, name, spying)
+
+
+def alternating_min_reference(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, real):
+    """``_alternating_min`` as first written, with a fresh array for every
+    quantity of each step, and with the projection of
+    ``project_l1_rows_reference``: the search the kernel must reproduce bit
+    for bit."""
+    n_sub, m, _ = u.shape
+    best_out = np.empty(n_sub)
+    frac_out = np.empty(n_sub)
+    live = np.arange(n_sub)
+    top = top_v[:, None, None]
+    eta0 = np.array([0.5 / max(lam, 1e-6) for lam in lam_j])
+
+    best = identify._batched_objective(u, v, s_jj, s_oj, s_oo)
+    prev = best.copy()
+    improving = np.ones((n_sub, m), dtype=bool)
+    for _ in range(identify._MAX_OUTER):
+        # exact convex step in the off-J block (accelerated projected gradient,
+        # step 1 / (2 top) on the gradient 2 (u Sigma_JJc + z Sigma_JcJc))
+        radii = c * np.abs(u).sum(axis=2)
+        u_soj = u @ s_oj.transpose(0, 2, 1)
+        z = v
+        t_k = 1.0
+        for _ in range(identify._V_ITERS):
+            w = z @ s_oo
+            w += u_soj
+            w /= top  # (2 g) / (2 top) and g / top round the same quotient
+            np.subtract(z, w, out=w)
+            v_new = project_l1_rows_reference(w, radii)
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_k * t_k))
+            z = v_new - v
+            z *= (t_k - 1.0) / t_next
+            z += v_new
+            v, t_k = v_new, t_next
+        v = project_l1_rows_reference(v, radii)
+
+        # normalized gradient steps in the on-J block, with backtracking; v
+        # stays fixed through them, so its product with Sigma_JcJ is made once
+        v_soj = v @ s_oj
+
+        def h(uu):
+            val = np.einsum("bij,bij->bi", uu @ s_jj, uu)
+            val += 2.0 * np.einsum("bij,bij->bi", v_soj, uu)
+            return val
+
+        eta = np.repeat(eta0[:, None], m, axis=1)
+        hu = h(u)
+        for _ in range(4):
+            grad_u = 2.0 * (u @ s_jj + v_soj)
+            cand = u - eta[:, :, None] * grad_u
+            norms = np.linalg.norm(cand, axis=2, keepdims=True)
+            cand = np.where(norms > 1e-12, cand / np.where(norms > 0, norms, 1.0), u)
+            hc = h(cand)
+            better = hc < hu
+            u = np.where(better[:, :, None], cand, u)
+            hu = np.where(better, hc, hu)
+            eta = np.where(better, eta, eta * 0.25)
+        # u moved: re-fit the off-J block budget before scoring
+        v = project_l1_rows_reference(v, c * np.abs(u).sum(axis=2))
+
+        cur = identify._batched_objective(u, v, s_jj, s_oj, s_oo)
+        best = np.minimum(best, cur)
+        improving = (prev - cur) > 1e-10 * np.maximum(prev, 1.0)
+        prev = cur
+        going = improving.any(axis=1)
+        if going.all():
+            continue
+        done = ~going
+        best_out[live[done]] = best[done].min(axis=1)
+        frac_out[live[done]] = 1.0
+        if not going.any():
+            return best_out, frac_out
+        live = live[going]
+        u, v, best, prev, improving = (a[going] for a in (u, v, best, prev, improving))
+        s_jj, s_oj, s_oo, top, eta0, c, real = (
+            a[going] for a in (s_jj, s_oj, s_oo, top, eta0, c, real)
+        )
+    best_out[live] = best.min(axis=1)
+    stopped = ~improving & (np.arange(m) < real[:, None])
+    frac_out[live] = stopped.sum(axis=1) / real
+    return best_out, frac_out
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 3.0])
+def test_search_kernel_is_the_reference_bit_for_bit(monkeypatch, c):
+    # every pass of sizes 1 to 3, with the witness padding all but one
+    # search of a size, and a lone support search; at c <= 0.5 the l1-ball
+    # projection certainly moves rows
+    rng = np.random.default_rng(96)
+    d, _ = random_instance(rng, 18, 5, 2)
+    witness = np.array([0.1, -2.0, 0.3, 1.5, -0.2])
+    passes = []  # the kernel keeps its inputs, as checked below
+    spy(monkeypatch, "_alternating_min", lambda args, _: passes.append(args))
+    for k in (1, 2, 3):
+        kappa_uniform(d, k, c, restarts=8, extra_starts=[witness])
+    kappa(d, [0, 2, 4], c, restarts=8, extra_starts=[witness])
+    monkeypatch.undo()
+    assert [args[0].shape for args in passes] == [
+        (5, 10, 1), (10, 10, 2), (10, 10, 3), (1, 10, 3)
+    ]
+    projections, live, rounds_apart = [], [], []
+    spy(monkeypatch, "_project_l1_rows", lambda a, out: projections.append(
+        not np.shares_memory(out, a[0])
+    ))
+    spy(monkeypatch, "_batched_objective", lambda a, out: live.append(len(out)))
+    for args in passes:
+        given = [a.copy() for a in args]
+        live.clear()
+        best, frac = identify._alternating_min(*given)
+        rounds_apart.append(len(set(live)) > 1)
+        ref_best, ref_frac = alternating_min_reference(*(a.copy() for a in args))
+        assert best.tobytes() == ref_best.tobytes()
+        assert frac.tobytes() == ref_frac.tobytes()
+        assert all(g.tobytes() == a.tobytes() for g, a in zip(given, args))  # inputs kept
+    assert any(rounds_apart)  # searches of one pass stop in different rounds
+    assert any(projections) or c > 0.5
+
+
 def count_search_passes(monkeypatch):
     passes = []
-    real = identify._alternating_min
-
-    def counting(*args):
-        passes.append(args[0].shape)
-        return real(*args)
-
-    monkeypatch.setattr(identify, "_alternating_min", counting)
+    spy(monkeypatch, "_alternating_min", lambda args, _: passes.append(args[0].shape))
     return passes
 
 
