@@ -309,10 +309,12 @@ def exhaustive_lower_bound(r, sigma2):
     return _mill_form(r / (r + sigma2), q, q)
 
 
-def bound_input_from_design(design, truth, penalties, a, *, s=None, restarts=DEFAULT_RESTARTS):
+def bound_input_from_design(design, truth, penalties, a, *, restarts=DEFAULT_RESTARTS):
     """Assemble a BoundInput by measuring the margins and restricted
     eigenvalues of an actual standardized design (kappa(T, 3) and kappa(t, 3)
-    in one batched search). Enumeration guards apply (small p only)."""
+    in one batched search). The screening size s is always derived,
+    ``t + floor(sqrt(t) / kappa(T, 3)^2)`` capped at p (p when kappa(T, 3)
+    is numerically zero). Enumeration guards apply (small p only)."""
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
     t = truth.t
@@ -320,10 +322,8 @@ def bound_input_from_design(design, truth, penalties, a, *, s=None, restarts=DEF
         _support_request(design, truth.support, 3.0, restarts, None),
         _uniform_request(design, t, 3.0, restarts, None),
     ])
-    if s is None:
-        k = est_support.kappa
-        s = min(derived_screen_size(t, k), design.p) if k > 1e-8 else design.p
-    s = int(s)
+    k = est_support.kappa
+    s = min(derived_screen_size(t, k), design.p) if k > 1e-8 else design.p
     return BoundInput(
         n=design.n,
         p=design.p,

@@ -29,7 +29,7 @@ from .identify import DEFAULT_RESTARTS, TruthSpec, check_propositions
 from .lasso import DEFAULT_MAX_ITER, DEFAULT_TOL, PenaltyPair, default_penalties
 from .schemas import json_value
 from .selection import exhaustive_gic, run_os, run_sos
-from .simlab import ScenarioConfig, persist, run_experiment
+from .simlab import _BUCKETS, ScenarioConfig, persist, run_experiment
 
 log = logging.getLogger("sosselect")
 
@@ -239,7 +239,7 @@ def _cmd_simulate(args) -> int:
     paths = persist(summary, args.out)
     freq = summary.frequencies
     lines = ["event frequencies:"]
-    for name in ("screen_fail", "order_fail", "underfit", "overfit", "exact"):
+    for name in _BUCKETS:
         lines.append(f"  {name:<12s} {freq[name]:.4f}")
     lines.append(f"event A frequency: {summary.event_a_freq:.4f}")
     if summary.exhaustive_error is not None:

@@ -145,7 +145,7 @@ class Dataset:
         elif response is None:
             ycol = ncol - 1
         else:
-            ycol = int(response)
+            ycol = _column_index(response)
             if not 0 <= ycol < ncol:
                 raise ValueError(f"response column {ycol} out of range for {ncol} columns")
         if any(len(row) != ncol for row in rows):
@@ -159,14 +159,15 @@ class Dataset:
         return cls(x=x, y=y)
 
 
-def _column_index(j) -> int:
-    """``j`` as a 0-based column index: an int or numpy integer, never a bool
-    or a float (which would truncate); anything else raises ValueError."""
+def _column_index(j, what: str = "column index") -> int:
+    """``j`` as a 0-based column index, or as the integer argument ``what``:
+    an int or numpy integer, never a bool or a float (which would truncate);
+    anything else raises ValueError naming ``what``."""
     if type(j) is int:
         return j
     if isinstance(j, numbers.Integral) and not isinstance(j, bool):
         return int(j)
-    raise ValueError(f"column index must be an integer, got {j!r}")
+    raise ValueError(f"{what} must be an integer, got {j!r}")
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,11 @@ from .design import (
     JsonFields,
     ModelSet,
     StandardizedDesign,
+    _check_indices,
     _column_index,
-    _full_rank_factor,
-    span_basis,
+    _factor,
 )
-from .errors import EnumerationTooLarge
+from .errors import EnumerationTooLarge, RankDeficient
 
 DELTA_BUDGET = 1_000_000
 KAPPA_BUDGET = 10_000
@@ -146,12 +146,17 @@ def _signal(design: StandardizedDesign, truth: TruthSpec) -> np.ndarray:
     return design.columns(truth.support) @ truth.theta_star
 
 
-def _residual_sq(design: StandardizedDesign, v: np.ndarray, indices) -> float:
-    """||v - proj_span(columns)||^2, tolerant to dependent columns."""
-    idx = list(indices)
-    if not idx:
+def _residual_sq(design: StandardizedDesign, v: np.ndarray, cols, *, strict: bool = False) -> float:
+    """||v - proj_span(columns)||^2 by one ``_factor`` of the columns in the
+    given order, keeping the basis of its rank; dependent columns raise
+    :class:`RankDeficient` with ``strict`` and are tolerated without."""
+    cols = list(cols)
+    if not cols:
         return float(v @ v)
-    q = span_basis(design.x0[:, idx])
+    q, _, _, rank = _factor(design.x0[:, cols])
+    if strict and rank < len(cols):
+        raise RankDeficient(cols)
+    q = q[:, :rank]
     w = v - q @ (q.T @ v)
     return float(w @ w)
 
@@ -164,14 +169,8 @@ def delta_pair(design: StandardizedDesign, truth: TruthSpec, competitor) -> floa
     empty); rank-deficient sets raise :class:`RankDeficient`.
     """
     comp = ModelSet.of(competitor)
-    if comp and comp.indices[-1] >= design.p:
-        raise ValueError("competitor index out of range")
-    v = _signal(design, truth)
-    if not comp:
-        return float(v @ v)
-    q = _full_rank_factor(design.columns(comp), comp)[0]
-    w = v - q @ (q.T @ v)
-    return float(w @ w)
+    _check_indices(design, comp)
+    return _residual_sq(design, _signal(design, truth), comp.indices, strict=True)
 
 
 def delta_scaled(design: StandardizedDesign, truth: TruthSpec, s: int) -> float:
@@ -187,8 +186,7 @@ def delta_scaled(design: StandardizedDesign, truth: TruthSpec, s: int) -> float:
 
 def delta_scaled_argmin(design: StandardizedDesign, truth: TruthSpec, s: int):
     """Like :func:`delta_scaled` but also returns the minimizing (j, J)."""
-    t = truth.t
-    p = design.p
+    t, p, s = truth.t, design.p, _column_index(s, "s")
     if not t <= s <= p:
         raise ValueError(f"need t={t} <= s <= p={p}, got s={s}")
     _guard_scaled(p, t, s)
@@ -546,14 +544,23 @@ def _estimate(design, requests) -> list:
     return out
 
 
-def _check_search(c, restarts):
-    if c < 0 or restarts < 1:
+def _check_search(c, restarts) -> int:
+    """``restarts`` as an int, once it and the cone constant ``c`` are valid."""
+    restarts = _column_index(restarts, "restarts")
+    if not c >= 0 or restarts < 1:  # a NaN c fails too
         raise ValueError(f"need cone constant c >= 0 and restarts >= 1, got {c}, {restarts}")
+    return restarts
 
 
-def _request(subsets, c, restarts, routed):
-    _check_search(c, restarts)
-    return subsets, c, restarts, routed
+def _subsets(p: int, s: int, name: str) -> list:
+    """Every size-``min(s, p)`` column subset, in lexicographic order, once
+    ``s`` is an integer >= 1 (``name`` in the error) and the subset budget
+    are checked."""
+    s = min(_column_index(s, name), p)
+    if s < 1:
+        raise ValueError(f"{name} must be >= 1")
+    _guard_subsets(p, s)
+    return list(itertools.combinations(range(p), s))
 
 
 def _support_request(design, j_set, c, restarts, extra_starts):
@@ -561,27 +568,21 @@ def _support_request(design, j_set, c, restarts, extra_starts):
     j_set = ModelSet.of(j_set)
     if not j_set:
         raise ValueError("J must be nonempty")
-    jj = list(j_set.indices)
-    if jj[-1] >= design.p:
-        raise ValueError("J index out of range")
-    return _request([jj], c, restarts, {0: extra_starts})
+    _check_indices(design, j_set)
+    return [list(j_set.indices)], c, _check_search(c, restarts), {0: extra_starts}
 
 
 def _uniform_request(design, s, c, restarts, extra_starts):
     """The request behind :func:`kappa_uniform`: every size-s subset."""
     p = design.p
-    s = min(s, p)
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    _guard_subsets(p, s)
-    subsets = [list(combo) for combo in itertools.combinations(range(p), s)]
+    subsets = [list(combo) for combo in _subsets(p, s, "s")]
     position = {ModelSet.of(jj): pos for pos, jj in enumerate(subsets)}
     routed: dict = {}
     for nu in extra_starts or ():
         nu = np.asarray(nu, dtype=float).ravel()
         order = np.lexsort((np.arange(p), -np.abs(nu)))
         routed.setdefault(position[ModelSet.of(order[:s])], []).append(nu)
-    return _request(subsets, c, restarts, routed)
+    return subsets, c, _check_search(c, restarts), routed
 
 
 def kappa(
@@ -610,16 +611,11 @@ def min_subset_eigen(design: StandardizedDesign, size: int):
     Returns (value, subset, full-length eigenvector). Enumeration is guarded
     by the same budget as :func:`kappa_uniform`.
     """
-    p = design.p
-    size = min(size, p)
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    _guard_subsets(p, size)
     best = (math.inf, None, None)
-    for combo in itertools.combinations(range(p), size):
+    for combo in _subsets(design.p, size, "size"):
         _, lam, vec_j = _subset_eigh(design.gram, combo)
         if lam < best[0]:
-            vec = np.zeros(p)
+            vec = np.zeros(design.p)
             vec[list(combo)] = vec_j
             best = (lam, ModelSet.of(combo), vec)
     return best
@@ -650,14 +646,10 @@ def _prop5_witness(design, truth, kept):
     theta_star on T and minus the projection coefficients on J minus j; its
     restricted objective links the margin to the restricted eigenvalue.
     """
-    v = _signal(design, truth)
     keep = list(kept)
     nu = truth.full_theta(design.p)
     if keep:
-        cols = design.x0[:, keep]
-        coef, *_ = np.linalg.lstsq(cols, v, rcond=None)
-        for pos, idx in enumerate(keep):
-            nu[idx] -= coef[pos]
+        nu[keep] -= np.linalg.lstsq(design.x0[:, keep], _signal(design, truth), rcond=None)[0]
     return nu
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import JsonFields, ModelSet, StandardizedDesign
+from .design import JsonFields, ModelSet, StandardizedDesign, _column_index
 from .errors import KappaDegenerate, NotConverged
 from .identify import _le, kappa
 
@@ -147,7 +147,7 @@ def solve_lasso(
         raise ValueError("r_l must be nonnegative")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
-    if max_iter < 0:
+    if _column_index(max_iter, "max_iter") < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
     x0, y0 = design.x0, design.y0
     p = design.p

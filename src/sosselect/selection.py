@@ -40,6 +40,7 @@ from .design import (
     Parametrization,
     StandardizedDesign,
     _cached,
+    _check_indices,
     _full_rank_factor,
     ls_fit,
     rss,
@@ -131,8 +132,7 @@ def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPat
         model = ModelSet.of(seq)
         if len(model) != len(seq):
             raise ValueError("ordering contains repeated indices")
-        if model.indices[-1] >= design.p:
-            raise ValueError("ordering index out of range")
+        _check_indices(design, model)
         # a rank-deficient prefix would contribute a spurious ~0 direction
         q, rmat, perm = _full_rank_factor(design.x0[:, seq], model)
         # R back in the ordering, re-triangularized: its Q turns q into the

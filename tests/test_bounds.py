@@ -355,7 +355,7 @@ def test_bound_input_from_design_no_screen_route_all_pass():
     d = standardize(Dataset(x=x, y=np.zeros(40)), "formal")
     truth = TruthSpec.from_beta(d, [0, 1], [120.0, -120.0], sigma2=1.0)
     pens = PenaltyPair(r=50.0, r_l=2.0 * math.sqrt(50.0))
-    inp = bound_input_from_design(d, truth, pens, 0.15, restarts=16, s=6)
+    inp = bound_input_from_design(d, truth, pens, 0.15, restarts=16)
     assert theorem2_bound(inp).assumptions_ok
     assert corollary_bounds(inp, "C3").assumptions_ok
 

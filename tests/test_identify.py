@@ -773,6 +773,33 @@ def test_check_propositions_reports_the_single_enumerations(p, t):
         assert val == delta_scaled(d, truth, s)
 
 
+@pytest.mark.parametrize("seed, duplicate", [(141, False), (142, True)])
+def test_margins_follow_one_residual_rule(seed, duplicate):
+    # delta_pair is the strict form of the report's margin routine: the same
+    # bytes on every full-rank competitor, RankDeficient on every dependent
+    # one (column 4 copies column 1 in the duplicated design)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((20, 5))
+    if duplicate:
+        x[:, 4] = x[:, 1]
+    d = standardize(Dataset(x=x, y=rng.standard_normal(20)), "formal")
+    truth = TruthSpec.from_beta(d, [0, 2], [2.0, -1.5])
+    rep = check_propositions(d, truth, restarts=4)
+    dependent = 0
+    for m, val in rep.delta_pairwise.items():
+        if np.linalg.matrix_rank(d.x0[:, list(m.indices)]) < len(m):
+            dependent += 1
+            with pytest.raises(RankDeficient):
+                delta_pair(d, truth, m)
+        else:
+            assert delta_pair(d, truth, m) == val
+    assert (dependent > 0) == duplicate
+    for s, val in rep.delta_scaled.items():
+        assert delta_scaled(d, truth, s) == val
+    for s in range(1, d.p + 1):
+        assert kappa_uniform(d, s, 0.0).value == min_subset_eigen(d, s)[0]
+
+
 def report_from_separate_calls(d, truth, restarts, rep):
     """The report's estimates and their flags rebuilt from public kappa and
     kappa_uniform calls, one per estimate, with the report's witnesses."""
@@ -881,7 +908,6 @@ def test_check_propositions_checks_every_budget_before_enumerating(monkeypatch):
         raise AssertionError("enumeration ran before the budget check")
 
     monkeypatch.setattr(identify, "_residual_sq", no_projection)
-    monkeypatch.setattr(identify, "span_basis", no_projection)
     rng = np.random.default_rng(126)
     d, truth = random_instance(rng, 30, 24, 4)
     with pytest.raises(EnumerationTooLarge):

@@ -3,20 +3,44 @@ an index out of range or of the wrong type, arrays of the wrong length or
 shape, a negative penalty or variance, an empty or degenerate set."""
 
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
 
-from sosselect.bounds import BoundInput
+from sosselect.bounds import BoundInput, bound_input_from_design
 from sosselect.cli import main
 from sosselect.design import Dataset, ModelSet, ls_fit, rss, standardize
 from sosselect.errors import KappaDegenerate
-from sosselect.identify import TruthSpec, delta_pair, kappa, kappa_uniform, min_subset_eigen
-from sosselect.lasso import event_a, solve_lasso, verify_oracle_inequalities
-from sosselect.selection import Ordering, exhaustive_gic, gic_path
+from sosselect.identify import (
+    TruthSpec,
+    check_propositions,
+    delta_pair,
+    delta_scaled,
+    kappa,
+    kappa_uniform,
+    min_subset_eigen,
+)
+from sosselect.lasso import (
+    PenaltyPair,
+    event_a,
+    solve_lasso,
+    verify_oracle_inequalities,
+)
+from sosselect.selection import Ordering, exhaustive_gic, gic_path, run_sos
 from sosselect.simlab import ScenarioConfig, f_pivot_check
 
 N, P = 30, 6
+PENALTIES = PenaltyPair(r=12.0, r_l=6.0)
+
+
+def from_csv_response(response):
+    """``Dataset.from_csv`` on a three-column file with this response."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "data.csv"
+        path.write_text("a,b,c\n1,2,3\n4,5,7\n2,0,1\n")
+        return Dataset.from_csv(path, response=response)
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +105,77 @@ REJECTIONS = {
         "nonnegative",
     ),
     "exhaustive_negative_r": (lambda d, t: exhaustive_gic(d, -1.0), ValueError, "nonnegative"),
+    # each integer argument below used to pass as a float or bool: response
+    # 1.7 or True read column 1, max_iter 2.5 ran 3 sweeps, restarts True
+    # wrote "restarts": true and restarts 2.5 ended in a numpy TypeError
+    "from_csv_response_float": (
+        lambda d, t: from_csv_response(1.7),
+        ValueError,
+        "must be an integer",
+    ),
+    "from_csv_response_bool": (
+        lambda d, t: from_csv_response(True),
+        ValueError,
+        "must be an integer",
+    ),
+    "from_csv_response_negative": (lambda d, t: from_csv_response(-1), ValueError, "out of range"),
+    "solve_lasso_max_iter_float": (
+        lambda d, t: solve_lasso(d, 1.0, max_iter=2.5),
+        ValueError,
+        "max_iter",
+    ),
+    "solve_lasso_max_iter_bool": (
+        lambda d, t: solve_lasso(d, 1.0, max_iter=True),
+        ValueError,
+        "max_iter",
+    ),
+    "run_sos_max_iter_float": (
+        lambda d, t: run_sos(d, PENALTIES, max_iter=2.5),
+        ValueError,
+        "max_iter",
+    ),
+    "kappa_restarts_bool": (
+        lambda d, t: kappa(d, [0, 2], 3.0, restarts=True),
+        ValueError,
+        "restarts",
+    ),
+    "kappa_uniform_restarts_float": (
+        lambda d, t: kappa_uniform(d, 2, 3.0, restarts=2.5),
+        ValueError,
+        "restarts",
+    ),
+    "check_propositions_restarts_bool": (
+        lambda d, t: check_propositions(d, t, restarts=True),
+        ValueError,
+        "restarts",
+    ),
+    "bound_input_restarts_float": (
+        lambda d, t: bound_input_from_design(d, t, PENALTIES, 0.5, restarts=2.5),
+        ValueError,
+        "restarts",
+    ),
+    # a NaN cone constant used to return an estimate of no cone
+    "kappa_nan_cone": (
+        lambda d, t: kappa(d, [0, 2], float("nan"), restarts=8),
+        ValueError,
+        "cone constant",
+    ),
+    # and these sizes ended in a TypeError from math.comb
+    "kappa_uniform_s_float": (
+        lambda d, t: kappa_uniform(d, 2.5, 3.0),
+        ValueError,
+        "s must be an integer",
+    ),
+    "min_subset_eigen_size_float": (
+        lambda d, t: min_subset_eigen(d, 2.5),
+        ValueError,
+        "size must be an integer",
+    ),
+    "delta_scaled_s_float": (
+        lambda d, t: delta_scaled(d, t, 2.5),
+        ValueError,
+        "s must be an integer",
+    ),
     "f_pivot_without_residual_dof": (
         lambda d, t: f_pivot_check(ScenarioConfig(n=3, p=3, t=2)),
         ValueError,
@@ -122,6 +217,11 @@ def test_numpy_integer_indices_are_accepted(design):
     assert all(type(j) is int for j in ModelSet.of(np.array([3, 1])).indices)
     truth = TruthSpec.from_beta(design, np.sort(np.array([2, 0])), [4.0, -3.0])
     assert truth.support.indices == (0, 2)
+    data = from_csv_response(np.int64(1))
+    assert data.y.tolist() == [2.0, 5.0, 0.0] and data.x[:, 1].tolist() == [3.0, 7.0, 1.0]
+    # a numpy restarts count is reported as a JSON integer
+    est = kappa(design, [0, 2], 3.0, restarts=np.int64(2))
+    assert json.loads(json.dumps(est.to_json_dict()))["restarts"] == 2
 
 
 def test_kappa_drops_a_witness_that_vanishes_on_j(design):
