@@ -40,7 +40,7 @@ def chi2_tail_sandwich(k, x):
     k = int(k)
     if k < 1:
         raise DomainError("degrees of freedom must be a positive integer")
-    if x <= 0.0:
+    if not x > 0.0:  # a NaN fails each positivity check in this form
         raise DomainError("tail point must be positive")
     if k > 1 and x <= k - 2.0:
         raise DomainError(f"tail point {x} must exceed {k - 2} for k={k}")
@@ -67,7 +67,7 @@ def event_a_bound(p, r_l, sigma2):
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    if r_l <= 0.0 or sigma2 <= 0.0:
+    if not (r_l > 0.0 and sigma2 > 0.0):
         raise ValueError("r_l and sigma2 must be positive")
     q = r_l * r_l / (8.0 * sigma2)
     return min(1.0, _mill_form(float(p), q, q))
@@ -121,7 +121,7 @@ def derived_screen_size(t, kappa):
     bounds to apply."""
     if t < 1:
         raise ValueError("t must be positive")
-    if kappa <= 0.0:
+    if not kappa > 0.0:
         raise ValueError("kappa must be positive to derive the budget")
     return t + int(math.floor(math.sqrt(t) / (kappa * kappa)))
 
@@ -286,24 +286,17 @@ PIPELINE_BOUNDS = {
 
 
 def bound_report(inp, names=None):
-    """``{"input", "bounds"}`` JSON blob for the bounds in ``names``, in that
-    order, or for every displayed bound when ``names`` is None."""
-    results = {
-        **theorem1_bounds(inp),
-        "T2-full": theorem2_bound(inp),
-        "C1": corollary_bounds(inp, "C1"),
-        "C3": corollary_bounds(inp, "C3"),
-    }
-    if names is None:
-        names = results
-    return {"input": inp.to_json_dict(), "bounds": {k: results[k].to_json_dict() for k in names}}
+    """``{"input", "bounds"}`` JSON blob evaluating only the bounds in
+    ``names``, in that order, or every displayed bound when it is None."""
+    names = BOUNDS if names is None else names
+    return {"input": inp.to_json_dict(), "bounds": {k: _bound(inp, k).to_json_dict() for k in names}}
 
 
 def exhaustive_lower_bound(r, sigma2):
     """Lower bound on the all-subsets search error probability:
     (r/(r+sigma^2)) exp(-q)/sqrt(pi q) with q = r/(2 sigma^2). Holds whenever
     at least one spurious predictor exists."""
-    if r <= 0.0 or sigma2 <= 0.0:
+    if not (r > 0.0 and sigma2 > 0.0):
         raise ValueError("r and sigma2 must be positive")
     q = r / (2.0 * sigma2)
     return _mill_form(r / (r + sigma2), q, q)

@@ -19,13 +19,14 @@ corresponding raw-data fit (with intercept, in practical mode).
 The least-squares primitives share one factorization, :func:`_factor`: a
 single column-pivoted thin QR of the relevant columns, which gives the
 numerical rank, the orthonormal basis of the span and the triangular factor
-for coefficients at once. :func:`rss`, :func:`ls_fit`, :func:`span_basis`,
-the greedy path in ``selection`` and the margins in ``identify`` all use it.
+for coefficients at once. :func:`ls_fit` and the greedy path in ``selection``
+use it; every projection residual (:func:`rss`, the margins in ``identify``)
+is the one routine :func:`_residual_sq` on the :func:`span_basis` of the columns.
 
 Designs sharing their columns (one fixed-design block in ``simlab``) may share
-a :class:`FactorCache` of that X-side work. ``rss`` and ``ls_fit`` key it on
-the sorted model (``q``, ``r``, ``perm``, the diagonal of (X'X)^{-1}, the
-scales slice); ``gic_path`` on the ordered sequence, as pivoting depends on
+a :class:`FactorCache` of that X-side work. Only ``ls_fit`` keys it on the
+sorted model (``q``, ``r``, ``perm``, the diagonal of (X'X)^{-1}, the scales
+slice); ``gic_path`` keys it on the ordered sequence, as pivoting depends on
 column order. A hit returns the very arrays a fresh factorization computes, so
 results are byte-identical; a raise is never stored. A cache serves only the
 ``x0`` and ``scales`` arrays it was made for; ``standardize`` attaches none.
@@ -425,6 +426,20 @@ def _ls_factors(design: StandardizedDesign, model: ModelSet):
     return _cached(design, ("ls", model.indices), build)
 
 
+def _residual_sq(design: StandardizedDesign, v: np.ndarray, cols, *, strict: bool = False) -> float:
+    """||v - proj_span(columns)||^2 over the :func:`span_basis` of the
+    columns in the given order; dependent columns raise
+    :class:`RankDeficient` with ``strict`` and are tolerated without."""
+    cols = list(cols)
+    if not cols:
+        return float(v @ v)
+    q = span_basis(design.x0[:, cols])
+    if strict and q.shape[1] < len(cols):
+        raise RankDeficient(cols)
+    w = v - q @ (q.T @ v)
+    return float(w @ w)
+
+
 def rss(design: StandardizedDesign, model) -> float:
     """Residual sum of squares of the least-squares fit on ``model``.
 
@@ -433,11 +448,7 @@ def rss(design: StandardizedDesign, model) -> float:
     """
     model = ModelSet.of(model)
     _check_indices(design, model)
-    if not model:
-        return float(design.y0 @ design.y0)
-    q = _ls_factors(design, model)[0]
-    resid = design.y0 - q @ (q.T @ design.y0)
-    return float(resid @ resid)
+    return _residual_sq(design, design.y0, model.indices, strict=True)
 
 
 @dataclass(frozen=True, eq=False)

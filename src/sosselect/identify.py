@@ -45,9 +45,9 @@ from .design import (
     StandardizedDesign,
     _check_indices,
     _column_index,
-    _factor,
+    _residual_sq,
 )
-from .errors import EnumerationTooLarge, RankDeficient
+from .errors import EnumerationTooLarge
 
 DELTA_BUDGET = 1_000_000
 KAPPA_BUDGET = 10_000
@@ -88,7 +88,7 @@ class TruthSpec(JsonFields):
             raise ValueError("coefficient arrays must align with the support")
         if np.any(beta == 0.0) or np.any(theta == 0.0):
             raise ValueError("support coefficients must be nonzero")
-        if self.sigma2 < 0:
+        if not self.sigma2 >= 0.0:  # a NaN sigma2 fails too
             raise ValueError("sigma2 must be nonnegative")
         object.__setattr__(self, "beta_star", beta)
         object.__setattr__(self, "theta_star", theta)
@@ -144,21 +144,6 @@ def _guard_subsets(p: int, s: int) -> None:
 
 def _signal(design: StandardizedDesign, truth: TruthSpec) -> np.ndarray:
     return design.columns(truth.support) @ truth.theta_star
-
-
-def _residual_sq(design: StandardizedDesign, v: np.ndarray, cols, *, strict: bool = False) -> float:
-    """||v - proj_span(columns)||^2 by one ``_factor`` of the columns in the
-    given order, keeping the basis of its rank; dependent columns raise
-    :class:`RankDeficient` with ``strict`` and are tolerated without."""
-    cols = list(cols)
-    if not cols:
-        return float(v @ v)
-    q, _, _, rank = _factor(design.x0[:, cols])
-    if strict and rank < len(cols):
-        raise RankDeficient(cols)
-    q = q[:, :rank]
-    w = v - q @ (q.T @ v)
-    return float(w @ w)
 
 
 def delta_pair(design: StandardizedDesign, truth: TruthSpec, competitor) -> float:

@@ -70,7 +70,7 @@ def default_penalties(p: int, sigma2: float, a: float) -> PenaltyPair:
         raise ValueError("need at least two candidate predictors")
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    if sigma2 < 0:
+    if not sigma2 >= 0.0:  # a NaN sigma2 fails too
         raise ValueError("sigma2 must be nonnegative")
     r = 4.0 * sigma2 * math.log(p) / a
     return PenaltyPair(r=r, r_l=2.0 * math.sqrt(r))
@@ -143,8 +143,8 @@ def solve_lasso(
     A coordinate at zero is skipped when the gradient of the last KKT check
     certifies ``|x_j' resid| <= r_l``: its update would leave it at zero.
     """
-    if r_l < 0:
-        raise ValueError("r_l must be nonnegative")
+    if not 0.0 <= r_l < math.inf:
+        raise ValueError(f"r_l must be finite and nonnegative, got {r_l!r}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if _column_index(max_iter, "max_iter") < 0:

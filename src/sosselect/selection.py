@@ -119,8 +119,8 @@ def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPat
     the k-th orthonormal prefix direction removes ``(q_k' y0)^2`` from the
     running RSS.
     """
-    if r < 0:
-        raise ValueError("penalty r must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"penalty r must be finite and nonnegative, got {r!r}")
     seq = list(ordering.sequence)
     r_empty = float(design.y0 @ design.y0)
     if not seq:
@@ -181,8 +181,8 @@ def _exhaustive_block(
     response then removes its own squared inner product with the new
     direction. Every result equals the one-response walk's exactly.
     """
-    if r < 0:
-        raise ValueError("penalty r must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"penalty r must be finite and nonnegative, got {r!r}")
     x0 = design.x0
     n, p = x0.shape
     max_size = min(p, design.n_effective - 1 if max_size is None else max_size)

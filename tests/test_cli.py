@@ -453,6 +453,7 @@ def test_diagnose_truth_validation(tmp_path, capsys):
         ({"support": [1]}, "'beta'"),
         ({"support": [2, 2], "beta": [3.0]}, "repeats"),
         ({"support": [2, 2], "beta": [3.0, 3.0]}, "repeats"),
+        ({"support": [1, 3], "beta": [6.0, -5.0, 2.0]}, "align"),
     ],
 )
 def test_diagnose_rejects_misread_truth_fields(tmp_path, capsys, truth, name):

@@ -3,16 +3,24 @@ an index out of range or of the wrong type, arrays of the wrong length or
 shape, a negative penalty or variance, an empty or degenerate set."""
 
 import json
+import math
 import pathlib
 import tempfile
 
 import numpy as np
 import pytest
 
-from sosselect.bounds import BoundInput, bound_input_from_design
+from sosselect.bounds import (
+    BoundInput,
+    bound_input_from_design,
+    chi2_tail_sandwich,
+    derived_screen_size,
+    event_a_bound,
+    exhaustive_lower_bound,
+)
 from sosselect.cli import main
 from sosselect.design import Dataset, ModelSet, ls_fit, rss, standardize
-from sosselect.errors import KappaDegenerate
+from sosselect.errors import DomainError, KappaDegenerate
 from sosselect.identify import (
     TruthSpec,
     check_propositions,
@@ -24,6 +32,7 @@ from sosselect.identify import (
 )
 from sosselect.lasso import (
     PenaltyPair,
+    default_penalties,
     event_a,
     solve_lasso,
     verify_oracle_inequalities,
@@ -32,6 +41,7 @@ from sosselect.selection import Ordering, exhaustive_gic, gic_path, run_sos
 from sosselect.simlab import ScenarioConfig, f_pivot_check
 
 N, P = 30, 6
+NAN = float("nan")
 PENALTIES = PenaltyPair(r=12.0, r_l=6.0)
 
 
@@ -105,6 +115,51 @@ REJECTIONS = {
         "nonnegative",
     ),
     "exhaustive_negative_r": (lambda d, t: exhaustive_gic(d, -1.0), ValueError, "nonnegative"),
+    # NaN and inf used to pass the sign checks below: a NaN penalty selected
+    # the empty model with every criterion value NaN, an infinite one made
+    # the empty model's value NaN, and the Lasso stopped after 0 sweeps
+    "gic_path_nan_r": (
+        lambda d, t: gic_path(d, Ordering((0, 2)), NAN),
+        ValueError,
+        "nonnegative",
+    ),
+    "gic_path_inf_r": (
+        lambda d, t: gic_path(d, Ordering((0, 2)), math.inf),
+        ValueError,
+        "nonnegative",
+    ),
+    "exhaustive_nan_r": (lambda d, t: exhaustive_gic(d, NAN), ValueError, "nonnegative"),
+    "exhaustive_inf_r": (lambda d, t: exhaustive_gic(d, math.inf), ValueError, "nonnegative"),
+    "solve_lasso_nan_r_l": (lambda d, t: solve_lasso(d, NAN), ValueError, "r_l"),
+    "solve_lasso_inf_r_l": (lambda d, t: solve_lasso(d, math.inf), ValueError, "r_l"),
+    "event_a_bound_nan_r_l": (lambda d, t: event_a_bound(4, NAN, 1.0), ValueError, "positive"),
+    "exhaustive_lower_bound_nan_r": (
+        lambda d, t: exhaustive_lower_bound(NAN, 1.0),
+        ValueError,
+        "positive",
+    ),
+    "chi2_tail_nan_point": (lambda d, t: chi2_tail_sandwich(1, NAN), DomainError, "tail point"),
+    "derived_screen_size_nan_kappa": (
+        lambda d, t: derived_screen_size(2, NAN),
+        ValueError,
+        "kappa must be positive",
+    ),
+    "truth_nan_sigma2": (
+        lambda d, t: TruthSpec.from_beta(d, [0, 2], [4.0, -3.0], sigma2=NAN),
+        ValueError,
+        "sigma2",
+    ),
+    "default_penalties_nan_sigma2": (
+        lambda d, t: default_penalties(P, NAN, 0.5),
+        ValueError,
+        "sigma2",
+    ),
+    # a longer beta would be cut to the support's length
+    "truth_beta_longer_than_support": (
+        lambda d, t: TruthSpec.from_beta(d, [0, 2], [4.0, -3.0, 1.0]),
+        ValueError,
+        "align",
+    ),
     # each integer argument below used to pass as a float or bool: response
     # 1.7 or True read column 1, max_iter 2.5 ran 3 sweeps, restarts True
     # wrote "restarts": true and restarts 2.5 ended in a numpy TypeError
