@@ -13,7 +13,8 @@ Two families of quantities are computed for a sparse truth
   non-convex jointly, so it is estimated by alternating minimization (exact
   convex step in ``nu_Jc`` via accelerated projected gradient, normalized
   gradient steps in ``nu_J``) from many restarts, batched across restarts,
-  subsets and every estimate of a report: equal searches run once, and all
+  subsets and every estimate of a report: equal searches run once, a start
+  row drawn several times runs once with its count as weight, and all
   searches of one size run in one pass. The l1-ball projection returns at
   once when a certified row sum puts every row inside its ball, and the
   search checks that sum itself before it calls the projection.
@@ -88,8 +89,10 @@ class TruthSpec(JsonFields):
             raise ValueError("coefficient arrays must align with the support")
         if np.any(beta == 0.0) or np.any(theta == 0.0):
             raise ValueError("support coefficients must be nonzero")
-        if not self.sigma2 >= 0.0:  # a NaN sigma2 fails too
-            raise ValueError("sigma2 must be nonnegative")
+        if not (np.isfinite(beta).all() and np.isfinite(theta).all()):
+            raise ValueError("support coefficients must be finite")
+        if not 0.0 <= self.sigma2 < math.inf:  # a NaN sigma2 fails too
+            raise ValueError(f"sigma2 must be nonnegative and finite, got {self.sigma2!r}")
         object.__setattr__(self, "beta_star", beta)
         object.__setattr__(self, "theta_star", theta)
 
@@ -295,19 +298,26 @@ def _lam_min(sigma: np.ndarray) -> float:
     return float(max(scipy.linalg.eigvalsh(sigma)[0], _EIG_CLIP))
 
 
-def _restart_rows(k: int, restarts: int) -> np.ndarray:
-    """On-J start directions shared by every subset of size k: ``restarts``
-    rows, random sign patterns then random Gaussian directions (seed 97531).
+def _restart_rows(k: int, restarts: int):
+    """On-J start directions shared by every subset of size k, drawn as
+    ``restarts`` rows, random sign patterns then random Gaussian directions
+    (seed 97531), and returned as the distinct rows in first-drawn order with
+    how many times each was drawn.
 
     ``restarts // 2`` sign rows hold at most 2^k distinct rows, so they
-    repeat when 2^k < restarts / 2: at k = 2 and 64 restarts, 4 of 32 are
-    distinct and the draw holds 36 distinct rows."""
+    repeat when 2^k < restarts / 2: at k = 2 and 64 restarts the draw holds
+    36 distinct rows, at k = 1 at most two (the rows +1 and -1)."""
     rng = np.random.default_rng(97531)
     half = restarts // 2
     signs = rng.choice([-1.0, 1.0], size=(half, k)) / math.sqrt(k)
     gauss = rng.standard_normal((restarts - half, k))
     gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
-    return np.vstack([signs, gauss])
+    rows = np.vstack([signs, gauss])
+    _, first, counts = np.unique(
+        rows.view(f"V{rows.itemsize * k}").ravel(), return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    return rows[first[order]], counts[order]
 
 
 def _witness_rows(jj, others, c, extra_starts):
@@ -315,7 +325,6 @@ def _witness_rows(jj, others, c, extra_starts):
     projected into the cone; witnesses vanishing on J are dropped."""
     eu, ev = [], []
     for nu in extra_starts or ():
-        nu = np.asarray(nu, dtype=float).ravel()
         nj = float(np.linalg.norm(nu[jj]))
         if nj <= 0:
             continue
@@ -330,18 +339,17 @@ def _witness_rows(jj, others, c, extra_starts):
     return eu, ev
 
 
-def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, real):
+def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, weight):
     """Alternating minimization of ``nu' Sigma nu`` for B searches at once.
 
     ``u`` (B, m, k) and ``v`` (B, m, q) hold each search's m start rows on and
     off J, ``top_v`` (B,) the largest eigenvalue of its Sigma_JcJc (half the
     Lipschitz constant of the off-J gradient) and ``c`` (B, 1) its cone
-    constant. Only the first ``real[b]`` rows of search b are its own; the
-    rest copy its leading-eigenvector row, move exactly as that row does and
-    so change neither its best value nor when it stops. A search leaves the
-    active set after the first outer iteration in which none of its rows
-    improved. Returns each search's best objective and the fraction of its
-    real rows that had stopped improving.
+    constant. ``weight`` (B, m) counts how many start rows each row stands
+    for: a row drawn several times runs once, and padding rows weigh 0. A
+    search leaves the active set after the first outer iteration in which
+    none of its rows improved. Returns each search's best objective and the
+    weighted fraction of its rows that had stopped improving.
     """
     n_sub, m, q = u.shape[0], u.shape[1], v.shape[2]
     best_out = np.empty(n_sub)
@@ -425,12 +433,11 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, real):
             return best_out, frac_out
         live = live[going]
         u, v, best, prev, improving = (a[going] for a in (u, v, best, prev, improving))
-        s_jj, s_oj, s_oo, top, eta0, c, real = (
-            a[going] for a in (s_jj, s_oj, s_oo, top, eta0, c, real)
+        s_jj, s_oj, s_oo, top, eta0, c, weight = (
+            a[going] for a in (s_jj, s_oj, s_oo, top, eta0, c, weight)
         )
     best_out[live] = best.min(axis=1)
-    stopped = ~improving & (np.arange(m) < real[:, None])
-    frac_out[live] = stopped.sum(axis=1) / real
+    frac_out[live] = (weight * ~improving).sum(axis=1) / weight.sum(axis=1)
     return best_out, frac_out
 
 
@@ -449,18 +456,24 @@ def _estimate(design, requests) -> list:
 
     With c = 0 or J every column the cone is the c = 0 slice, so each
     subset's value is exactly ``lambda_min(Sigma_JJ)`` and no restart runs.
-    Otherwise each subset is one search, started from the restart directions
-    of its size plus its own leading eigenvector and witnesses. Equal
-    searches (same J, c, restarts and witness rows) run once, whichever
-    requests ask for them. Searches of the same size run as one batch, in
-    blocks of at most ``_KAPPA_BLOCK_ROWS`` rows (start rows of the largest
-    search plus rows of Sigma's off-J block, per search); within a block,
-    each search's start rows are padded to the block's count with copies of
-    its eigenvector row. Searches are independent and a copy moves as its
-    original does, so neither batching nor padding changes a result.
-    ``lambda_min`` of Sigma and of each Sigma_JJ is computed once per call,
-    and each request's estimate is folded over its own subsets, in their
-    order.
+    Otherwise each subset is one search, started from the distinct restart
+    directions of its size (each weighted by how often it was drawn) plus
+    its own leading eigenvector and witnesses. Equal searches (same J, c,
+    restarts and witness rows) run once, whichever requests ask for them.
+    Searches of the same size run as one batch, in blocks of at most
+    ``_KAPPA_BLOCK_ROWS`` rows (start rows of the largest search plus rows
+    of Sigma's off-J block, per search); within a block, each search's start
+    rows are padded to the block's count with copies of its eigenvector row
+    of weight 0. Searches share no arithmetic, so batching changes no
+    result. Padding and running a repeated row once change none either as
+    long as each product rounds a row alone, the same at any position and
+    row count: with numpy 2.4's OpenBLAS 0.3.31 on x86-64 that holds while
+    a search's off-J rows have under 8 entries at size 1 and under 16 at
+    larger sizes. Past that, BLAS can round a row differently at another
+    position or row count, and a value can move by a few ulps (1 to 4 seen
+    at size 1 with 8 to 11 off-J columns). ``lambda_min`` of Sigma
+    and of each Sigma_JJ is computed once per call, and each request's
+    estimate is folded over its own subsets, in their order.
     """
     p, sigma = design.p, design.gram
     lam_full = _lam_min(sigma)
@@ -473,13 +486,13 @@ def _estimate(design, requests) -> list:
             continue
         if (k, restarts) not in bases:
             bases[k, restarts] = _restart_rows(k, restarts)
-        base, keys = bases[k, restarts], []
+        (base, counts), keys = bases[k, restarts], []
         for pos, jj in enumerate(subsets):
             others = [i for i in range(p) if i not in jj]
             eu, ev = _witness_rows(jj, others, c, routed.get(pos))
             key = (tuple(jj), c, restarts, eu.tobytes(), ev.tobytes())
             # the key fixes the size, so equal searches meet in one dict
-            start = (len(base) + 1 + len(eu), others, base, eu, ev)
+            start = (len(base) + 1 + len(eu), others, base, counts, eu, ev)
             groups.setdefault(k, {}).setdefault(key, start)
             keys.append(key)
         plans.append(keys)
@@ -490,23 +503,26 @@ def _estimate(design, requests) -> list:
         per_block = max(_KAPPA_BLOCK_ROWS // (most + p - k), 1)
         for lo in range(0, len(members), per_block):
             block = members[lo : lo + per_block]
-            real = np.array([start[0] for _, start in block])
+            m = max(start[0] for _, start in block)
             s_jj, s_oj, s_oo, top_v, lam_j, u0, v0 = [], [], [], [], [], [], []
-            for (jj, *_), (rows, others, base, eu, ev) in block:
+            weight = np.zeros((len(block), m), dtype=int)
+            for b, ((jj, *_), (rows, others, base, counts, eu, ev)) in enumerate(block):
                 sub, lam, vec = eighs[jj]
                 s_jj.append(sub)
                 lam_j.append(lam)
-                pad = real.max() - rows  # eigenvector copies after the real rows
+                pad = m - rows  # eigenvector copies of weight 0 after the real rows
                 u0.append(np.vstack([base, vec[None, :], eu, np.tile(vec, (pad, 1))]))
-                v0.append(np.zeros((real.max(), p - k)))
+                v0.append(np.zeros((m, p - k)))
                 v0[-1][len(base) + 1 : rows] = ev
+                weight[b, : len(base)] = counts
+                weight[b, len(base) : rows] = 1
                 s_oj.append(sigma[np.ix_(others, jj)])
                 s_oo.append(sigma[np.ix_(others, others)])
                 top_v.append(float(max(scipy.linalg.eigvalsh(s_oo[-1])[-1], 1e-12)))
             cs = np.array([[key[1]] for key, _ in block], dtype=float)
             vals, fracs = _alternating_min(
                 np.stack(u0), np.stack(v0), np.stack(s_jj), np.stack(s_oj),
-                np.stack(s_oo), np.array(top_v), np.array(lam_j), cs, real,
+                np.stack(s_oo), np.array(top_v), np.array(lam_j), cs, weight,
             )
             vals = np.maximum(vals, lam_full)  # can't undercut the global floor
             for (key, _), val, fr in zip(block, vals, fracs):
@@ -548,26 +564,35 @@ def _subsets(p: int, s: int, name: str) -> list:
     return list(itertools.combinations(range(p), s))
 
 
+def _finite_witnesses(extra_starts) -> list:
+    """``extra_starts`` as flat float arrays, once every entry is finite."""
+    rows = [np.asarray(nu, dtype=float).ravel() for nu in extra_starts or ()]
+    if not all(np.isfinite(nu).all() for nu in rows):
+        raise ValueError("extra_starts must hold finite vectors")
+    return rows
+
+
 def _support_request(design, j_set, c, restarts, extra_starts):
     """The request behind :func:`kappa`: one subset, every witness on it."""
     j_set = ModelSet.of(j_set)
     if not j_set:
         raise ValueError("J must be nonempty")
     _check_indices(design, j_set)
-    return [list(j_set.indices)], c, _check_search(c, restarts), {0: extra_starts}
+    restarts = _check_search(c, restarts)
+    return [list(j_set.indices)], c, restarts, {0: _finite_witnesses(extra_starts)}
 
 
 def _uniform_request(design, s, c, restarts, extra_starts):
     """The request behind :func:`kappa_uniform`: every size-s subset."""
     p = design.p
     subsets = [list(combo) for combo in _subsets(p, s, "s")]
+    restarts, witnesses = _check_search(c, restarts), _finite_witnesses(extra_starts)
     position = {ModelSet.of(jj): pos for pos, jj in enumerate(subsets)}
     routed: dict = {}
-    for nu in extra_starts or ():
-        nu = np.asarray(nu, dtype=float).ravel()
+    for nu in witnesses:
         order = np.lexsort((np.arange(p), -np.abs(nu)))
         routed.setdefault(position[ModelSet.of(order[:s])], []).append(nu)
-    return subsets, c, _check_search(c, restarts), routed
+    return subsets, c, restarts, routed
 
 
 def kappa(
@@ -585,7 +610,8 @@ def kappa(
     vectors whose initial objective is recorded before any optimization, so
     the returned value never exceeds a supplied witness's objective. The
     ``c = 0`` case (and J every column) is an exact eigenvalue problem and
-    skips optimization. ``restarts`` must be at least 1.
+    skips optimization. ``restarts`` must be at least 1 and every witness
+    entry finite.
     """
     return _estimate(design, [_support_request(design, j_set, c, restarts, extra_starts)])[0]
 

@@ -154,6 +154,8 @@ def solve_lasso(
     theta = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float).copy()
     if theta.shape != (p,):
         raise ValueError("theta0 has the wrong shape")
+    if not np.isfinite(theta).all():
+        raise ValueError("theta0 must be finite")
     resid = y0 - x0 @ theta
     cols = list(x0.T)  # the strided column views, made once
     gap, grad, full = _kkt(design, theta, r_l)

@@ -359,13 +359,14 @@ def test_kappa_uniform_is_exactly_the_per_subset_searches(monkeypatch, block_row
 
 
 def test_kappa_uniform_with_one_routed_witness_runs_one_pass(monkeypatch):
-    # nine searches of 8 + 1 start rows and one of 8 + 1 + 1 run as one
-    # pass, the nine padded with copies of their eigenvector rows
+    # nine searches of 7 + 1 start rows (the 8 restart rows hold 7 distinct
+    # ones) and one of 7 + 1 + 1 run as one pass, the nine padded with
+    # copies of their eigenvector rows
     passes = count_search_passes(monkeypatch)
     rng = np.random.default_rng(91)
     d, _ = random_instance(rng, 18, 5, 2)
     kappa_uniform(d, 2, 1.0, restarts=8, extra_starts=[np.array([0.1, -2.0, 0.3, 1.5, -0.2])])
-    assert passes == [(10, 10, 2)]
+    assert passes == [(10, 9, 2)]
 
 
 def test_kappa_uniform_zero_cone_size_convention():
@@ -524,7 +525,7 @@ def spy(monkeypatch, name, record):
     monkeypatch.setattr(identify, name, spying)
 
 
-def alternating_min_reference(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, real):
+def alternating_min_reference(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, weight):
     """``_alternating_min`` as first written, with a fresh array for every
     quantity of each step, and with the projection of
     ``project_l1_rows_reference``: the search the kernel must reproduce bit
@@ -597,12 +598,11 @@ def alternating_min_reference(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, real):
             return best_out, frac_out
         live = live[going]
         u, v, best, prev, improving = (a[going] for a in (u, v, best, prev, improving))
-        s_jj, s_oj, s_oo, top, eta0, c, real = (
-            a[going] for a in (s_jj, s_oj, s_oo, top, eta0, c, real)
+        s_jj, s_oj, s_oo, top, eta0, c, weight = (
+            a[going] for a in (s_jj, s_oj, s_oo, top, eta0, c, weight)
         )
     best_out[live] = best.min(axis=1)
-    stopped = ~improving & (np.arange(m) < real[:, None])
-    frac_out[live] = stopped.sum(axis=1) / real
+    frac_out[live] = (weight * ~improving).sum(axis=1) / weight.sum(axis=1)
     return best_out, frac_out
 
 
@@ -621,7 +621,7 @@ def test_search_kernel_is_the_reference_bit_for_bit(monkeypatch, c):
     kappa(d, [0, 2, 4], c, restarts=8, extra_starts=[witness])
     monkeypatch.undo()
     assert [args[0].shape for args in passes] == [
-        (5, 10, 1), (10, 10, 2), (10, 10, 3), (1, 10, 3)
+        (5, 4, 1), (10, 9, 2), (10, 9, 3), (1, 9, 3)
     ]
     projections, live, rounds_apart = [], [], []
     spy(monkeypatch, "_project_l1_rows", lambda a, out: projections.append(
@@ -647,17 +647,69 @@ def count_search_passes(monkeypatch):
     return passes
 
 
-@pytest.mark.parametrize("restarts", [1, 2, 5])
+@pytest.mark.parametrize("restarts", [1, 2, 5, 8])  # at 8 a sign row repeats
 def test_restarts_is_the_number_of_random_start_rows(monkeypatch, restarts):
-    # every search starts from exactly `restarts` random rows plus the
-    # subset's leading eigenvector and its witnesses, and reports `restarts`
+    # every search starts from the distinct rows of `restarts` random draws,
+    # each counted as often as it was drawn, plus the subset's leading
+    # eigenvector and its witnesses, and reports `restarts`
     passes = count_search_passes(monkeypatch)
     rng = np.random.default_rng(98)
     d, _ = random_instance(rng, 18, 4, 2)
     est = kappa(d, [0, 1], 3.0, restarts=restarts, extra_starts=[np.ones(4)])
-    assert passes == [(1, restarts + 2, 2)]
+    rows, counts = identify._restart_rows(2, restarts)
+    assert passes == [(1, len(rows) + 2, 2)]
     assert est.restarts == restarts
-    assert identify._restart_rows(2, restarts).shape == (restarts, 2)
+    assert counts.sum() == restarts and counts.min() >= 1
+    assert len({row.tobytes() for row in rows}) == len(rows)
+
+
+def every_drawn_row(k, restarts):
+    """The restart draw with its repeats kept, each row of weight 1: the
+    layout in which every one of the ``restarts`` rows runs."""
+    rng = np.random.default_rng(97531)
+    half = restarts // 2
+    signs = rng.choice([-1.0, 1.0], size=(half, k)) / math.sqrt(k)
+    gauss = rng.standard_normal((restarts - half, k))
+    gauss /= np.linalg.norm(gauss, axis=1, keepdims=True)
+    return np.vstack([signs, gauss]), np.ones(restarts, dtype=int)
+
+
+@pytest.mark.parametrize("p", [4, 6, 8])
+def test_distinct_start_rows_give_the_bytes_of_every_drawn_row(monkeypatch, p):
+    # running each distinct restart row once, weighted by its count, must
+    # give every estimate byte for byte, converged_fraction included, of the
+    # search that runs all `restarts` rows (padding rows weigh 0 in both)
+    rng = np.random.default_rng(140 + p)
+    d, _ = random_instance(rng, 30, p, 2)
+    witness = rng.standard_normal(p)
+    # one call per restart budget, as check_propositions makes one per report
+    calls = [
+        [
+            make(d, subsets, c, restarts, extra)
+            for size in (1, 2, 3)
+            for extra in (None, [witness])
+            for make, subsets, c in (
+                (identify._uniform_request, size, 1.0),
+                (identify._support_request, range(size), 3.0),
+            )
+        ]
+        for restarts in (1, 2, 5, 8, 24, 64)
+    ]
+
+    def answers():
+        rows = count_search_passes(monkeypatch)
+        got = [est for requests in calls for est in identify._estimate(d, requests)]
+        monkeypatch.undo()
+        return got, sum(m for _, m, _ in rows)
+
+    got, got_rows = answers()
+    monkeypatch.setattr(identify, "_restart_rows", every_drawn_row)
+    want, want_rows = answers()
+    assert [json.dumps(e.to_json_dict()) for e in got] == [
+        json.dumps(e.to_json_dict()) for e in want
+    ]
+    assert got_rows < want_rows  # the oracle did run the repeats
+    assert min(est.converged_fraction for est in got) < 1.0  # weights were read
 
 
 @pytest.mark.parametrize("block_rows", [None, 1])
@@ -856,13 +908,14 @@ def test_check_propositions_is_exactly_the_separate_calls(seed, n, p, t, restart
 @pytest.mark.parametrize("seed", [124, 125])
 def test_check_propositions_runs_one_search_pass(monkeypatch, seed):
     # all four estimates of a p = 4, t = 2 report search size-2 subsets, so
-    # they run as one pass; searches without a witness (65 start rows) are
-    # padded to the 66 rows of those with one
+    # they run as one pass; the 64 restart rows hold 36 distinct ones, and
+    # searches without a witness (37 start rows) are padded to the 38 rows of
+    # those with one
     passes = count_search_passes(monkeypatch)
     rng = np.random.default_rng(seed)
     d, truth = random_instance(rng, 30, 4, 2)
     check_propositions(d, truth, restarts=64)
-    assert [shape[1] for shape in passes] == [66]
+    assert [shape[1] for shape in passes] == [38]
 
 
 def spy_on(monkeypatch, name):

@@ -231,6 +231,47 @@ REJECTIONS = {
         ValueError,
         "s must be an integer",
     ),
+    # a NaN witness used to give a NaN value under its finite lower_cert,
+    # an infinite one numpy's "invalid value" warning
+    "kappa_nan_witness": (
+        lambda d, t: kappa(d, [0, 2], 3.0, restarts=8, extra_starts=[np.full(P, NAN)]),
+        ValueError,
+        "extra_starts",
+    ),
+    "kappa_inf_witness": (
+        lambda d, t: kappa(d, [0, 2], 3.0, restarts=8, extra_starts=[np.full(P, math.inf)]),
+        ValueError,
+        "extra_starts",
+    ),
+    "kappa_uniform_nan_witness": (
+        lambda d, t: kappa_uniform(d, 2, 3.0, restarts=8, extra_starts=[np.full(P, NAN)]),
+        ValueError,
+        "extra_starts",
+    ),
+    "kappa_uniform_inf_witness": (
+        lambda d, t: kappa_uniform(
+            d, 2, 3.0, restarts=8, extra_starts=[np.array([math.inf, 1.0, 0, 0, 0, 0])]
+        ),
+        ValueError,
+        "extra_starts",
+    ),
+    # an infinite truth gave a report whose JSON held Infinity
+    "truth_inf_sigma2": (
+        lambda d, t: TruthSpec.from_beta(d, [0, 2], [4.0, -3.0], sigma2=math.inf),
+        ValueError,
+        "sigma2 must be nonnegative",
+    ),
+    "truth_inf_coefficient": (
+        lambda d, t: TruthSpec.from_beta(d, [0, 2], [math.inf, -3.0]),
+        ValueError,
+        "finite",
+    ),
+    # a NaN warm start returned an all-NaN fit after 0 sweeps
+    "solve_lasso_nan_theta0": (
+        lambda d, t: solve_lasso(d, 1.0, theta0=np.full(P, NAN)),
+        ValueError,
+        "theta0",
+    ),
     "f_pivot_without_residual_dof": (
         lambda d, t: f_pivot_check(ScenarioConfig(n=3, p=3, t=2)),
         ValueError,
