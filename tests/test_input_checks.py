@@ -209,6 +209,23 @@ REJECTIONS = {
         ValueError,
         "restarts",
     ),
+    # exhaustive_gic's size cap used to reach range() and numpy unchecked:
+    # True and 2.5 raised TypeErrors, -1 numpy's "negative dimensions"
+    "exhaustive_max_size_bool": (
+        lambda d, t: exhaustive_gic(d, 1.0, max_size=True),
+        ValueError,
+        "max_size must be an integer",
+    ),
+    "exhaustive_max_size_float": (
+        lambda d, t: exhaustive_gic(d, 1.0, max_size=2.5),
+        ValueError,
+        "max_size must be an integer",
+    ),
+    "exhaustive_max_size_negative": (
+        lambda d, t: exhaustive_gic(d, 1.0, max_size=-1),
+        ValueError,
+        "max_size must be nonnegative",
+    ),
     # a NaN cone constant used to return an estimate of no cone
     "kappa_nan_cone": (
         lambda d, t: kappa(d, [0, 2], float("nan"), restarts=8),

@@ -8,11 +8,12 @@ the same exact tie rules.
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from sosselect.design import Dataset, FactorCache, ModelSet, ls_fit, rss, standardize
+from sosselect.design import RANK_TOL, Dataset, FactorCache, ModelSet, ls_fit, rss, standardize
 from sosselect.errors import (
     DegenerateResidual,
     EnumerationTooLarge,
@@ -270,6 +271,106 @@ def test_exhaustive_block_rows_equal_separate_searches(max_size, responses):
         assert block[3].model == ModelSet.of([1])
 
 
+def exhaustive_reference(design, responses, r, max_size=None):
+    """``_exhaustive_block`` as first written, with one scalar ``float(q @ y)``
+    per response and node and Python's ``max`` and tie rule: the walk the
+    block kernel must reproduce bit for bit. Returns (model, value, rss,
+    evaluated, skipped) per response."""
+    x0 = design.x0
+    n, p = x0.shape
+    max_size = min(p, design.n_effective - 1 if max_size is None else max_size)
+    ys = list(responses)
+    r_empty = [float(y @ y) for y in ys]
+    best_val = list(r_empty)
+    best_key = [(0, ())] * len(ys)
+    best_rss = list(r_empty)
+    qbasis = np.zeros((n, max_size))
+    stack = [0] * (max_size + 1)
+    evaluated, skipped = 1, 0
+
+    def visit(start, depth, cur_rss):
+        nonlocal evaluated, skipped
+        if depth == max_size:
+            return
+        for j in range(start, p):
+            col = x0[:, j]
+            w = col - qbasis[:, :depth] @ (qbasis[:, :depth].T @ col)
+            w -= qbasis[:, :depth] @ (qbasis[:, :depth].T @ w)
+            nw = float(np.linalg.norm(w))
+            if nw <= RANK_TOL:
+                free = p - j - 1
+                skipped += sum(math.comb(free, e) for e in range(0, max_size - depth))
+                continue
+            qbasis[:, depth] = w / nw
+            q = qbasis[:, depth]
+            stack[depth] = j
+            size = depth + 1
+            penalty = r * size
+            key = (size, tuple(stack[:size]))
+            evaluated += 1
+            child_rss = [max(c - float(q @ y) ** 2, 0.0) for c, y in zip(cur_rss, ys)]
+            for k, rss_k in enumerate(child_rss):
+                val = rss_k + penalty
+                if val < best_val[k] or (val == best_val[k] and key < best_key[k]):
+                    best_val[k], best_key[k], best_rss[k] = val, key, rss_k
+            visit(j + 1, depth + 1, child_rss)
+
+    visit(0, 0, r_empty)
+    return [
+        (ModelSet.of(key[1]), val, rss_k, evaluated, skipped)
+        for key, val, rss_k in zip(best_key, best_val, best_rss)
+    ]
+
+
+def assert_walk_bytes_equal(got, want):
+    assert len(got) == len(want)
+    for res, (model, value, rss_k, evaluated, skipped) in zip(got, want):
+        assert type(res.value) is float and type(res.rss) is float
+        assert res.model == model
+        assert res.value.hex() == value.hex() and res.rss.hex() == rss_k.hex()
+        assert (res.evaluated, res.skipped) == (evaluated, skipped)
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+@pytest.mark.parametrize("max_size", [None, 2])
+@pytest.mark.parametrize("responses", [1, 7, 200])
+def test_exhaustive_block_is_byte_identical_to_scalar_walk(responses, max_size, mode):
+    rng = np.random.default_rng(66)
+    x = rng.standard_normal((18, 5))
+    x = np.hstack([x, x[:, 1:2]])  # column 5 duplicates column 1: subtrees skipped
+    ys = rng.standard_normal((responses, 18)) + 0.8 * x[:, 1]
+    ys[0] = x[:, 0] + x[:, 2]  # noiseless on {0, 2}
+    d = standardize(Dataset(x=x, y=ys[0]), mode)
+    y0s = [standardize(Dataset(x=x, y=y), mode).y0 for y in ys]
+    want = exhaustive_reference(d, y0s, 0.7, max_size)
+    assert_walk_bytes_equal(_exhaustive_block(d, y0s, 0.7, max_size), want)
+    assert want[0][3] > 0 and want[0][4] > 0
+    if responses > 1:
+        assert ModelSet.of([1]) in [w[0] for w in want]  # {1} beat its tie {5}
+
+
+def test_exhaustive_block_ties_and_clamp_match_scalar_walk():
+    # one-hot columns. For (1, 1, 1, 0) every singleton ties, and penalty 1.0
+    # ties every subset with the empty model; for (1, 2, 0, 0) at penalty 1.0
+    # {1} ties {0, 1}, visited before it, and wins by size
+    x = np.eye(4)[:, :3]
+    ys = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 2.0, 0.0, 0.0]])
+    d = standardize(Dataset(x=x, y=ys[0]), "formal")
+    for r, max_size in [(0.0, 1), (1.0, None), (0.0, None), (0.5, 2)]:
+        want = exhaustive_reference(d, ys, r, max_size)
+        assert_walk_bytes_equal(_exhaustive_block(d, ys, r, max_size), want)
+    assert [w[0] for w in exhaustive_reference(d, ys, 1.0)] == [
+        ModelSet.empty(), ModelSet.of([1])
+    ]
+    # a noiseless response: its fitted rss clamps at 0.0
+    rng = np.random.default_rng(69)
+    x = rng.standard_normal((12, 4))
+    d = standardize(Dataset(x=x, y=x @ np.array([1.0, -2.0, 0.5, 3.0])), "formal")
+    want = exhaustive_reference(d, [d.y0], 0.0)
+    assert_walk_bytes_equal([exhaustive_gic(d, 0.0)], want)
+    assert want[0][2] == 0.0
+
+
 def test_exhaustive_huge_penalty_gives_empty_model():
     rng = np.random.default_rng(63)
     d = random_design(rng, 12, 5)
@@ -376,6 +477,28 @@ def test_run_os_requires_small_p():
     d = standardize(Dataset(x=x, y=rng.standard_normal(6)), "formal")
     with pytest.raises(TooManyPredictors):
         run_os(d, PenaltyPair(r=1.0, r_l=2.0))
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_refit_equals_a_fresh_fit_of_the_selection(cached):
+    # the ordering's own fit is reused as the refit when all of it is
+    # selected; either way the refit is a fresh fit's bytes
+    rng = np.random.default_rng(79)
+    kinds = set()
+    for beta in ([9.0, -7.0, 6.0, 0.0, 0.0], [9.0, -7.0, 6.0, 8.0, 5.0]):
+        x = rng.standard_normal((40, 5))
+        y = x @ np.array(beta) + rng.standard_normal(40)
+        cold = standardize(Dataset(x=x, y=y), "practical")
+        d = dataclasses.replace(cold, factors=FactorCache(cold)) if cached else cold
+        for out in (
+            run_os(d, PenaltyPair(r=4.0, r_l=4.0)),
+            run_sos(d, PenaltyPair(r=4.0, r_l=1.0)),
+        ):
+            whole = ModelSet.of(out.ordering.sequence)
+            kinds.add("whole" if out.selected == whole else "prefix")
+            fresh = ls_fit(cold, out.selected, allow_degenerate=True)
+            assert out.refit.to_json_dict() == fresh.to_json_dict()
+    assert kinds == {"whole", "prefix"}
 
 
 def test_run_sos_and_run_os_take_only_a_design_and_penalties():
