@@ -37,11 +37,12 @@ _LEVELS = {"quiet": logging.WARNING, "normal": logging.INFO, "debug": logging.DE
 
 
 def _emit(text: str, out: "str | None") -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _fmt(x: float) -> str:
@@ -132,7 +133,11 @@ def _fit_payload(args, dataset, design, penalties, sigma2_est) -> dict:
         beta = ls_fit(design, model, allow_degenerate=True).beta_hat.tolist()
     else:
         if args.algorithm == "sos":
-            outcome = run_sos(design, penalties, tol=args.tol, max_iter=args.max_iter)
+            outcome = run_sos(
+                design, penalties,
+                tol=DEFAULT_TOL if args.tol is None else args.tol,
+                max_iter=DEFAULT_MAX_ITER if args.max_iter is None else args.max_iter,
+            )
         else:
             outcome = run_os(design, penalties)
         blob = outcome.to_json_dict()
@@ -211,22 +216,16 @@ def _load_design(args):
     return dataset, standardize(dataset, args.mode)
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> "tuple[dict, dict]":
     dataset, design = _load_design(args)
     penalties, sigma2_est = _resolve_penalties(args, design)
     payload = _fit_payload(args, dataset, design, penalties, sigma2_est)
-    if args.format == "json":
-        _emit(json_text(payload), args.out)
-    elif args.format == "tsv":
-        _emit(_fit_tsv(payload), args.out)
-    else:
-        _emit(_fit_table(payload), args.out)
-    return 0
+    return payload, {"table": _fit_table, "tsv": _fit_tsv}
 
 
 # ---------------------------------------------------------------- simulate
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     blob = _load_json(args.config)
     config = ScenarioConfig.from_json_dict(blob)
     if args.seed is not None:
@@ -251,7 +250,6 @@ def _cmd_simulate(args) -> int:
     for key in sorted(paths):
         lines.append(f"  {paths[key]}")
     _emit("\n".join(lines), None)
-    return 0
 
 
 # ---------------------------------------------------------------- diagnose
@@ -273,14 +271,6 @@ def _truth_from_json(blob: dict, design) -> TruthSpec:
     return TruthSpec.from_beta(design, support, beta, sigma2=sigma2)
 
 
-def _diagnose_view(report) -> dict:
-    blob = report.to_json_dict()
-    blob["truth"]["support"] = _one_based(blob["truth"]["support"])
-    for entry in blob["delta_pairwise"]:
-        entry["model"] = _one_based(entry["model"])
-    return blob
-
-
 def _diagnose_table(blob: dict) -> str:
     lines = [f"true support: {blob['truth']['support']}"]
     lines.append(f"margin at true size (delta_t): {_fmt(blob['delta_identifiability'])}")
@@ -297,42 +287,41 @@ def _diagnose_table(blob: dict) -> str:
         )
     lines.append("consistency flags:")
     for name, ok in blob["flags"].items():
-        lines.append(f"  {name:<18s} {'ok' if ok else 'VIOLATED'}")
+        lines.append(f"  {name:<18s} {'skipped' if ok is None else 'ok' if ok else 'VIOLATED'}")
     return "\n".join(lines)
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args) -> "tuple[dict, dict]":
+    """The report's JSON viewed with 1-based predictors."""
     design = _load_design(args)[1]
     truth = _truth_from_json(_load_json(args.truth), design)
-    report = check_propositions(design, truth, restarts=args.restarts)
-    blob = _diagnose_view(report)
-    if args.format == "json":
-        _emit(json_text(blob), args.out)
-    else:
-        _emit(_diagnose_table(blob), args.out)
-    return 0
+    blob = check_propositions(design, truth, restarts=args.restarts).to_json_dict()
+    blob["truth"]["support"] = _one_based(blob["truth"]["support"])
+    for entry in blob["delta_pairwise"]:
+        entry["model"] = _one_based(entry["model"])
+    return blob, {"table": _diagnose_table}
 
 
 # ------------------------------------------------------------------ bounds
 
-def _cmd_bounds(args) -> int:
-    inp = BoundInput.from_json_dict(_load_json(args.input))
-    blob = {
-        **bound_report(inp),
-        "event_a_bound": event_a_bound(inp.p, inp.r_l, inp.sigma2),
-        "exhaustive_lower_bound": exhaustive_lower_bound(inp.r, inp.sigma2),
-    }
-    if args.format == "json":
-        _emit(json_text(blob), args.out)
-        return 0
+def _bounds_table(blob: dict) -> str:
     lines = ["bound         value       assumptions"]
     for name, res in sorted(blob["bounds"].items()):
         status = "ok" if res["assumptions_ok"] else "FAIL: " + ",".join(res["failed_assumptions"])
         lines.append(f"{name:<12s}  {_fmt(res['value']):<10s}  {status}")
     lines.append(f"event A bound: {_fmt(blob['event_a_bound'])}")
     lines.append(f"exhaustive lower bound: {_fmt(blob['exhaustive_lower_bound'])}")
-    _emit("\n".join(lines), args.out)
-    return 0
+    return "\n".join(lines)
+
+
+def _cmd_bounds(args) -> "tuple[dict, dict]":
+    inp = BoundInput.from_json_dict(_load_json(args.input))
+    blob = {
+        **bound_report(inp),
+        "event_a_bound": event_a_bound(inp.p, inp.r_l, inp.sigma2),
+        "exhaustive_lower_bound": exhaustive_lower_bound(inp.r, inp.sigma2),
+    }
+    return blob, {"table": _bounds_table}
 
 
 # ------------------------------------------------------------------ parser
@@ -351,6 +340,11 @@ def _add_csv_flags(sub) -> None:
         "--mode", choices=["practical", "formal"], default="practical",
         help="centered+standardized (practical) or raw unit-norm (formal)",
     )
+
+
+def _add_output_flags(sub, *formats) -> None:
+    sub.add_argument("--format", choices=list(formats), default="table")
+    sub.add_argument("--out", default=None, help="write results here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,10 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="screened greedy search, full-design greedy search, or "
         "exhaustive enumeration",
     )
-    fit.add_argument("--tol", type=float, default=DEFAULT_TOL, help="solver certificate tolerance")
-    fit.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="solver sweep budget")
-    fit.add_argument("--format", choices=["table", "json", "tsv"], default="table")
-    fit.add_argument("--out", default=None, help="write results here instead of stdout")
+    fit.add_argument("--tol", type=float, default=None, help="sos solver certificate tolerance")
+    fit.add_argument("--max-iter", type=int, default=None, help="sos solver sweep budget")
+    _add_output_flags(fit, "table", "json", "tsv")
     fit.set_defaults(handler=_cmd_fit)
 
     sim = subs.add_parser("simulate", help="run a Monte Carlo experiment")
@@ -423,14 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--restarts", type=int, default=DEFAULT_RESTARTS,
         help="restart budget for the restricted-eigenvalue search",
     )
-    dia.add_argument("--format", choices=["table", "json"], default="table")
-    dia.add_argument("--out", default=None, help="write results here instead of stdout")
+    _add_output_flags(dia, "table", "json")
     dia.set_defaults(handler=_cmd_diagnose)
 
     bnd = subs.add_parser("bounds", help="evaluate closed-form error bounds")
     bnd.add_argument("input", help="JSON file with the bound input quantities")
-    bnd.add_argument("--format", choices=["table", "json"], default="table")
-    bnd.add_argument("--out", default=None, help="write results here instead of stdout")
+    _add_output_flags(bnd, "table", "json")
     bnd.set_defaults(handler=_cmd_bounds)
 
     return parser
@@ -454,8 +445,19 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
+        if args.algorithm != "sos" and (args.tol is not None or args.max_iter is not None):
+            print(
+                "usage error: --tol and --max-iter apply only with --algorithm sos",
+                file=sys.stderr,
+            )
+            return 2
     try:
-        return args.handler(args)
+        result = args.handler(args)
+        if result is not None:  # simulate writes its own output directory
+            blob, renderers = result
+            render = json_text if args.format == "json" else renderers[args.format]
+            _emit(render(blob), args.out)
+        return 0
     except SosSelectError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

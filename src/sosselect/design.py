@@ -324,25 +324,22 @@ def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
         column in practical mode).
     """
     mode = Parametrization(mode)
-    if mode is Parametrization.PRACTICAL:
-        xc = data.x - data.x.mean(axis=0)
-    else:
-        xc = data.x.copy()
+    xc = _center(data.x, mode)
     scales = np.linalg.norm(xc, axis=0)
     bad = np.nonzero(scales < _ZERO_NORM_TOL)[0]
     if bad.size:
         raise ZeroNormColumn(int(bad[0]), float(scales[bad[0]]))
     return StandardizedDesign(
-        x0=xc / scales, y0=_center_response(data.y, mode), scales=scales, mode=mode
+        x0=xc / scales, y0=_center(data.y, mode), scales=scales, mode=mode
     )
 
 
-def _center_response(y: np.ndarray, mode) -> np.ndarray:
-    """The response half of :func:`standardize`: centered in the practical
-    mode, copied in the formal one."""
+def _center(a: np.ndarray, mode) -> np.ndarray:
+    """The centering rule of :func:`standardize`, for X and y alike: ``a``
+    centered along axis 0 in the practical mode, copied in the formal one."""
     if Parametrization(mode) is Parametrization.PRACTICAL:
-        return y - y.mean()
-    return y.copy()
+        return a - a.mean(axis=0)
+    return a.copy()
 
 
 def _check_indices(design: StandardizedDesign, model: ModelSet) -> None:

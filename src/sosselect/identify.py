@@ -679,7 +679,7 @@ class IdentifiabilityReport:
 
     @property
     def all_flags_ok(self) -> bool:
-        return all(self.flags.values())
+        return all(ok for ok in self.flags.values() if ok is not None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -720,7 +720,9 @@ def check_propositions(
     ``restarts >= 1`` and every budget that raises (competitors, each scaled
     size, the size-t subsets) are checked before any enumeration runs; a
     cone-collapse size over budget only skips that check, and each distinct
-    cone-collapse size is enumerated once.
+    cone-collapse size is enumerated once. When both cone-collapse checks are
+    skipped, ``cone_collapse`` is None (JSON null), not True, and
+    ``all_flags_ok`` passes over it.
     """
     p, t = design.p, truth.t
     sizes = range(t, min(4 * t, p) + 1)
@@ -771,7 +773,8 @@ def check_propositions(
 
     flags["margin_support"] = _le(kappa_support.value * truth.theta_min**2, scaled[s_here])
     flags["margin_uniform"] = _le(kappa_unif.value * truth.theta_min**2, 4.0 * scaled[s4])
-    flags["cone_collapse"] = all(_le(est.value, cap) for est, cap in zip(collapse, caps))
+    collapse_ok = [_le(est.value, cap) for est, cap in zip(collapse, caps)]
+    flags["cone_collapse"] = all(collapse_ok) if collapse_ok else None
 
     flags["scale_chain"] = _le(delta_p_val, delta_t_val)
 

@@ -53,7 +53,7 @@ from .design import (
     Parametrization,
     StandardizedDesign,
     _cached,
-    _center_response,
+    _center,
     json_text,
     standardize,
 )
@@ -177,7 +177,7 @@ def _draw_response(config: ScenarioConfig, draw: _DesignDraw, index: int):
     standardized design, noise); the X side was checked when drawn."""
     eps = _noise_rng(config, index).standard_normal(config.n) * math.sqrt(config.sigma2)
     y = draw.mu + eps
-    return y, replace(draw.noiseless, y0=_center_response(y, draw.noiseless.mode)), eps
+    return y, replace(draw.noiseless, y0=_center(y, draw.noiseless.mode)), eps
 
 
 def generate_trial(config: ScenarioConfig, index: int):
@@ -464,7 +464,8 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
     else:
         chunk = max(1, math.ceil(reps / (4 * jobs)))
         spans = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a fork pool starts all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             futures = [pool.submit(_run_block, config, lo, hi, want_bounds) for lo, hi in spans]
             blocks = [fut.result() for fut in futures]
     records = tuple(rec for block in blocks for rec in block[0])

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sosselect import load_schema
+from sosselect import identify, load_schema
 from sosselect.cli import main
 from sosselect.design import Dataset, standardize
 from sosselect.lasso import PenaltyPair
@@ -227,6 +227,16 @@ def test_usage_errors_exit_2(data_csv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("algorithm", ["os", "exhaustive"])
+@pytest.mark.parametrize("flag", [["--tol", "1e-6"], ["--tol", "nan"], ["--max-iter", "-5"]])
+def test_solver_flags_apply_only_with_sos(data_csv, capsys, algorithm, flag):
+    # only the sos screen runs the Lasso solver, so os and exhaustive must
+    # not accept its settings and ignore them
+    assert main(["fit", data_csv, "--penalty-r", "12", "--algorithm", algorithm, *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error:")
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert main(["fit", "--help"]) == 0
@@ -424,6 +434,22 @@ def test_diagnose_table_and_json(tmp_path, capsys):
     assert blob["truth"]["support"] == [1, 3]
     assert all(blob["flags"].values())
     assert all(j >= 1 for e in blob["delta_pairwise"] for j in e["model"])
+
+
+def test_diagnose_reports_a_skipped_cone_collapse(tmp_path, capsys, monkeypatch):
+    # under a budget of 20 both cone-collapse checks (C(9, 2) and C(9, 4)
+    # subsets) are skipped; the flag reads skipped, not ok
+    monkeypatch.setattr(identify, "KAPPA_BUDGET", 20)
+    x, y = strong_data(n=40, p=9)
+    data = tmp_path / "d.csv"
+    write_csv(data, x, y)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"support": [2], "beta": [12.0]}))
+    argv = ["diagnose", str(data), "--truth", str(truth), "--restarts", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ["cone_collapse", "skipped"] in [line.split() for line in lines]
+    assert run_json(capsys, [*argv, "--format", "json"])["flags"]["cone_collapse"] is None
 
 
 def test_diagnose_truth_validation(tmp_path, capsys):

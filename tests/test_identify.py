@@ -868,18 +868,18 @@ def report_from_separate_calls(d, truth, restarts, rep):
     s_here, s4 = min(t, p), min(4 * t, p)
     k_support = kappa(d, truth.support, 3.0, restarts=restarts, extra_starts=[witness(s_here)])
     k_unif = kappa_uniform(d, t, 3.0, restarts=restarts, extra_starts=[witness(s4)])
-    collapse = True
+    collapse = []
     for c, blow in ((3.0, 4), (1.0, 2)):
         if math.comb(p, min(blow * t, p)) > identify.KAPPA_BUDGET:
             continue
         lam2, _, eigvec = min_subset_eigen(d, blow * t)
         est = kappa_uniform(d, t, c, restarts=restarts, extra_starts=[eigvec])
-        collapse = collapse and le(est.value, blow * lam2)
+        collapse.append(le(est.value, blow * lam2))
     flags = {
         "eigenvalue_lower": rep.flags["eigenvalue_lower"],
         "margin_support": le(k_support.value * truth.theta_min**2, rep.delta_scaled[s_here]),
         "margin_uniform": le(k_unif.value * truth.theta_min**2, 4.0 * rep.delta_scaled[s4]),
-        "cone_collapse": collapse,
+        "cone_collapse": all(collapse) if collapse else None,
         "scale_chain": rep.flags["scale_chain"],
     }
     return IdentifiabilityReport(
@@ -951,6 +951,19 @@ def test_check_propositions_enumerates_each_collapse_size_once(monkeypatch, p, t
     d, truth = random_instance(rng, 30, p, t)
     check_propositions(d, truth, restarts=2)
     assert [size for (size,) in lookups] == sizes
+
+
+def test_cone_collapse_is_none_when_no_check_runs(monkeypatch):
+    # under a budget of 20, C(9, 2) = 36 and C(9, 4) = 126 skip both
+    # cone-collapse checks, while the 9 size-1 supports still fit it
+    monkeypatch.setattr(identify, "KAPPA_BUDGET", 20)
+    rng = np.random.default_rng(128)
+    d, truth = random_instance(rng, 30, 9, 1)
+    rep = check_propositions(d, truth, restarts=4)
+    assert rep.flags["cone_collapse"] is None
+    assert json.loads(json.dumps(rep.to_json_dict()))["flags"]["cone_collapse"] is None
+    checked = [ok for name, ok in rep.flags.items() if name != "cone_collapse"]
+    assert rep.all_flags_ok is all(checked)
 
 
 def test_check_propositions_checks_every_budget_before_enumerating(monkeypatch):

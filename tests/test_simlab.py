@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import jsonschema
 import numpy as np
@@ -450,6 +451,33 @@ def test_unconverged_screen_names_its_replicate(jobs):
         match=r"^replicate 8 \(seed 2:8:8\): screening .* \(KKT gap \d\.\de[-+]\d+ after 10000 sweeps\)$",
     ):
         run_experiment(cfg, jobs=jobs)
+
+
+def test_worker_pool_is_no_larger_than_its_work(monkeypatch):
+    # a fork pool launches all its workers at the first submit; this inline
+    # stand-in records the pool size asked for and starts no process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(simlab, "ProcessPoolExecutor", InlinePool)
+    cfg = strong_config(replicates=10)
+    wide = run_experiment(cfg, jobs=64)
+    assert sizes == [10]
+    assert wide.records == run_experiment(cfg, jobs=1).records
 
 
 def exhaustive_race_config(**over):
