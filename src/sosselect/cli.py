@@ -16,8 +16,11 @@ user-facing input and output; the library is 0-based internally.
 
 import argparse
 import dataclasses
+import errno
 import json
 import logging
+import os
+import stat
 import sys
 
 import numpy as np
@@ -43,6 +46,19 @@ def _emit(text: str, out: "str | None") -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _check_out_dir(out: str) -> None:
+    """Raise, before any work, the error opening ``out`` for writing would
+    raise because its directory is missing or is not a directory; the file
+    itself is left untouched."""
+    parent = os.path.dirname(out) or "."
+    try:
+        is_dir = stat.S_ISDIR(os.stat(parent).st_mode)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
+    if not is_dir:
+        raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), out)
 
 
 def _fmt(x: float) -> str:
@@ -452,6 +468,8 @@ def main(argv=None) -> int:
             )
             return 2
     try:
+        if args.command != "simulate" and args.out is not None:
+            _check_out_dir(args.out)  # simulate makes its own output directory
         result = args.handler(args)
         if result is not None:  # simulate writes its own output directory
             blob, renderers = result

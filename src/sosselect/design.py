@@ -23,13 +23,19 @@ for coefficients at once. :func:`ls_fit` and the greedy path in ``selection``
 use it; every projection residual (:func:`rss`, the margins in ``identify``)
 is the one routine :func:`_residual_sq` on the :func:`span_basis` of the columns.
 
-Designs sharing their columns (one fixed-design block in ``simlab``) may share
-a :class:`FactorCache` of that X-side work. Only ``ls_fit`` keys it on the
-sorted model (``q``, ``r``, ``perm``, the diagonal of (X'X)^{-1}, the scales
-slice); ``gic_path`` keys it on the ordered sequence, as pivoting depends on
-column order. A hit returns the very arrays a fresh factorization computes, so
-results are byte-identical; a raise is never stored. A cache serves only the
-``x0`` and ``scales`` arrays it was made for; ``standardize`` attaches none.
+Many responses on one design (a block of fixed-design replicates in
+``simlab``) run the same least squares as one (B, n) stack: the private
+``_ls_block`` factors the model once and treats every row, and ``ls_fit`` is
+its block of one. A row's result is the bytes of its own one-response call,
+by one rule: every matrix-vector product of a stack is ``_gemv_rows``,
+``np.matmul(a, ys[:, :, None])``, which runs one BLAS gemv per row with the
+strides of ``a @ y``; residual sums of squares are ``np.vecdot`` (one
+``ddot`` per row, as ``r @ r``); elementwise work, ``cumsum`` and reductions
+run along each contiguous row. Two alternatives are not allowed here: ``ys @
+a.T`` is one gemm, which rounds most rows differently (96% of rows in a
+random sample, numpy 2.4 OpenBLAS on x86-64), and a multi-right-hand-side
+triangular solve, which moved 79% of coefficient columns, so ``dtrtrs``
+stays one call per row.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import csv
 import enum
 import json
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -281,14 +287,12 @@ class StandardizedDesign(JsonFields):
     scales : ndarray, shape (p,)
         Norms of the (centered) raw columns; ``beta = theta / scales``.
     mode : Parametrization
-    factors : FactorCache or None
     """
 
     x0: np.ndarray
     y0: np.ndarray
     scales: np.ndarray
     mode: Parametrization
-    factors: "FactorCache | None" = field(default=None, repr=False, metadata=NOT_JSON)
 
     @property
     def n(self) -> int:
@@ -334,11 +338,12 @@ def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
     )
 
 
-def _center(a: np.ndarray, mode) -> np.ndarray:
+def _center(a: np.ndarray, mode, axis: int = 0) -> np.ndarray:
     """The centering rule of :func:`standardize`, for X and y alike: ``a``
-    centered along axis 0 in the practical mode, copied in the formal one."""
+    centered along ``axis`` in the practical mode, copied in the formal one.
+    A (B, n) stack of responses is centered along axis 1, row by row."""
     if Parametrization(mode) is Parametrization.PRACTICAL:
-        return a - a.mean(axis=0)
+        return a - a.mean(axis=axis, keepdims=True)
     return a.copy()
 
 
@@ -390,37 +395,20 @@ def _full_rank_factor(cols: np.ndarray, model: ModelSet):
     return q, r, perm
 
 
-class FactorCache(dict):
-    """X-side least-squares work on one design's ``x0`` and ``scales``."""
-
-    def __init__(self, design: StandardizedDesign):
-        super().__init__()
-        self.x0, self.scales = design.x0, design.scales
-
-
-def _cached(design: StandardizedDesign, key, build):
-    """``build()``, kept under ``key`` in the design's cache if that cache
-    was made for this very ``x0`` and ``scales``."""
-    cache = design.factors
-    if cache is None or cache.x0 is not design.x0 or cache.scales is not design.scales:
-        return build()
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
 def _ls_factors(design: StandardizedDesign, model: ModelSet):
     """``q, r, perm``, the diagonal of (X'X)^{-1} and the scales of a
     non-empty model."""
+    q, r, perm = _full_rank_factor(design.columns(model), model)
+    rinv = _solve_upper(r, np.eye(len(model)))
+    unit_var = np.empty(len(model))
+    unit_var[perm] = np.sum(rinv * rinv, axis=1)
+    return q, r, perm, unit_var, design.scales[list(model.indices)]
 
-    def build():
-        q, r, perm = _full_rank_factor(design.columns(model), model)
-        rinv = _solve_upper(r, np.eye(len(model)))
-        unit_var = np.empty(len(model))
-        unit_var[perm] = np.sum(rinv * rinv, axis=1)
-        return q, r, perm, unit_var, design.scales[list(model.indices)]
 
-    return _cached(design, ("ls", model.indices), build)
+def _gemv_rows(a: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``a @ y`` for each row ``y`` of ``ys``, each row the bytes of that
+    one-response product (see the module docstring)."""
+    return np.matmul(a, ys[:, :, None])[..., 0]
 
 
 def _residual_sq(design: StandardizedDesign, v: np.ndarray, cols, *, strict: bool = False) -> float:
@@ -478,25 +466,40 @@ def ls_fit(design: StandardizedDesign, model, *, allow_degenerate: bool = False)
     RankDeficient, DegenerateResidual
     """
     model = ModelSet.of(model)
+    theta, beta, rss_b, t2 = _ls_block(
+        design, model, design.y0[None], allow_degenerate=allow_degenerate
+    )
+    t2 = None if np.isnan(t2[0]).any() else t2[0]
+    return LsFit(model, theta[0], beta[0], float(rss_b[0]), design.n_effective - len(model), t2)
+
+
+def _ls_block(
+    design: StandardizedDesign, model: ModelSet, ys: np.ndarray, *, allow_degenerate: bool
+):
+    """:func:`ls_fit` of each row of ``ys`` (B, n) on one sorted ``model``:
+    ``theta`` and ``beta`` (B, k), ``rss`` (B,) and ``t_squared`` (B, k),
+    whose rows are NaN where the residual is ~0 (allowed only with
+    ``allow_degenerate``; the empty model keeps empty rows). One
+    factorization serves the block, each row keeps its own bytes."""
     _check_indices(design, model)
     k = len(model)
     n_eff = design.n_effective
     if k >= n_eff:
         raise TooManyPredictors(f"|model|={k} but n_effective={n_eff}")
     if k == 0:
-        r0 = float(design.y0 @ design.y0)
-        return LsFit(model, np.zeros(0), np.zeros(0), r0, n_eff, np.zeros(0))
+        empty = np.zeros((len(ys), 0))
+        return empty, empty, np.vecdot(ys, ys), empty
     q, rmat, perm, unit_var, scales = _ls_factors(design, model)
-    qty = q.T @ design.y0
-    theta = np.empty(k)
-    theta[perm] = _solve_upper(rmat, qty, check_r=False)  # checked by _ls_factors
-    resid = design.y0 - q @ qty
-    rss_val = float(resid @ resid)
-    df = n_eff - k
-    if rss_val < DEGENERATE_RSS:
-        if not allow_degenerate:
-            raise DegenerateResidual(f"rss={rss_val:.3e} on model {tuple(model)}")
-        t2 = None
-    else:
-        t2 = theta * theta / (unit_var * (rss_val / df))
-    return LsFit(model, theta, theta / scales, rss_val, df, t2)
+    qty = _gemv_rows(q.T, ys)
+    theta = np.empty_like(qty)
+    for row, b in zip(theta, qty):
+        row[perm] = _solve_upper(rmat, b, check_r=False)  # checked by _ls_factors
+    resid = ys - _gemv_rows(q, qty)
+    rss_b = np.vecdot(resid, resid)
+    ok = rss_b >= DEGENERATE_RSS
+    if not (allow_degenerate or ok.all()):
+        bad = float(rss_b[~ok][0])
+        raise DegenerateResidual(f"rss={bad:.3e} on model {tuple(model)}")
+    t2 = np.full_like(theta, np.nan)
+    t2[ok] = theta[ok] * theta[ok] / (unit_var * (rss_b[ok, None] / (n_eff - k)))
+    return theta, theta / scales, rss_b, t2

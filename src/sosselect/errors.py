@@ -20,6 +20,9 @@ class ZeroNormColumn(SosSelectError):
         self.norm = norm
         super().__init__(f"column {column} has norm {norm:.3e} after preprocessing")
 
+    def __reduce__(self):  # a worker process's error is rebuilt from these
+        return type(self), (self.column, self.norm)
+
 
 class RankDeficient(SosSelectError):
     """Requested model's columns are numerically linearly dependent."""
@@ -27,6 +30,9 @@ class RankDeficient(SosSelectError):
     def __init__(self, model):
         self.model = model
         super().__init__(f"columns {tuple(model)} are numerically rank deficient")
+
+    def __reduce__(self):
+        return type(self), (self.model,)
 
 
 class DegenerateResidual(SosSelectError):

@@ -31,6 +31,10 @@ build their fits and gaps with the same ``_lasso_fit`` and
 
 Screening keeps coefficients above ``6 r_l`` (first stage) and then above
 ``6 r_l * sqrt(max(|S0|, 1))`` (second stage); both thresholds are inclusive.
+``screen`` and ``event_a`` are blocks of one of ``_screen_block`` and
+``_event_a_block``, which treat a stack of fits or noise vectors at once,
+each row the bytes of its own call (``event_a``'s product is the design
+module's stacked gemv).
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import JsonFields, ModelSet, StandardizedDesign, _column_index
+from .design import JsonFields, ModelSet, StandardizedDesign, _column_index, _gemv_rows
 from .errors import KappaDegenerate, NotConverged
 from .identify import _le, kappa
 
@@ -266,19 +270,36 @@ class ScreenResult(JsonFields):
 def screen(fit: LassoFit) -> ScreenResult:
     """Keep coefficients with ``|theta| >= 6 r_l``, then re-threshold at
     ``6 r_l sqrt(max(|S0|, 1))``. Requires a converged fit."""
+    _check_converged(fit)
+    keep0, keep1, a1 = _screen_block(fit.theta_hat[None], fit.penalty)
+    return ScreenResult(
+        s0=_kept(keep0[0]), s1=_kept(keep1[0]), a0=6.0 * fit.penalty, a1=float(a1[0])
+    )
+
+
+def _check_converged(fit: LassoFit) -> None:
+    """Screening needs a certified fit; raise :class:`NotConverged` if not."""
     if not fit.converged:
         raise NotConverged(
             "screening requires a converged penalized fit "
             f"(KKT gap {fit.kkt_gap:.1e} after {fit.iterations} sweeps)"
         )
-    r_l = fit.penalty
+
+
+def _screen_block(theta: np.ndarray, r_l: float):
+    """The two-stage thresholds of :func:`screen` on each row of ``theta``
+    (B, p): the S0 and S1 masks (B, p) and the second threshold (B,)."""
     a0 = 6.0 * r_l
-    abs_theta = np.abs(fit.theta_hat)
-    # np.nonzero is strictly increasing; tolist gives Python ints
-    s0 = ModelSet._sorted(tuple(np.nonzero(abs_theta >= a0)[0].tolist()))
-    a1 = 6.0 * r_l * math.sqrt(max(len(s0), 1))
-    s1 = ModelSet._sorted(tuple(np.nonzero(abs_theta >= a1)[0].tolist()))
-    return ScreenResult(s0=s0, s1=s1, a0=a0, a1=a1)
+    abs_theta = np.abs(theta)
+    keep0 = abs_theta >= a0
+    a1 = a0 * np.sqrt(np.maximum(np.count_nonzero(keep0, axis=1), 1))
+    return keep0, abs_theta >= a1[:, None], a1
+
+
+def _kept(mask: np.ndarray) -> ModelSet:
+    """The columns a screening mask keeps."""
+    # np.flatnonzero is strictly increasing; tolist gives Python ints
+    return ModelSet._sorted(tuple(np.flatnonzero(mask).tolist()))
 
 
 @dataclass(frozen=True)
@@ -295,9 +316,13 @@ def event_a(design: StandardizedDesign, epsilon: np.ndarray, r_l: float) -> Even
     eps = np.asarray(epsilon, dtype=float).ravel()
     if eps.shape[0] != design.n:
         raise ValueError("noise vector length mismatch")
-    corr = 2.0 * np.abs(design.x0.T @ eps)
-    mc = float(corr.max()) if corr.size else 0.0
+    mc = float(_event_a_block(design, eps[None])[0])
     return EventAWitness(holds=mc <= r_l, max_correlation=mc, threshold=r_l)
+
+
+def _event_a_block(design: StandardizedDesign, eps: np.ndarray) -> np.ndarray:
+    """``max_j 2 |x0_j' e|`` for each row ``e`` of ``eps`` (B, n)."""
+    return (2.0 * np.abs(_gemv_rows(design.x0.T, eps))).max(axis=1, initial=0.0)
 
 
 @dataclass(frozen=True, eq=False)

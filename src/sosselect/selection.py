@@ -9,10 +9,13 @@ re-triangularized by a k x k QR, gives the orthonormal prefix directions, and
 each removes its squared inner product with the response. Exhaustive search
 walks the subset lattice depth-first, extending a Gram-Schmidt basis by one
 column per node, so every subset costs one orthogonalization instead of a
-fresh factorization. The walk depends on the design alone, so one walk
-serves a block of responses on the same design (the replicates of a
-fixed-design experiment); each response's result is exactly that of its own
-walk. The walk owns the default size cap ``min(p, n_effective - 1)``, which
+fresh factorization. Both searches serve a block of responses on one design
+(the replicates of a fixed-design experiment), each response's result the
+bytes of its own call: the walk depends on the design alone, so one walk
+serves the block; the ordering fit factors once per screened set and the
+prefix path once per ordering, and each treats its (B, n) stack of responses
+by the design module's stacked-gemv rule. The public calls are blocks of
+one. The walk owns the default size cap ``min(p, n_effective - 1)``, which
 leaves every model a residual degree of freedom, and the subset budget; a
 column counts as dependent by the design module's ``RANK_TOL``.
 
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import (
+    DEGENERATE_RSS,
     NOT_JSON,
     RANK_TOL,
     JsonFields,
@@ -39,12 +43,13 @@ from .design import (
     ModelSet,
     Parametrization,
     StandardizedDesign,
-    _cached,
     _check_indices,
     _column_index,
     _full_rank_factor,
+    _gemv_rows,
+    _ls_block,
+    _residual_sq,
     ls_fit,
-    rss,
 )
 from .errors import EnumerationTooLarge, ScreenTooLarge, TooManyPredictors
 from .lasso import (
@@ -83,24 +88,28 @@ def order_by_t(
     ~0 and t-statistics are undefined (``allow_degenerate=True``; otherwise
     that situation raises :class:`DegenerateResidual`).
     """
-    return _order_fit(design, ModelSet.of(s1), allow_degenerate)[0]
-
-
-def _order_fit(design: StandardizedDesign, s1: ModelSet, allow_degenerate: bool):
-    """:func:`order_by_t` and the fit of ``s1`` it ordered by (None for an
-    empty ``s1``), which is the refit whenever all of ``s1`` is selected."""
+    s1 = ModelSet.of(s1)
     if not s1:
-        return Ordering(sequence=(), t_squared=()), None
-    fit = ls_fit(design, s1, allow_degenerate=allow_degenerate)
-    if fit.t_squared is not None:
-        keyed = sorted(zip(s1.indices, fit.t_squared), key=lambda it: (-it[1], it[0]))
-        return Ordering(
-            sequence=tuple(j for j, _ in keyed),
-            t_squared=tuple(float(v) for _, v in keyed),
-        ), fit
-    loo = {j: rss(design, s1.minus([j])) for j in s1.indices}
-    seq = sorted(s1.indices, key=lambda j: (-loo[j], j))
-    return Ordering(sequence=tuple(seq), t_squared=None), fit
+        return Ordering(sequence=(), t_squared=())
+    seqs, t2 = _order_block(design, s1, design.y0[None], allow_degenerate=allow_degenerate)
+    t2 = None if np.isnan(t2[0]).any() else tuple(t2[0].tolist())
+    return Ordering(sequence=tuple(seqs[0].tolist()), t_squared=t2)
+
+
+def _order_block(
+    design: StandardizedDesign, s1: ModelSet, ys: np.ndarray, *, allow_degenerate: bool
+):
+    """:func:`order_by_t` of a non-empty ``s1`` for each row of ``ys``
+    (B, n): the sequences (B, k) and their squared t-statistics in that
+    order, NaN in the rows the leave-one-out fallback ordered. One fit of
+    ``s1`` serves the block."""
+    _, _, rss_b, t2 = _ls_block(design, s1, ys, allow_degenerate=allow_degenerate)
+    by_t = np.argsort(-t2, axis=1, kind="stable")  # a tie keeps the smaller index first
+    seqs = np.array(s1.indices)[by_t]
+    for b in np.flatnonzero(rss_b < DEGENERATE_RSS):
+        loo = {j: _residual_sq(design, ys[b], s1.minus([j]).indices, strict=True) for j in s1}
+        seqs[b] = sorted(s1.indices, key=lambda j: (-loo[j], j))
+    return seqs, np.take_along_axis(t2, by_t, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,32 +134,33 @@ def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPat
     the k-th orthonormal prefix direction removes ``(q_k' y0)^2`` from the
     running RSS.
     """
+    rss_path, values, sizes = _path_block(design, tuple(ordering.sequence), design.y0[None], r)
+    return GicPath(rss_path=rss_path[0], values=values[0], selected_size=int(sizes[0]), penalty=r)
+
+
+def _path_block(design: StandardizedDesign, seq: tuple, ys: np.ndarray, r: float):
+    """:func:`gic_path` of ordering ``seq`` for each row of ``ys`` (B, n):
+    ``rss_path`` and ``values`` (B, k + 1) and the selected sizes (B,). One
+    factorization of the ordered columns serves the block."""
     if not 0.0 <= r < math.inf:
         raise ValueError(f"penalty r must be finite and nonnegative, got {r!r}")
-    seq = list(ordering.sequence)
-    r_empty = float(design.y0 @ design.y0)
-    if not seq:
-        path = np.array([r_empty])
-        return GicPath(rss_path=path, values=path.copy(), selected_size=0, penalty=r)
-
-    def build():
-        # checked here: a cache hit is this very ordering, checked when built
+    contrib = np.zeros((len(ys), 0))
+    if seq:
         model = ModelSet.of(seq)
         if len(model) != len(seq):
             raise ValueError("ordering contains repeated indices")
         _check_indices(design, model)
         # a rank-deficient prefix would contribute a spurious ~0 direction
-        q, rmat, perm = _full_rank_factor(design.x0[:, seq], model)
+        q, rmat, perm = _full_rank_factor(design.x0[:, list(seq)], model)
         # R back in the ordering, re-triangularized: its Q turns q into the
         # orthonormal prefix directions
-        return q, np.linalg.qr(rmat[:, np.argsort(perm)])[0]
-
-    q, q2 = _cached(design, ("path", tuple(seq)), build)
-    contrib = (q2.T @ (q.T @ design.y0)) ** 2
-    rss_path = np.maximum(r_empty - np.concatenate([[0.0], np.cumsum(contrib)]), 0.0)
+        q2 = np.linalg.qr(rmat[:, np.argsort(perm)])[0]
+        contrib = _gemv_rows(q2.T, _gemv_rows(q.T, ys)) ** 2
+    removed = np.concatenate([np.zeros((len(ys), 1)), np.cumsum(contrib, axis=1)], axis=1)
+    rss_path = np.maximum(np.vecdot(ys, ys)[:, None] - removed, 0.0)
     values = rss_path + r * np.arange(len(seq) + 1)
-    selected = int(np.argmin(values))  # first minimum = smallest size on ties
-    return GicPath(rss_path=rss_path, values=values, selected_size=selected, penalty=r)
+    # first minimum = smallest size on ties
+    return rss_path, values, np.argmin(values, axis=1)
 
 
 @dataclass(frozen=True)
@@ -274,15 +284,11 @@ class SelectionOutcome(JsonFields):
     design: StandardizedDesign = field(metadata=NOT_JSON)
 
 
-def _finish(algorithm, design, penalties, scr, fit, ordering, s1_fit) -> SelectionOutcome:
-    """Cut the ordering's criterion path and refit the selected prefix; the
-    ordering's own fit ``s1_fit`` (degenerate allowed) is that refit when the
-    whole ordering is selected."""
+def _finish(algorithm, design, penalties, scr, fit, ordering) -> SelectionOutcome:
+    """Cut the ordering's criterion path and refit the selected prefix."""
     path = gic_path(design, ordering, penalties.r)
     # the ordering is a permutation of a ModelSet, so its sorted prefix is one
     selected = ModelSet._sorted(tuple(sorted(ordering.sequence[: path.selected_size])))
-    if s1_fit is None or s1_fit.model != selected:
-        s1_fit = ls_fit(design, selected, allow_degenerate=True)
     return SelectionOutcome(
         algorithm=algorithm,
         mode=design.mode,
@@ -291,7 +297,7 @@ def _finish(algorithm, design, penalties, scr, fit, ordering, s1_fit) -> Selecti
         ordering=ordering,
         path=path,
         selected=selected,
-        refit=s1_fit,
+        refit=ls_fit(design, selected, allow_degenerate=True),
         lasso=fit,
         design=design,
     )
@@ -329,21 +335,12 @@ def run_sos(
         If coordinate descent hits ``max_iter`` before its certificate.
     """
     _check_design(design)
-    return _sos_from_fit(
-        design, penalties, solve_lasso(design, penalties.r_l, tol=tol, max_iter=max_iter)
-    )
-
-
-def _sos_from_fit(
-    design: StandardizedDesign, penalties: PenaltyPair, fit: LassoFit
-) -> SelectionOutcome:
-    """:func:`run_sos` from its Lasso fit ``fit`` at ``penalties.r_l`` on
-    ``design``; a fixed-design experiment solves a block of them at once."""
+    fit = solve_lasso(design, penalties.r_l, tol=tol, max_iter=max_iter)
     scr = screen(fit)  # raises NotConverged on an uncertified fit
     if len(scr.s1) >= design.n_effective:
         raise ScreenTooLarge(f"|S1|={len(scr.s1)} >= n_effective={design.n_effective}")
-    ordering, s1_fit = _order_fit(design, scr.s1, True)
-    return _finish("sos", design, penalties, scr, fit, ordering, s1_fit)
+    ordering = order_by_t(design, scr.s1, allow_degenerate=True)
+    return _finish("sos", design, penalties, scr, fit, ordering)
 
 
 def run_os(design: StandardizedDesign, penalties: PenaltyPair) -> SelectionOutcome:
@@ -356,5 +353,5 @@ def run_os(design: StandardizedDesign, penalties: PenaltyPair) -> SelectionOutco
         raise TooManyPredictors(
             f"p={design.p} >= n_effective={design.n_effective}; screen first"
         )
-    ordering, s1_fit = _order_fit(design, ModelSet.full(design.p), True)
-    return _finish("os", design, penalties, None, None, ordering, s1_fit)
+    ordering = order_by_t(design, ModelSet.full(design.p), allow_degenerate=True)
+    return _finish("os", design, penalties, None, None, ordering)

@@ -15,16 +15,21 @@ independent of the parallelism degree.
 
 A replicate splits into an X side (the design draw, its standardized
 columns, the truth and the noiseless mean) and a y side (noise, response,
-centered response). A fixed design's X side is built once per block of
-replicates, their screening Lassos are one block coordinate descent
-(``lasso._lasso_block``, whose fits do not depend on the block, so neither
-``jobs`` nor the block size moves them; fresh designs keep one
-``solve_lasso`` per replicate) and their exhaustive searches share one
-subset-lattice walk; the seed streams, and so every record, are exactly those
-of drawing each replicate on its own. Each block's designs share one
-``design.FactorCache``, so the least-squares factors of each screened set,
-ordering and refit and the pivot's per-model projections are computed once
-per block (byte-identically, see ``design``); the cache dies with the block.
+centered response). Replicates come in blocks that share one design draw: a
+fixed design is drawn once and its replicates come ``_RESPONSE_BLOCK`` at a
+time, a fresh design makes a block of one. A block's y side is one (B, n)
+stack, each row's noise drawn from its replicate's own stream. Its screening
+Lassos are one block coordinate descent (``lasso._lasso_block``, whose fits
+do not depend on the block; fresh designs keep one ``solve_lasso`` per
+replicate) and its exhaustive searches share one subset-lattice walk. Then
+the block is grouped: replicates with the same screened set share one
+ordering fit, those with the same ordering one prefix path, and those that
+select the same model one pivot projection; event A is one stacked product
+for the block. Every product over a stack is the design module's stacked
+gemv, so each record is the bytes of its replicate run alone, and neither
+``jobs`` nor the block size moves one. The first replicate, in index order,
+whose pipeline raises makes the block raise that error. No record reads the
+refit of the selected model, so the block does not compute it.
 """
 
 import math
@@ -47,21 +52,29 @@ from .design import (
     DEGENERATE_RSS,
     NOT_JSON,
     Dataset,
-    FactorCache,
     JsonFields,
     ModelSet,
     Parametrization,
     StandardizedDesign,
-    _cached,
     _center,
+    _gemv_rows,
     json_text,
     standardize,
 )
-from .errors import DegenerateSelection, NotConverged, ScreenTooLarge
+from .errors import DegenerateSelection, NotConverged, SosSelectError
 from .identify import TruthSpec
-from .lasso import LassoFit, PenaltyPair, _lasso_block, default_penalties, event_a
+from .lasso import (
+    PenaltyPair,
+    _check_converged,
+    _event_a_block,
+    _kept,
+    _lasso_block,
+    _screen_block,
+    default_penalties,
+    solve_lasso,
+)
 from .schemas import check_field_bounds, read_json_fields
-from .selection import ExhaustiveResult, _exhaustive_block, _sos_from_fit, run_os, run_sos
+from .selection import _exhaustive_block, _order_block, _path_block
 
 _DESIGN_STREAM = 1
 _NOISE_STREAM = 2
@@ -69,11 +82,11 @@ _BOUND_GUARD_P = 12  # per-replicate margin/eigenvalue work only below this
 # restricted-eigenvalue restarts of one design draw's bound ledger, keyed by
 # fixed_design: a fixed design's single ledger can afford the larger budget
 _LEDGER_RESTARTS = {True: 64, False: 24}
-# replicates of a fixed design that share one Lasso block, one exhaustive-search
-# walk and one factor cache; bounds the responses held at once and the cache
-# (at most 4 entries per replicate: screened set, ordering, refit, pivot)
+# replicates of a fixed design that share one y-side stack: one Lasso block,
+# one exhaustive-search walk, one factorization per screened set, ordering and
+# selected model; bounds the responses held at once
 _RESPONSE_BLOCK = 128
-# a replicate's selection until its pipeline returns one (sets are immutable)
+# the selection of a replicate whose screened set was too large to order
 _NO_MODEL = ModelSet.empty()
 
 
@@ -172,12 +185,13 @@ def _draw_design(config: ScenarioConfig, index: int) -> _DesignDraw:
     return _DesignDraw(x=x, mu=mu, noiseless=noiseless, truth=truth)
 
 
-def _draw_response(config: ScenarioConfig, draw: _DesignDraw, index: int):
-    """The y side of replicate ``index`` on its design ``draw``: (response,
-    standardized design, noise); the X side was checked when drawn."""
-    eps = _noise_rng(config, index).standard_normal(config.n) * math.sqrt(config.sigma2)
-    y = draw.mu + eps
-    return y, replace(draw.noiseless, y0=_center(y, draw.noiseless.mode)), eps
+def _draw_noise(config: ScenarioConfig, indices) -> np.ndarray:
+    """The noise of replicates ``indices``, one row each, each row drawn
+    from its replicate's own stream."""
+    eps = np.empty((len(indices), config.n))
+    for row, i in zip(eps, indices):
+        _noise_rng(config, i).standard_normal(out=row)
+    return eps * math.sqrt(config.sigma2)
 
 
 def generate_trial(config: ScenarioConfig, index: int):
@@ -188,7 +202,9 @@ def generate_trial(config: ScenarioConfig, index: int):
     first spurious base columns, which therefore never enter the truth.
     """
     draw = _draw_design(config, index)
-    y, design, eps = _draw_response(config, draw, index)
+    eps = _draw_noise(config, [index])[0]
+    y = draw.mu + eps
+    design = replace(draw.noiseless, y0=_center(y, draw.noiseless.mode))
     return Dataset(x=draw.x, y=y), design, draw.truth, eps
 
 
@@ -241,113 +257,167 @@ def _order_correct(sequence, true_set) -> bool:
     return True
 
 
-def _f_stat(draw: _DesignDraw, y: np.ndarray, mode: str, model: ModelSet):
-    """Post-selection pivot: (distance of the fit from the projected truth
-    per model dimension) over (residual mean square). None when the model is
-    empty, saturated, or the residual is numerically zero."""
-    n = len(y)
+def _pivot_block(draw: _DesignDraw, ys: np.ndarray, mode: str, model: ModelSet) -> list:
+    """Post-selection pivot of each response row of ``ys`` on ``model``:
+    (distance of the fit from the projected truth per model dimension) over
+    (residual mean square). None when the model is empty, saturated, or the
+    residual is numerically zero."""
+    n = ys.shape[1]
     d = pivot_dimension(len(model), mode)
     if len(model) == 0 or d >= n:
-        return None
-
-    def build():
-        cols = [draw.x[:, j] for j in model.indices]
-        if d > len(model):  # the intercept is a fitted coordinate
-            cols = [np.ones(n)] + cols
-        qmat, _ = np.linalg.qr(np.column_stack(cols))
-        return qmat, qmat @ (qmat.T @ draw.mu)
-
-    qmat, target = _cached(draw.noiseless, ("pivot", model.indices), build)
-    fit = qmat @ (qmat.T @ y)
-    rss = float(np.sum((y - fit) ** 2))
-    if rss <= DEGENERATE_RSS:
-        return None
-    num = float(np.sum((fit - target) ** 2)) / d
-    return num / (rss / (n - d))
+        return [None] * len(ys)
+    cols = [draw.x[:, j] for j in model.indices]
+    if d > len(model):  # the intercept is a fitted coordinate
+        cols = [np.ones(n)] + cols
+    qmat, _ = np.linalg.qr(np.column_stack(cols))
+    target = qmat @ (qmat.T @ draw.mu)
+    fit = _gemv_rows(qmat, _gemv_rows(qmat.T, ys))
+    rss = np.sum((ys - fit) ** 2, axis=1)
+    ok = rss > DEGENERATE_RSS
+    num = np.sum((fit[ok] - target) ** 2, axis=1) / d
+    vals = iter((num / (rss[ok] / (n - d))).tolist())
+    return [next(vals) if good else None for good in ok.tolist()]
 
 
 def _response_blocks(config: ScenarioConfig, lo: int, hi: int):
     """Replicates ``lo..hi-1`` in blocks that share one design draw, as
-    ``(draw, [(index, trial), ...])``. A fixed design is drawn once and its
-    replicates come ``_RESPONSE_BLOCK`` at a time; a fresh design per
-    replicate makes blocks of one. Each block has its own factor cache.
-    Callers drop a block before asking for the next, so at most one fresh
-    design and one cache are held at a time."""
+    ``(draw, indices)``. A fixed design is drawn once and its replicates
+    come ``_RESPONSE_BLOCK`` at a time; a fresh design per replicate makes
+    blocks of one. Callers drop a block before asking for the next, so at
+    most one fresh design is held at a time."""
     shared = _draw_design(config, 0) if config.fixed_design else None
     step = _RESPONSE_BLOCK if config.fixed_design else 1
     for start in range(lo, hi, step):
         draw = shared if shared is not None else _draw_design(config, start)
-        cached = replace(draw.noiseless, factors=FactorCache(draw.noiseless))
-        draw = replace(draw, noiseless=cached)
-        stop = min(start + step, hi)
-        yield draw, [(i, _draw_response(config, draw, i)) for i in range(start, stop)]
-        del draw, cached
+        yield draw, range(start, min(start + step, hi))
+        del draw
 
 
-def _single_trial(
-    config: ScenarioConfig,
-    draw: _DesignDraw,
-    index: int,
-    trial: tuple,
-    best: "ExhaustiveResult | None",
-    fit: "LassoFit | None",
-    penalties: PenaltyPair,
-) -> TrialRecord:
-    y, design, eps = trial
-    truth = draw.truth
-    seed = f"{config.master_seed}:{0 if config.fixed_design else index}:{index}"
+def _groups(keys) -> dict:
+    """The rows of each distinct key, in row order; a None key joins none."""
+    groups = {}
+    for b, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(b)
+    return groups
+
+
+def _outcome(sos: bool, truth: TruthSpec, seq, size: int):
+    """The record flags and the selection of a replicate whose ordering
+    ``seq`` (None when its screened set was too large to order, a screening
+    failure) was cut at ``size``. Each error flag is raised only when every
+    earlier step succeeded."""
     true_set = set(truth.support.indices)
-    t = truth.t
-
-    screen_ok = True
-    order_ok = False
-    selected = _NO_MODEL
-    outcome = None
-    try:
-        if fit is not None:
-            outcome = _sos_from_fit(design, penalties, fit)
-        elif config.algorithm == "sos":
-            outcome = run_sos(design, penalties)
-        else:
-            outcome = run_os(design, penalties)
-    except ScreenTooLarge:
-        screen_ok = False  # kept set too large to refit: screening failure
-    except NotConverged as err:
-        raise NotConverged(f"replicate {index} (seed {seed}): {err}") from err
-    if outcome is not None:
-        kept = set(outcome.ordering.sequence)
-        if config.algorithm == "sos":
-            screen_ok = true_set.issubset(kept)
-        order_ok = screen_ok and _order_correct(outcome.ordering.sequence, true_set)
-        selected = outcome.selected
-
-    size = len(selected)
-    underfit = screen_ok and order_ok and size < t
-    overfit = screen_ok and order_ok and size > t
-    exact = screen_ok and order_ok and size == t
+    if seq is None:
+        screen_ok = order_ok = False
+        selected = _NO_MODEL
+    else:
+        screen_ok = not sos or true_set.issubset(seq)
+        order_ok = screen_ok and _order_correct(seq, true_set)
+        selected = ModelSet._sorted(tuple(sorted(seq[:size])))
+    k = len(selected)
+    exact = order_ok and k == truth.t
     recovered = selected == truth.support
     if exact and not recovered:
         raise AssertionError("size-t prefix of a correct ordering must be the truth")
-
-    witness = event_a(design, eps, penalties.r_l)
-
-    exhaustive_exact = None if best is None else best.model == truth.support
-    f_val = _f_stat(draw, y, config.mode, selected)
-
-    return TrialRecord(
-        index=index,
-        seed=seed,
+    flags = dict(
         screen_ok=screen_ok,
         order_ok=order_ok,
-        underfit=underfit,
-        overfit=overfit,
+        underfit=order_ok and k < truth.t,
+        overfit=order_ok and k > truth.t,
         exact=exact,
         recovered=recovered,
-        event_a=witness.holds,
-        selected=selected.indices,
-        exhaustive_exact=exhaustive_exact,
-        f_stat=f_val,
     )
+    return flags, selected
+
+
+def _block_records(
+    config: ScenarioConfig, draw: _DesignDraw, indices, penalties: PenaltyPair
+) -> list:
+    """The records of replicates ``indices`` on one design ``draw``, their y
+    side computed as one stack (see the module docstring)."""
+    design, sos = draw.noiseless, config.algorithm == "sos"
+    eps = _draw_noise(config, indices)
+    ys = draw.mu + eps
+    y0s = _center(ys, design.mode, axis=1)
+    size = len(indices)
+    bests = [None] * size
+    if config.compare_exhaustive:
+        bests = _exhaustive_block(design, y0s, penalties.r)
+    # a replicate's first error; later stages skip it, and the first
+    # replicate in index order with one raises it
+    errors = [None] * size
+    keep = np.ones((size, design.p), dtype=bool)  # os orders every column
+    if sos:
+        if config.fixed_design:
+            fits = _lasso_block(design, y0s, penalties.r_l)
+        else:
+            fits = [solve_lasso(replace(design, y0=y0s[0]), penalties.r_l)]
+        for b, fit in enumerate(fits):
+            try:
+                _check_converged(fit)
+            except NotConverged as err:
+                errors[b] = err
+        keep = _screen_block(np.array([fit.theta_hat for fit in fits]), penalties.r_l)[1]
+    seqs = [None] * size  # None: a screened set too large to order
+    cuts = [0] * size
+
+    def order(_, rows):
+        s1 = _kept(keep[rows[0]])
+        if len(s1) >= design.n_effective:
+            return
+        found = [()] * len(rows)
+        if s1:
+            found = _order_block(design, s1, y0s[rows], allow_degenerate=True)[0].tolist()
+        for b, seq in zip(rows, found):
+            seqs[b] = tuple(seq)
+
+    def cut(seq, rows):
+        for b, k in zip(rows, _path_block(design, seq, y0s[rows], penalties.r)[2].tolist()):
+            cuts[b] = k
+
+    for keys, run in (([mask.tobytes() for mask in keep], order), (seqs, cut)):
+        live = (key if err is None else None for key, err in zip(keys, errors))
+        for key, rows in _groups(live).items():
+            try:
+                run(key, rows)
+            except SosSelectError as err:  # what each row alone would raise
+                for b in rows:
+                    errors[b] = err
+
+    outcomes, memo = [], {}
+    for b, index in enumerate(indices):
+        err = errors[b]
+        if isinstance(err, NotConverged):
+            raise NotConverged(f"replicate {index} (seed {_seed(config, index)}): {err}") from err
+        if err is not None:
+            raise err
+        if (seqs[b], cuts[b]) not in memo:
+            memo[seqs[b], cuts[b]] = _outcome(sos, draw.truth, seqs[b], cuts[b])
+        outcomes.append(memo[seqs[b], cuts[b]])
+
+    f_vals = [None] * size
+    for model, rows in _groups(selected for _, selected in outcomes).items():
+        for b, val in zip(rows, _pivot_block(draw, ys[rows], config.mode, model)):
+            f_vals[b] = val
+    event = (_event_a_block(design, eps) <= penalties.r_l).tolist()
+    return [
+        TrialRecord(
+            index=index,
+            seed=_seed(config, index),
+            **flags,
+            event_a=event[b],
+            selected=selected.indices,
+            exhaustive_exact=None if bests[b] is None else bests[b].model == draw.truth.support,
+            f_stat=f_vals[b],
+        )
+        for b, (index, (flags, selected)) in enumerate(zip(indices, outcomes))
+    ]
+
+
+def _seed(config: ScenarioConfig, index: int) -> str:
+    """The seed streams of replicate ``index``: master, design and noise."""
+    return f"{config.master_seed}:{0 if config.fixed_design else index}:{index}"
 
 
 def _worst_bounds(blobs) -> dict:
@@ -374,24 +444,15 @@ def _run_block(config: ScenarioConfig, lo: int, hi: int, want_bounds: bool):
     fixed design's single ledger from the block that holds replicate 0."""
     penalties = config.penalties()
     records, ledgers = [], []
-    for draw, trials in _response_blocks(config, lo, hi):
-        responses = [trial[1].y0 for _, trial in trials]
-        bests = fits = [None] * len(trials)
-        if config.compare_exhaustive:
-            bests = _exhaustive_block(draw.noiseless, responses, penalties.r)
-        if config.fixed_design and config.algorithm == "sos":
-            fits = _lasso_block(draw.noiseless, responses, penalties.r_l)
-        records += [
-            _single_trial(config, draw, i, trial, best, fit, penalties)
-            for (i, trial), best, fit in zip(trials, bests, fits)
-        ]
-        if want_bounds and (trials[0][0] == 0 or not config.fixed_design):
+    for draw, indices in _response_blocks(config, lo, hi):
+        records += _block_records(config, draw, indices, penalties)
+        if want_bounds and (indices[0] == 0 or not config.fixed_design):
             inp = bound_input_from_design(
                 draw.noiseless, draw.truth, penalties, config.a,
                 restarts=_LEDGER_RESTARTS[config.fixed_design],
             )
             ledgers.append(bound_report(inp, PIPELINE_BOUNDS[config.algorithm]))
-        del draw, trials
+        del draw
     return records, ledgers
 
 
@@ -538,9 +599,10 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
         raise ValueError("reference needs n larger than the model dimension")
     if oracle:
         vals = []
-        for draw, trials in _response_blocks(config, 0, config.replicates):
-            vals += [_f_stat(draw, y, config.mode, draw.truth.support) for _, (y, _, _) in trials]
-            del draw, trials
+        for draw, indices in _response_blocks(config, 0, config.replicates):
+            ys = draw.mu + _draw_noise(config, indices)
+            vals += _pivot_block(draw, ys, config.mode, draw.truth.support)
+            del draw
     else:
         vals = [r.f_stat for r in run_experiment(config, jobs=jobs).records]
     f_vals = [v for v in vals if v is not None]

@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sosselect import identify, load_schema
+from sosselect import cli, identify, load_schema
 from sosselect.cli import main
 from sosselect.design import Dataset, standardize
 from sosselect.lasso import PenaltyPair
@@ -215,6 +215,49 @@ def test_fit_out_file(data_csv, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     blob = json.loads(target.read_text())
     assert blob["selected"] == [2, 4]
+
+
+@pytest.mark.parametrize("command", ["fit", "diagnose", "bounds"])
+def test_out_in_a_missing_directory_fails_before_any_work(
+    data_csv, tmp_path, capsys, monkeypatch, command
+):
+    ran = []
+    handler = f"_cmd_{command}"
+    real = getattr(cli, handler)
+
+    def spy(args):
+        ran.append(command)
+        return real(args)
+
+    monkeypatch.setattr(cli, handler, spy)
+    truth = tmp_path / "truth.json"
+    truth.write_text(json.dumps({"support": [2, 4], "beta": [12.0, -12.0]}))
+    argv = {
+        "fit": ["fit", data_csv, "--penalty-r", "12"],
+        "diagnose": ["diagnose", data_csv, "--truth", str(truth), "--restarts", "4"],
+        "bounds": ["bounds", str(truth)],
+    }[command]
+    (tmp_path / "afile").write_text("kept\n")
+    for out, reason in [
+        (tmp_path / "nodir" / "o.txt", "[Errno 2] No such file or directory"),
+        (tmp_path / "afile" / "o.txt", "[Errno 20] Not a directory"),
+    ]:
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}: {str(out)!r}\n"
+    assert ran == [] and (tmp_path / "afile").read_text() == "kept\n"
+    # an existing target is written only once the work is done, so a
+    # failing command leaves it as it was
+    target = tmp_path / "o.txt"
+    target.write_text("kept\n")
+
+    def failing(args):
+        ran.append(command)
+        raise ValueError("no result")
+
+    monkeypatch.setattr(cli, handler, failing)
+    assert main(argv + ["--out", str(target)]) == 1
+    assert capsys.readouterr().err == "error: no result\n"
+    assert ran == [command] and target.read_text() == "kept\n"
 
 
 def test_usage_errors_exit_2(data_csv, capsys):

@@ -6,20 +6,24 @@ column in practical mode) for the residual-link identity.
 """
 
 import dataclasses
-import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from sosselect.design import (
+    DEGENERATE_RSS,
     Dataset,
-    FactorCache,
     LsFit,
     ModelSet,
     Parametrization,
+    _center,
     _factor,
+    _full_rank_factor,
+    _gemv_rows,
+    _ls_block,
     _solve_upper,
     ls_fit,
     rss,
@@ -124,6 +128,11 @@ def test_standardize_rejects_constant_column_in_practical_mode():
     with pytest.raises(ZeroNormColumn) as err:
         standardize(data, "practical")
     assert err.value.column == 0
+    # a worker process hands it back by pickling: same type, fields and message
+    back = pickle.loads(pickle.dumps(err.value))
+    assert (type(back), back.column, back.norm, str(back)) == (
+        ZeroNormColumn, 0, err.value.norm, str(err.value)
+    )
     # formal mode keeps it: the column is nonzero without centering
     d = standardize(data, "formal")
     assert d.p == 2
@@ -293,60 +302,79 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def ls_fit_reference(design, model):
+    """ls_fit(allow_degenerate=True) as one response's scalar products: the
+    gemv ``q.T @ y0``, one triangular solve and ``resid @ resid``."""
+    model = ModelSet.of(model)
+    k, n_eff = len(model), design.n_effective
+    q, r, perm = _full_rank_factor(design.columns(model), model)
+    rinv = _solve_upper(r, np.eye(k))
+    unit_var = np.empty(k)
+    unit_var[perm] = np.sum(rinv * rinv, axis=1)
+    qty = q.T @ design.y0
+    theta = np.empty(k)
+    theta[perm] = _solve_upper(r, qty)
+    resid = design.y0 - q @ qty
+    rss_val = float(resid @ resid)
+    t2 = None if rss_val < DEGENERATE_RSS else theta * theta / (unit_var * (rss_val / (n_eff - k)))
+    scales = design.scales[list(model.indices)]
+    return LsFit(model, theta, theta / scales, rss_val, n_eff - k, t2)
+
+
 @pytest.mark.parametrize("mode", ["practical", "formal"])
-def test_factor_cache_hits_are_byte_identical(mode):
+def test_ls_block_rows_are_byte_identical_to_single_fits(mode):
     rng = np.random.default_rng(24)
     n = 12
     x = rng.standard_normal((n, 13))
     x[:, 12] = x[:, 5]  # exact duplicate column
-    # the second response lies in the span of columns 1 and 2: ~0 residual
-    responses = [rng.standard_normal(n), x[:, [1, 2]] @ np.array([1.5, -2.0])]
+    # one response lies in the span of columns 1 and 2: ~0 residual
+    responses = [rng.standard_normal(n) * 3.0 for _ in range(4)]
+    responses.insert(2, x[:, [1, 2]] @ np.array([1.5, -2.0]))
     base = standardize(Dataset(x=x, y=responses[0]), mode)
+    ys = _center(np.array(responses), mode, axis=1)
     k_max = base.n_effective - 1  # largest model with a residual degree of freedom
     full_rank = [(1, 2), (3, 9), (0, 4, 8), tuple(range(k_max))]
-    models = [()] + full_rank + [(5, 12)]
-    cache = FactorCache(base)
-    for y in responses:
-        y0 = standardize(Dataset(x=x, y=y), mode).y0
-        cold = dataclasses.replace(base, y0=y0)
-        warm = dataclasses.replace(base, y0=y0, factors=cache)
-        for _ in range(2):  # the first response fills the cache, the rest hit it
-            for m in models:
-                for allow in (False, True):
-                    got = outcome(lambda: fit_fields(ls_fit(warm, m, allow_degenerate=allow)))
-                    want = outcome(lambda: fit_fields(ls_fit(cold, m, allow_degenerate=allow)))
-                    assert got == want
-                assert repr(outcome(lambda: rss(warm, m))) == repr(outcome(lambda: rss(cold, m)))
-    assert outcome(lambda: ls_fit(warm, (1, 2)))[0] is DegenerateResidual
-    assert outcome(lambda: rss(warm, (5, 12)))[0] is RankDeficient
-    assert len(cache) == len(full_rank)  # a raise is never stored
+    for m in [()] + full_rank:
+        model = ModelSet.of(m)
+        theta, beta, rss_b, t2 = _ls_block(base, model, ys, allow_degenerate=True)
+        for b, y0 in enumerate(ys):
+            design = dataclasses.replace(base, y0=y0)
+            fit = ls_fit(design, model, allow_degenerate=True)
+            row_t2 = None if np.isnan(t2[b]).any() else t2[b]
+            row = LsFit(model, theta[b], beta[b], float(rss_b[b]), fit.df_resid, row_t2)
+            assert fit_fields(row) == fit_fields(fit)
+            if model:
+                assert fit_fields(fit) == fit_fields(ls_fit_reference(design, model))
+    # the degenerate row is the one response in the span of (1, 2)
+    t2 = _ls_block(base, ModelSet.of((1, 2)), ys, allow_degenerate=True)[3]
+    assert np.isnan(t2).any(axis=1).tolist() == [False, False, True, False, False]
+    single = outcome(lambda: ls_fit(dataclasses.replace(base, y0=ys[2]), (1, 2)))
+    assert single[0] is DegenerateResidual
+    strict = outcome(lambda: _ls_block(base, ModelSet.of((1, 2)), ys, allow_degenerate=False))
+    assert strict == single
+    for call in (
+        lambda: ls_fit(base, (5, 12)),
+        lambda: _ls_block(base, ModelSet.of((5, 12)), ys, allow_degenerate=True),
+    ):
+        assert outcome(call)[0] is RankDeficient
 
 
-def test_factor_cache_serves_only_its_own_columns():
-    rng = np.random.default_rng(25)
-    a = standardize(random_dataset(rng, 15, 4), "practical")
-    b = standardize(random_dataset(rng, 15, 4), "practical")
-    warm = dataclasses.replace(a, factors=FactorCache(a))
-    model = ModelSet.of([0, 2])
-    filled = fit_fields(ls_fit(warm, model))
-    for other in (dataclasses.replace(warm, x0=b.x0), dataclasses.replace(warm, scales=b.scales)):
-        got = fit_fields(ls_fit(other, model))
-        assert got != filled
-        assert got == fit_fields(ls_fit(dataclasses.replace(other, factors=None), model))
-        assert rss(other, model) == rss(dataclasses.replace(other, factors=None), model)
-    assert len(warm.factors) == 1
-
-
-def test_standardized_design_keeps_no_factors():
-    data = random_dataset(np.random.default_rng(26), 30, 10)
-    d = standardize(data, "formal")
-    subsets = itertools.islice(
-        (c for k in range(1, 11) for c in itertools.combinations(range(10), k)), 1000
-    )
-    for c in subsets:
-        rss(d, c)
-    assert d.factors is None
-    assert standardize(data, "formal").factors is None
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_stacked_gemv_rows_are_the_single_products(order):
+    # the one rule behind every block of responses: a stacked matmul runs one
+    # gemv per row with the strides of ``a @ y``, so a numpy or BLAS change
+    # that breaks it fails here first
+    rng = np.random.default_rng(2025)
+    for n, k, count in [(80, 6, 128), (12, 1, 5), (200, 13, 40), (7, 7, 1), (45, 3, 64)]:
+        a = np.asarray(rng.standard_normal((k, n)), order=order)
+        ys = rng.standard_normal((count, n)) * rng.uniform(0.1, 50.0)
+        want = np.array([a @ y for y in ys])
+        assert _gemv_rows(a, ys).tobytes() == want.tobytes()
+        back = np.asarray(a.T, order=order)
+        assert _gemv_rows(back, want).tobytes() == np.array([back @ v for v in want]).tobytes()
+        assert np.vecdot(ys, ys).tobytes() == np.array([y @ y for y in ys]).tobytes()
+        centered = np.array([_center(y, "practical") for y in ys])
+        assert _center(ys, "practical", axis=1).tobytes() == centered.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["practical", "formal"])
@@ -481,19 +509,13 @@ def test_solve_upper_keeps_scipys_checks(order):
             _solve_upper(r, np.array([1.0, bad, 1.0]))
 
 
-def test_ls_fit_rejects_a_non_finite_response_cached_or_not():
+def test_ls_fit_rejects_a_non_finite_response_alone_or_in_a_block():
     rng = np.random.default_rng(2018)
     good = standardize(random_dataset(rng, 20, 4), "practical")
     y0 = good.y0.copy()
     y0[3] = np.nan
     model = ModelSet.of([0, 2, 3])
-    with pytest.raises(ValueError, match="infs or NaNs"):  # no cache
+    with pytest.raises(ValueError, match="infs or NaNs"):
         ls_fit(dataclasses.replace(good, y0=y0), model)
-    cache = FactorCache(good)
-    with pytest.raises(ValueError, match="infs or NaNs"):  # a miss
-        ls_fit(dataclasses.replace(good, y0=y0, factors=cache), model)
-    warm = FactorCache(good)
-    ls_fit(dataclasses.replace(good, factors=warm), model)  # a finite response fills it
-    assert len(warm) == 1
-    with pytest.raises(ValueError, match="infs or NaNs"):  # a hit
-        ls_fit(dataclasses.replace(good, y0=y0, factors=warm), model)
+    with pytest.raises(ValueError, match="infs or NaNs"):  # a finite row first
+        _ls_block(good, model, np.array([good.y0, y0]), allow_degenerate=True)

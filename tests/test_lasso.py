@@ -21,7 +21,9 @@ from sosselect.lasso import (
     LassoFit,
     OracleCheckReport,
     PenaltyPair,
+    _event_a_block,
     _lasso_block,
+    _screen_block,
     default_penalties,
     event_a,
     kkt_gap,
@@ -435,6 +437,34 @@ def test_event_a_zero_noise_and_zero_threshold():
     assert event_a(d, np.zeros(10), 0.5).holds
     w = event_a(d, rng.standard_normal(10), 0.0)
     assert not w.holds and w.max_correlation > 0
+
+
+def test_screen_and_event_a_blocks_are_their_single_calls():
+    # a row of a block is the bytes of the one-response call, and an
+    # unconverged fit is a screening error only for its own row
+    rng = np.random.default_rng(2026)
+    d = standardize(Dataset(x=rng.standard_normal((25, 9)), y=rng.standard_normal(25)), "practical")
+    r_l = 0.3
+    theta = rng.standard_normal((40, 9)) * rng.uniform(0.5, 4.0, (40, 1))
+    theta[3, :] = 0.0  # nothing kept
+    theta[4, :] = 0.0
+    theta[4, :2] = [6.0 * r_l * math.sqrt(2.0), 6.0 * r_l]  # exactly a1 and a0
+    keep0, keep1, a1 = _screen_block(theta, r_l)
+    for b, row in enumerate(theta):
+        single = screen(_manual_fit(row, r_l))
+        assert single.s0.indices == tuple(np.flatnonzero(keep0[b]).tolist())
+        assert single.s1.indices == tuple(np.flatnonzero(keep1[b]).tolist())
+        assert single.a1 == float(a1[b])
+    assert not keep1[3].any() and keep1[4].tolist() == [True] + [False] * 8
+    with pytest.raises(NotConverged):
+        screen(dataclasses.replace(_manual_fit(theta[0], r_l), converged=False))
+    eps = rng.standard_normal((40, 25)) * 2.0
+    mc = _event_a_block(d, eps)
+    for b, e in enumerate(eps):
+        single = event_a(d, e, 7.0)
+        assert single.max_correlation == float(mc[b])
+        assert single.holds == bool(mc[b] <= 7.0)
+    assert {bool(v <= 7.0) for v in mc} == {True, False}
 
 
 def test_event_a_failure_frequency_within_tail_bound():

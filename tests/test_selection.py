@@ -13,7 +13,16 @@ import math
 import numpy as np
 import pytest
 
-from sosselect.design import RANK_TOL, Dataset, FactorCache, ModelSet, ls_fit, rss, standardize
+from sosselect.design import (
+    RANK_TOL,
+    Dataset,
+    ModelSet,
+    _center,
+    _full_rank_factor,
+    ls_fit,
+    rss,
+    standardize,
+)
 from sosselect.errors import (
     DegenerateResidual,
     EnumerationTooLarge,
@@ -23,8 +32,11 @@ from sosselect.errors import (
 )
 from sosselect.lasso import PenaltyPair, default_penalties
 from sosselect.selection import (
+    GicPath,
     Ordering,
     _exhaustive_block,
+    _order_block,
+    _path_block,
     exhaustive_gic,
     gic_path,
     order_by_t,
@@ -171,32 +183,72 @@ def path_fields(ordering_call):
     )
 
 
-@pytest.mark.parametrize("mode", ["practical", "formal"])
-def test_gic_path_factor_cache_hits_are_byte_identical(mode):
+def block_design(mode):
+    """A design with a duplicate column and a stack of centered responses,
+    one of them (row 2) in the span of columns 0 and 4: ~0 residual."""
     rng = np.random.default_rng(58)
     n = 10
     x = rng.standard_normal((n, 10))
     x[:, 9] = x[:, 2]  # exact duplicate column
-    # the second response lies in the span of columns 0 and 4: ~0 residual
-    responses = [rng.standard_normal(n), x[:, [0, 4]] @ np.array([2.0, -1.0])]
+    responses = [rng.standard_normal(n) * 2.0 for _ in range(4)]
+    responses.insert(2, x[:, [0, 4]] @ np.array([2.0, -1.0]))
     base = standardize(Dataset(x=x, y=responses[0]), mode)
+    return base, _center(np.array(responses), mode, axis=1)
+
+
+def gic_path_reference(design, seq, r):
+    """gic_path of a non-empty ordering as one response's scalar products:
+    the gemvs ``q2.T @ (q.T @ y0)`` and ``y0 @ y0``."""
+    q, rmat, perm = _full_rank_factor(design.x0[:, list(seq)], ModelSet.of(seq))
+    q2 = np.linalg.qr(rmat[:, np.argsort(perm)])[0]
+    contrib = (q2.T @ (q.T @ design.y0)) ** 2
+    r_empty = float(design.y0 @ design.y0)
+    rss_path = np.maximum(r_empty - np.concatenate([[0.0], np.cumsum(contrib)]), 0.0)
+    values = rss_path + r * np.arange(len(seq) + 1)
+    return GicPath(rss_path, values, int(np.argmin(values)), r)
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+def test_path_block_rows_are_byte_identical_to_gic_path(mode):
+    base, ys = block_design(mode)
     # one set in three orders (pivoting depends on the order), and a
     # prefix family as long as n_effective allows for both modes
     full_rank = [(4, 0, 3), (0, 3, 4), (3, 4, 0), (7, 6, 5, 4, 3, 2, 1, 0)]
-    orderings = [()] + full_rank + [(2, 9)]
-    cache = FactorCache(base)
-    for y in responses:
-        y0 = standardize(Dataset(x=x, y=y), mode).y0
-        cold = dataclasses.replace(base, y0=y0)
-        warm = dataclasses.replace(base, y0=y0, factors=cache)
-        for _ in range(2):  # the first response fills the cache, the rest hit it
-            for seq in orderings:
-                for r in (0.0, 0.7):
-                    got = path_fields(lambda: gic_path(warm, Ordering(sequence=seq), r))
-                    want = path_fields(lambda: gic_path(cold, Ordering(sequence=seq), r))
-                    assert got == want
-    assert path_fields(lambda: gic_path(warm, Ordering(sequence=(2, 9)), 0.0))[0] is RankDeficient
-    assert len(cache) == len(full_rank)  # one entry per ordering; a raise is never stored
+    for seq in [()] + full_rank:
+        for r in (0.0, 0.7):
+            rss_path, values, sizes = _path_block(base, seq, ys, r)
+            for b, y0 in enumerate(ys):
+                single = gic_path(dataclasses.replace(base, y0=y0), Ordering(sequence=seq), r)
+                row = GicPath(rss_path[b], values[b], int(sizes[b]), r)
+                assert path_fields(lambda: row) == path_fields(lambda: single)
+                if seq:
+                    design = dataclasses.replace(base, y0=y0)
+                    want = path_fields(lambda: gic_path_reference(design, seq, r))
+                    assert path_fields(lambda: single) == want
+    got = path_fields(lambda: _path_block(base, (2, 9), ys, 0.0))
+    assert got[0] is RankDeficient
+    assert got == path_fields(lambda: gic_path(base, Ordering(sequence=(2, 9)), 0.0))
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+def test_order_block_rows_are_byte_identical_to_order_by_t(mode):
+    base, ys = block_design(mode)
+    fallbacks = 0
+    for s1 in [(0, 4), (0, 3, 4, 6), (1, 5, 7, 8), tuple(range(8))]:
+        if len(s1) >= base.n_effective:
+            continue
+        seqs, t2 = _order_block(base, ModelSet.of(s1), ys, allow_degenerate=True)
+        for b, y0 in enumerate(ys):
+            single = order_by_t(dataclasses.replace(base, y0=y0), s1, allow_degenerate=True)
+            assert tuple(seqs[b].tolist()) == single.sequence
+            if single.t_squared is None:  # the leave-one-out fallback
+                fallbacks += 1
+                assert np.isnan(t2[b]).all()
+            else:
+                assert tuple(t2[b].tolist()) == single.t_squared
+    assert fallbacks >= 2  # row 2 falls back for every set holding 0 and 4
+    with pytest.raises(DegenerateResidual):
+        _order_block(base, ModelSet.of((0, 4)), ys, allow_degenerate=False)
 
 
 def test_exhaustive_orthonormal_closed_form():
@@ -479,24 +531,24 @@ def test_run_os_requires_small_p():
         run_os(d, PenaltyPair(r=1.0, r_l=2.0))
 
 
-@pytest.mark.parametrize("cached", [False, True])
-def test_refit_equals_a_fresh_fit_of_the_selection(cached):
-    # the ordering's own fit is reused as the refit when all of it is
-    # selected; either way the refit is a fresh fit's bytes
+@pytest.mark.parametrize("formal", [False, True])
+def test_refit_equals_a_fresh_fit_of_the_selection(formal):
+    # whether the selection is the whole ordering or a proper prefix of it,
+    # the refit is a fresh fit's bytes, in either parametrization
+    mode = "formal" if formal else "practical"
     rng = np.random.default_rng(79)
     kinds = set()
     for beta in ([9.0, -7.0, 6.0, 0.0, 0.0], [9.0, -7.0, 6.0, 8.0, 5.0]):
         x = rng.standard_normal((40, 5))
         y = x @ np.array(beta) + rng.standard_normal(40)
-        cold = standardize(Dataset(x=x, y=y), "practical")
-        d = dataclasses.replace(cold, factors=FactorCache(cold)) if cached else cold
+        d = standardize(Dataset(x=x, y=y), mode)
         for out in (
             run_os(d, PenaltyPair(r=4.0, r_l=4.0)),
             run_sos(d, PenaltyPair(r=4.0, r_l=1.0)),
         ):
             whole = ModelSet.of(out.ordering.sequence)
             kinds.add("whole" if out.selected == whole else "prefix")
-            fresh = ls_fit(cold, out.selected, allow_degenerate=True)
+            fresh = ls_fit(d, out.selected, allow_degenerate=True)
             assert out.refit.to_json_dict() == fresh.to_json_dict()
     assert kinds == {"whole", "prefix"}
 
@@ -586,14 +638,12 @@ def test_internal_model_sets_are_sorted_python_ints():
     assert all(out.selected for out in outcomes)
 
 
-def test_gic_path_checks_its_ordering_with_a_shared_cache():
+def test_gic_path_checks_its_ordering_alone_and_in_a_block():
     rng = np.random.default_rng(2020)
     design = random_design(rng, 20, 5)
-    warm = dataclasses.replace(design, factors=FactorCache(design))
+    ys = np.array([design.y0, design.y0[::-1]])
     for seq, match in [((0, 2, 0), "repeated"), ((1, 5), "out of range"), ((1, -1), "negative")]:
-        for _ in range(2):  # the first call and a repeat
-            with pytest.raises(ValueError, match=match):
-                gic_path(warm, Ordering(sequence=seq), 0.5)
-    assert len(warm.factors) == 0  # a raise is never stored
-    gic_path(warm, Ordering(sequence=(4, 0)), 0.5)
-    assert len(warm.factors) == 1
+        with pytest.raises(ValueError, match=match):
+            gic_path(design, Ordering(sequence=seq), 0.5)
+        with pytest.raises(ValueError, match=match):
+            _path_block(design, seq, ys, 0.5)

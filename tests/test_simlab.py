@@ -1,5 +1,6 @@
 """Monte Carlo laboratory: seeding, event decomposition, bounds, pivot."""
 
+import functools
 import json
 import math
 import os
@@ -21,7 +22,9 @@ from sosselect.bounds import (
     bound_input_from_design,
     bound_report,
 )
-from sosselect.errors import DegenerateSelection, NotConverged, ScreenTooLarge
+from sosselect.design import DEGENERATE_RSS, ModelSet
+from sosselect.errors import DegenerateSelection, NotConverged, RankDeficient, ScreenTooLarge
+from sosselect.lasso import _lasso_block, event_a, screen
 from sosselect.simlab import (
     ExperimentSummary,
     FPivotReport,
@@ -35,7 +38,7 @@ from sosselect.simlab import (
     pivot_dimension,
     run_experiment,
 )
-from sosselect.selection import run_sos
+from sosselect.selection import _finish, exhaustive_gic, order_by_t, run_os, run_sos
 
 
 def load_summary(path):
@@ -543,16 +546,13 @@ def test_fixed_design_sos_block_equals_each_replicates_own_run_sos():
 def test_fixed_design_block_factors_each_model_once(monkeypatch):
     cfg = strong_config(n=80, b=40.0, a=0.9, design_kind="ar1", rho=0.2, replicates=40)
     block = 16
-    # what each replicate factors, from its own uncached design
+    # a block factors each distinct screened set (the ordering fit) and each
+    # distinct ordering (the prefix path) once
     keys = set()
     for i in range(cfg.replicates):
         out = run_sos(generate_trial(cfg, i)[1], penalties=cfg.penalties())
         assert out.ordering.t_squared is not None  # no leave-one-out refits
-        for key in (
-            ("fit", out.screen.s1.indices),
-            ("path", out.ordering.sequence),
-            ("fit", out.selected.indices),
-        ):
+        for key in (("fit", out.screen.s1.indices), ("path", out.ordering.sequence)):
             if key[1]:
                 keys.add((i // block, key))
     calls = []
@@ -570,24 +570,272 @@ def test_fixed_design_block_factors_each_model_once(monkeypatch):
 
 def test_engine_replicates_equal_generate_trial(monkeypatch):
     cfg = exhaustive_race_config(replicates=9, mode="formal")
-    seen = {}
-    inner = simlab._single_trial
+    noise, walk, records = simlab._draw_noise, simlab._exhaustive_block, simlab._block_records
+    seen_eps, seen_y0, seen_design, seen_truth = {}, [], [], {}
 
-    def spy(config, draw, index, trial, *rest):
-        seen[index] = (*trial, draw.truth)
-        return inner(config, draw, index, trial, *rest)
+    def spy_noise(config, indices):
+        eps = noise(config, indices)
+        seen_eps.update(zip(indices, eps))
+        return eps
+
+    def spy_walk(design, responses, r):
+        seen_y0.extend(responses)
+        seen_design.extend([design] * len(responses))
+        return walk(design, responses, r)
+
+    def spy_records(config, draw, indices, penalties):
+        seen_truth.update((i, draw.truth) for i in indices)
+        return records(config, draw, indices, penalties)
 
     monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", 4)
-    monkeypatch.setattr(simlab, "_single_trial", spy)
+    monkeypatch.setattr(simlab, "_draw_noise", spy_noise)
+    monkeypatch.setattr(simlab, "_exhaustive_block", spy_walk)
+    monkeypatch.setattr(simlab, "_block_records", spy_records)
     run_experiment(cfg)
-    assert sorted(seen) == list(range(9))
-    for i, (y, design, eps, truth) in seen.items():
+    assert sorted(seen_eps) == sorted(seen_truth) == list(range(9))
+    assert len(seen_y0) == 9  # the blocks come in replicate order
+    for i in range(9):
         dataset, want, want_truth, want_eps = generate_trial(cfg, i)
-        assert np.array_equal(y, dataset.y)
-        for attr in ("x0", "y0", "scales"):
-            assert np.array_equal(getattr(design, attr), getattr(want, attr))
-        assert np.array_equal(truth.theta_star, want_truth.theta_star)
-        assert np.array_equal(eps, want_eps)
+        assert np.array_equal(seen_y0[i], want.y0)
+        for attr in ("x0", "scales"):
+            assert np.array_equal(getattr(seen_design[i], attr), getattr(want, attr))
+        assert np.array_equal(seen_truth[i].theta_star, want_truth.theta_star)
+        assert np.array_equal(seen_eps[i], want_eps)
+
+
+# ------------------------------------------- the per-replicate reference
+
+
+def f_stat_reference(x, mu, y, mode, model):
+    """The post-selection pivot of one response, as records computed it
+    one replicate at a time."""
+    n = len(y)
+    d = pivot_dimension(len(model), mode)
+    if len(model) == 0 or d >= n:
+        return None
+    cols = [x[:, j] for j in model.indices]
+    if d > len(model):
+        cols = [np.ones(n)] + cols
+    qmat, _ = np.linalg.qr(np.column_stack(cols))
+    target = qmat @ (qmat.T @ mu)
+    fit = qmat @ (qmat.T @ y)
+    rss = float(np.sum((y - fit) ** 2))
+    if rss <= DEGENERATE_RSS:
+        return None
+    num = float(np.sum((fit - target) ** 2)) / d
+    return num / (rss / (n - d))
+
+
+def single_trial_reference(config, index, branches, lasso_block=_lasso_block):
+    """Replicate ``index``'s record from its own draws and the single-response
+    calls, as records were built one replicate at a time before the block
+    y-side: the oracle of ``simlab._block_records``. A fixed design's Lasso
+    fit comes from ``lasso_block`` with a block of one, which gives the bytes
+    of any block. Adds to ``branches`` the rare paths it took."""
+    draw = simlab._draw_design(config, index)
+    dataset, design, truth, eps = generate_trial(config, index)
+    penalties = config.penalties()
+    best = exhaustive_gic(design, penalties.r) if config.compare_exhaustive else None
+    seed = f"{config.master_seed}:{0 if config.fixed_design else index}:{index}"
+    true_set = set(truth.support.indices)
+    t = truth.t
+
+    screen_ok = True
+    order_ok = False
+    selected = ModelSet.empty()
+    outcome = None
+    try:
+        if config.algorithm == "os":
+            outcome = run_os(design, penalties)
+        elif not config.fixed_design:
+            outcome = run_sos(design, penalties)
+        else:
+            fit = lasso_block(design, [design.y0], penalties.r_l)[0]
+            scr = screen(fit)
+            if len(scr.s1) >= design.n_effective:
+                raise ScreenTooLarge(f"|S1|={len(scr.s1)}")
+            ordering = order_by_t(design, scr.s1, allow_degenerate=True)
+            outcome = _finish("sos", design, penalties, scr, fit, ordering)
+    except ScreenTooLarge:
+        screen_ok = False
+        branches.add("screen_too_large")
+    except NotConverged as err:
+        branches.add("not_converged")
+        raise NotConverged(f"replicate {index} (seed {seed}): {err}") from err
+    if outcome is not None:
+        kept = set(outcome.ordering.sequence)
+        if config.algorithm == "sos":
+            screen_ok = true_set.issubset(kept)
+        order_ok = screen_ok and _order_correct(outcome.ordering.sequence, true_set)
+        selected = outcome.selected
+        if not kept:
+            branches.add("empty_s1")
+        if outcome.ordering.t_squared is None:
+            branches.add("leave_one_out")
+
+    size = len(selected)
+    underfit = screen_ok and order_ok and size < t
+    overfit = screen_ok and order_ok and size > t
+    exact = screen_ok and order_ok and size == t
+    recovered = selected == truth.support
+    if exact and not recovered:
+        raise AssertionError("size-t prefix of a correct ordering must be the truth")
+
+    f_val = f_stat_reference(draw.x, draw.mu, dataset.y, config.mode, selected)
+    if f_val is None:
+        branches.add("f_stat_none")
+    return TrialRecord(
+        index=index,
+        seed=seed,
+        screen_ok=screen_ok,
+        order_ok=order_ok,
+        underfit=underfit,
+        overfit=overfit,
+        exact=exact,
+        recovered=recovered,
+        event_a=event_a(design, eps, penalties.r_l).holds,
+        selected=selected.indices,
+        exhaustive_exact=None if best is None else best.model == truth.support,
+        f_stat=f_val,
+    )
+
+
+def reference_run(config, branches, lasso_block=_lasso_block):
+    """The reference records of every replicate, or the error the first
+    failing replicate raises, as (type, message)."""
+    try:
+        return repr([
+            single_trial_reference(config, i, branches, lasso_block)
+            for i in range(config.replicates)
+        ])
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def engine_runs(monkeypatch, config):
+    """run_experiment's records (or error) in blocks of 1, 5 and 128 with
+    jobs 1, and in blocks of 5 with jobs 3; a fresh design, whose blocks
+    are always of one, with jobs 1 and 3."""
+    runs = []
+    settings = [(1, 1), (5, 1), (128, 1), (5, 3)] if config.fixed_design else [(1, 1), (1, 3)]
+    for block, jobs in settings:
+        monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", block)
+        try:
+            runs.append(repr(list(run_experiment(config, jobs=jobs).records)))
+        except Exception as exc:
+            runs.append((type(exc), str(exc)))
+    return runs
+
+
+REFERENCE_CONFIGS = {
+    # several screened sets and orderings per block; p above the bound guard
+    "fixed_sos_practical": dict(
+        n=40, p=13, t=2, b=11.0, a=0.9, replicates=23, master_seed=7, fixed_design=True
+    ),
+    "fixed_sos_formal": dict(
+        n=40, p=13, t=2, b=11.0, a=0.9, mode="formal", replicates=23, master_seed=8,
+        fixed_design=True,
+    ),
+    "fixed_os_race_formal": dict(
+        n=30, p=6, t=1, b=3.0, algorithm="os", compare_exhaustive=True, mode="formal",
+        penalty_rule="explicit", r=2.0, r_l=2.0 * math.sqrt(2.0), replicates=23,
+        master_seed=37, fixed_design=True,
+    ),
+    "fixed_os_practical": dict(
+        n=40, p=13, t=3, design_kind="ar1", rho=0.9, beta_pattern="decaying", b=6.0,
+        ratio=0.4, algorithm="os", replicates=23, master_seed=1, fixed_design=True,
+    ),
+    # weak signal: replicates that share an ordering cut it at different sizes
+    "fixed_os_cuts": dict(
+        n=40, p=4, t=2, b=0.5, penalty_rule="explicit", r=2.0, r_l=2.8, algorithm="os",
+        replicates=23, master_seed=1, fixed_design=True,
+    ),
+    "fresh_sos_formal": dict(
+        n=40, p=13, t=2, b=11.0, a=0.9, mode="formal", replicates=9, master_seed=8,
+    ),
+    "fresh_os_practical": dict(
+        n=40, p=13, t=3, design_kind="ar1", rho=0.9, beta_pattern="decaying", b=4.0,
+        ratio=0.3, algorithm="os", replicates=9, master_seed=1,
+    ),
+    # |S1| reaches n_effective: screening failures
+    "screen_too_large": dict(
+        n=5, p=13, t=2, b=5.0, penalty_rule="explicit", r=1.0, r_l=0.15,
+        replicates=5, master_seed=4, fixed_design=True,
+    ),
+    # a penalty above every coefficient: empty screened sets
+    "empty_s1": dict(
+        n=40, p=13, t=2, b=2.0, penalty_rule="explicit", r=1.0, r_l=40.0,
+        replicates=7, master_seed=3, fixed_design=True,
+    ),
+    # no noise: ~0 residuals, leave-one-out orderings and no pivot
+    "noiseless": dict(
+        n=40, p=6, t=2, b=25.0, sigma2=0.0, penalty_rule="explicit", r=1.0, r_l=0.5,
+        replicates=7, master_seed=7, fixed_design=True,
+    ),
+    "noiseless_os": dict(
+        n=40, p=6, t=2, b=25.0, sigma2=0.0, penalty_rule="explicit", r=1.0, r_l=0.5,
+        algorithm="os", mode="formal", replicates=7, master_seed=7, fixed_design=True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
+def test_block_records_are_the_per_replicate_records(monkeypatch, name):
+    cfg = ScenarioConfig(**REFERENCE_CONFIGS[name])
+    branches = set()
+    want = reference_run(cfg, branches)
+    assert isinstance(want, str), want
+    assert set(engine_runs(monkeypatch, cfg)) == {want}
+    expected = {
+        "screen_too_large": {"screen_too_large"},
+        "empty_s1": {"empty_s1", "f_stat_none"},
+        "noiseless": {"leave_one_out", "f_stat_none"},
+        "noiseless_os": {"leave_one_out", "f_stat_none"},
+    }.get(name, set())
+    assert expected <= branches
+
+
+def test_block_records_raise_what_the_first_failing_replicate_raises(monkeypatch):
+    # fresh designs: replicate 8's Lasso needs about 16,000 sweeps
+    cfg = ScenarioConfig(
+        n=10, p=14, t=2, b=5, penalty_rule="explicit", r=1, r_l=0.2,
+        replicates=10, master_seed=2,
+    )
+    want = reference_run(cfg, set())
+    assert want[0] is NotConverged and want[1].startswith("replicate 8 (seed 2:8:8): ")
+    assert set(engine_runs(monkeypatch, cfg)) == {want}
+    # a fixed design whose Lasso block stops after 3 sweeps: the first
+    # unconverged replicate in index order raises, in any block and job count
+    cfg = strong_config(p=13, b=11.0, a=0.9, replicates=23)
+    short = functools.partial(_lasso_block, max_iter=3)
+    branches = set()
+    want = reference_run(cfg, branches, short)
+    assert want[0] is NotConverged and branches == {"not_converged"}
+    monkeypatch.setattr(simlab, "_lasso_block", short)
+    assert set(engine_runs(monkeypatch, cfg)) == {want}
+    # a rank-deficient ordering fit, shared by a whole group of replicates
+    cfg = ScenarioConfig(
+        n=40, p=8, t=2, design_kind="duplicated_spurious", copies=2, algorithm="os",
+        replicates=7, master_seed=11, fixed_design=True,
+    )
+    want = reference_run(cfg, set())
+    assert want[0] is RankDeficient
+    assert set(engine_runs(monkeypatch, cfg)) == {want}
+
+
+def test_oracle_pivot_is_the_per_replicate_pivot():
+    for cfg in (
+        ScenarioConfig(n=60, p=5, t=2, b=30.0, replicates=300, master_seed=31),
+        strong_config(replicates=140, mode="formal"),
+    ):
+        vals = []
+        for i in range(cfg.replicates):
+            dataset, _, truth, _ = generate_trial(cfg, i)
+            draw = simlab._draw_design(cfg, i)
+            vals.append(f_stat_reference(draw.x, draw.mu, dataset.y, cfg.mode, truth.support))
+        report = f_pivot_check(cfg, oracle=True)
+        assert report.ks_distance == simlab._pivot_ks(cfg, vals)
+        assert (report.used, report.degenerate_count) == (cfg.replicates, 0)
 
 
 @pytest.mark.parametrize("compare_exhaustive", [False, True])
