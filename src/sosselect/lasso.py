@@ -16,18 +16,17 @@ check certifies to stay within ``r_l``: its update would change nothing, so
 iterates, sweep counts and gaps are bit-identical to visiting every one.
 
 Many responses on one design (the replicates of a fixed-design experiment)
-run the same descent as one block: the private ``_lasso_block`` takes every
-inner product as a column sum over a column-major residual block, so a
-response's fit is the same bytes in any block, of any width. Its sums round
-differently from the dot products here, so its fits agree with
-``solve_lasso`` to rounding, with the same sweeps and screened sets on the
-fixed designs tested. ``solve_lasso`` stays the solver of one response and
-of fresh designs because it is much faster there: on ten n = 200, p = 1000
-designs (8-11 sweeps, one BLAS thread, 2-vCPU Xeon) it took 12 ms per fit
-against about 270 ms for a block of one, whose column sums and unskipped
-visits cost more than its BLAS dot products and skip rule. Both descents
-build their fits and gaps with the same ``_lasso_fit`` and
-``_stationarity_gap``.
+run the same descent as one block: the private ``_lasso_block`` makes, row by
+row of a (B, n) residual stack, the BLAS calls ``solve_lasso`` makes for one
+response (``np.vecdot`` for a coordinate step, the design module's stacked
+gemv for the KKT check), so a response's fit is ``solve_lasso``'s bytes in
+any block. ``solve_lasso`` stays the solver of one response and of fresh
+designs because it is much faster there: on ten n = 200, p = 1000 designs
+(8-12 sweeps, one BLAS thread, 2-vCPU Xeon) it took 7 ms per fit (median)
+against 124 ms for a block of one, whose numpy calls at every coordinate
+cost more than the scalar steps and skip rule of ``solve_lasso``. Both
+descents build their fits and gaps with the same ``_lasso_fit`` and
+``_kkt_block``.
 
 Screening keeps coefficients above ``6 r_l`` (first stage) and then above
 ``6 r_l * sqrt(max(|S0|, 1))`` (second stage); both thresholds are inclusive.
@@ -116,12 +115,20 @@ def _lasso_fit(design: StandardizedDesign, theta, r_l, gap, sweeps, tol) -> Lass
     )
 
 
+def _kkt_block(x0: np.ndarray, ys: np.ndarray, theta: np.ndarray, r_l: float):
+    """KKT gaps (B,) of the rows of ``theta`` (B, p) for the rows of ``ys``
+    (B, n), with the gradients ``X0' full`` (B, p) and the residuals ``full =
+    y0 - X0 theta`` (B, n) they were computed from; every product is the
+    design module's stacked gemv, so each row is the bytes of its own call."""
+    full = ys - _gemv_rows(x0, theta)
+    grad = _gemv_rows(x0.T, full)
+    return _stationarity_gap(grad.T, theta.T, r_l), grad, full
+
+
 def _kkt(design: StandardizedDesign, theta: np.ndarray, r_l: float):
-    """KKT gap of ``theta``, with the gradient ``X0' full`` and the residual
-    ``full = y0 - X0 theta`` it was computed from."""
-    full = design.y0 - design.x0 @ theta
-    grad = design.x0.T @ full
-    return float(_stationarity_gap(grad, theta, r_l)), grad, full
+    """:func:`_kkt_block` of one response: the gap, gradient and residual."""
+    gap, grad, full = _kkt_block(design.x0, design.y0[None], theta[None], r_l)
+    return float(gap[0]), grad[0], full[0]
 
 
 def kkt_gap(design: StandardizedDesign, theta: np.ndarray, r_l: float) -> float:
@@ -195,17 +202,6 @@ def solve_lasso(
     return _lasso_fit(design, theta, r_l, gap, sweeps, tol)
 
 
-def _kkt_block(x0: np.ndarray, ys: np.ndarray, theta: np.ndarray, r_l: float) -> np.ndarray:
-    """KKT gap of each column of ``theta`` (p, B) for the matching column of
-    ``ys`` (n, B, column-major), every inner product a column sum."""
-    fitted = np.zeros_like(ys)
-    for j, row in enumerate(theta):
-        fitted += x0[:, j, None] * row
-    full = ys - fitted
-    grad = np.array([(x0[:, j, None] * full).sum(axis=0) for j in range(len(theta))])
-    return _stationarity_gap(grad, theta, r_l)
-
-
 def _lasso_block(
     design: StandardizedDesign,
     responses,
@@ -216,45 +212,43 @@ def _lasso_block(
 ) -> list:
     """:func:`solve_lasso` from zero for several responses on one design.
 
-    The same cyclic order, soft-threshold, KKT stop and ``max_iter`` act on
-    each column of one (n, B) residual block; a response leaves the block
-    when it stops. Every inner product is a column sum over a column-major
-    block, ``(x0[:, j, None] * R).sum(axis=0)``, which numpy adds pairwise
-    per column exactly as for one response, so a fit does not depend on its
-    block. (A BLAS product's bits depend on the block width, and a row-major
-    axis-0 sum adds row by row except at width 1.) Only coordinates that
-    moved are written back, so an unmoved +0.0 never turns into -0.0. There
-    is no skip rule: a skip changes no value, and at small p the visit costs
-    less than its certificate. ``r_l`` comes from a :class:`PenaltyPair`,
-    which is nonnegative.
+    Each row of one (B, n) residual stack runs the same cyclic order,
+    soft-threshold, KKT stop and ``max_iter``; a response leaves the stack
+    when it stops. Every product is the BLAS call :func:`solve_lasso` makes
+    for that response: the inner product of a coordinate step is
+    ``np.vecdot`` with the same column view, one ``ddot`` per row, and the
+    KKT check is :func:`_kkt_block`. So each fit is the bytes of
+    ``solve_lasso`` on its response, in any block. A coordinate and its
+    residual row are written only in the rows where it moved, so an unmoved
+    +0.0 never turns into -0.0. There is no skip rule: a skip changes no
+    value, and at small p the visit costs less than its certificate. ``r_l``
+    comes from a :class:`PenaltyPair`, which is nonnegative.
     """
-    x0, p = design.x0, design.p
-    ys = np.array(np.transpose(responses), dtype=float, order="F")  # always a copy
-    resid = ys.copy(order="F")
-    theta = np.zeros((p, ys.shape[1]))
-    fits = [None] * ys.shape[1]
-    live = np.arange(ys.shape[1])
-    gap = _kkt_block(x0, ys, theta, r_l)
+    x0 = design.x0
+    ys = np.array(responses, dtype=float)  # always a copy, C-ordered (B, n)
+    theta = np.zeros((len(ys), design.p))
+    cols = list(x0.T)  # the strided column views of solve_lasso
+    fits = [None] * len(ys)
+    live = np.arange(len(ys))
+    gap, _, resid = _kkt_block(x0, ys, theta, r_l)
     sweep = 0
     while True:
         done = ~(gap > tol) | (sweep >= max_iter)
         for k in np.flatnonzero(done):
-            fits[live[k]] = _lasso_fit(design, theta[:, k].copy(), r_l, gap[k], sweep, tol)
+            fits[live[k]] = _lasso_fit(design, theta[k].copy(), r_l, gap[k], sweep, tol)
         keep = ~done
-        live, theta, gap = live[keep], theta[:, keep], gap[keep]
-        ys, resid = ys[:, keep], resid[:, keep]  # column selections stay column-major
+        live, theta, gap, ys, resid = live[keep], theta[keep], gap[keep], ys[keep], resid[keep]
         if not live.size:
             return fits
-        for j in range(p):
-            xj = x0[:, j, None]
-            old = theta[j]
-            z = old + (xj * resid).sum(axis=0)
+        for j, col in enumerate(cols):
+            old = theta[:, j]
+            z = old + np.vecdot(col, resid)
             new = np.copysign(np.maximum(np.abs(z) - r_l, 0.0), z)
-            moved = old - new
-            resid += xj * moved
-            theta[j] = np.where(moved != 0.0, new, old)
+            rows = np.flatnonzero(new != old)
+            resid[rows] += col * (old - new)[rows, None]
+            theta[rows, j] = new[rows]
         sweep += 1
-        gap = _kkt_block(x0, ys, theta, r_l)
+        gap = _kkt_block(x0, ys, theta, r_l)[0]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ fixed design is drawn once and its replicates come ``_RESPONSE_BLOCK`` at a
 time, a fresh design makes a block of one. A block's y side is one (B, n)
 stack, each row's noise drawn from its replicate's own stream. Its screening
 Lassos are one block coordinate descent (``lasso._lasso_block``, whose fits
-do not depend on the block; fresh designs keep one ``solve_lasso`` per
+are ``solve_lasso``'s bytes; fresh designs keep one ``solve_lasso`` per
 replicate) and its exhaustive searches share one subset-lattice walk. Then
 the block is grouped: replicates with the same screened set share one
 ordering fit, those with the same ordering one prefix path, and those that

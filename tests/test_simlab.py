@@ -24,7 +24,7 @@ from sosselect.bounds import (
 )
 from sosselect.design import DEGENERATE_RSS, ModelSet
 from sosselect.errors import DegenerateSelection, NotConverged, RankDeficient, ScreenTooLarge
-from sosselect.lasso import _lasso_block, event_a, screen
+from sosselect.lasso import DEFAULT_MAX_ITER, _lasso_block, event_a
 from sosselect.simlab import (
     ExperimentSummary,
     FPivotReport,
@@ -38,7 +38,7 @@ from sosselect.simlab import (
     pivot_dimension,
     run_experiment,
 )
-from sosselect.selection import _finish, exhaustive_gic, order_by_t, run_os, run_sos
+from sosselect.selection import exhaustive_gic, run_os, run_sos
 
 
 def load_summary(path):
@@ -626,12 +626,12 @@ def f_stat_reference(x, mu, y, mode, model):
     return num / (rss / (n - d))
 
 
-def single_trial_reference(config, index, branches, lasso_block=_lasso_block):
+def single_trial_reference(config, index, branches, max_iter=DEFAULT_MAX_ITER):
     """Replicate ``index``'s record from its own draws and the single-response
     calls, as records were built one replicate at a time before the block
-    y-side: the oracle of ``simlab._block_records``. A fixed design's Lasso
-    fit comes from ``lasso_block`` with a block of one, which gives the bytes
-    of any block. Adds to ``branches`` the rare paths it took."""
+    y-side: the oracle of ``simlab._block_records``. Its Lasso is
+    ``run_sos``'s ``solve_lasso`` with ``max_iter`` sweeps. Adds to
+    ``branches`` the rare paths it took."""
     draw = simlab._draw_design(config, index)
     dataset, design, truth, eps = generate_trial(config, index)
     penalties = config.penalties()
@@ -647,15 +647,8 @@ def single_trial_reference(config, index, branches, lasso_block=_lasso_block):
     try:
         if config.algorithm == "os":
             outcome = run_os(design, penalties)
-        elif not config.fixed_design:
-            outcome = run_sos(design, penalties)
         else:
-            fit = lasso_block(design, [design.y0], penalties.r_l)[0]
-            scr = screen(fit)
-            if len(scr.s1) >= design.n_effective:
-                raise ScreenTooLarge(f"|S1|={len(scr.s1)}")
-            ordering = order_by_t(design, scr.s1, allow_degenerate=True)
-            outcome = _finish("sos", design, penalties, scr, fit, ordering)
+            outcome = run_sos(design, penalties, max_iter=max_iter)
     except ScreenTooLarge:
         screen_ok = False
         branches.add("screen_too_large")
@@ -700,12 +693,12 @@ def single_trial_reference(config, index, branches, lasso_block=_lasso_block):
     )
 
 
-def reference_run(config, branches, lasso_block=_lasso_block):
+def reference_run(config, branches, max_iter=DEFAULT_MAX_ITER):
     """The reference records of every replicate, or the error the first
     failing replicate raises, as (type, message)."""
     try:
         return repr([
-            single_trial_reference(config, i, branches, lasso_block)
+            single_trial_reference(config, i, branches, max_iter)
             for i in range(config.replicates)
         ])
     except Exception as exc:
@@ -809,7 +802,7 @@ def test_block_records_raise_what_the_first_failing_replicate_raises(monkeypatch
     cfg = strong_config(p=13, b=11.0, a=0.9, replicates=23)
     short = functools.partial(_lasso_block, max_iter=3)
     branches = set()
-    want = reference_run(cfg, branches, short)
+    want = reference_run(cfg, branches, max_iter=3)
     assert want[0] is NotConverged and branches == {"not_converged"}
     monkeypatch.setattr(simlab, "_lasso_block", short)
     assert set(engine_runs(monkeypatch, cfg)) == {want}
