@@ -22,6 +22,13 @@ numerical rank, the orthonormal basis of the span and the triangular factor
 for coefficients at once. :func:`ls_fit` and the greedy path in ``selection``
 use it; every projection residual (:func:`rss`, the margins in ``identify``)
 is the one routine :func:`_residual_sq` on the :func:`span_basis` of the columns.
+The package's three QR kernels call LAPACK directly, with the workspace sizes
+and result layouts of the wrappers they replace, so the same bytes:
+:func:`_factor` makes scipy's ``geqp3``/``orgqr`` calls (workspace asked once
+per shape), :func:`_thin_q` (the greedy path's k x k QR, the pivot basis in
+``simlab``) runs numpy's ``geqrf``/``orgqr`` gufuncs. numpy and scipy ship
+separate OpenBLAS builds, which can round apart, so each kernel stays with its
+library; ``tests/test_design.py`` pins both against their wrappers.
 
 Many responses on one design (a block of fixed-design replicates in
 ``simlab``) run the same least squares as one (B, n) stack: the private
@@ -49,8 +56,8 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dtrtrs
+from numpy.linalg._umath_linalg import qr_r_raw, qr_reduced
+from scipy.linalg.lapack import dgeqp3, dorgqr, dtrtrs
 
 from .errors import (
     DegenerateResidual,
@@ -352,13 +359,41 @@ def _check_indices(design: StandardizedDesign, model: ModelSet) -> None:
         raise ValueError(f"column index {model.indices[-1]} out of range for p={design.p}")
 
 
+_QR_WORK: dict = {}  # x.shape: the geqp3 and orgqr workspace sizes
+
+
 def _factor(x: np.ndarray):
     """The one factorization: pivoted thin QR ``x[:, perm] = q @ r`` and the
-    numerical rank, the count of ``|r_kk| > RANK_TOL * |r_00|``."""
-    q, r, perm = scipy.linalg.qr(x, mode="economic", pivoting=True)
+    numerical rank, the count of ``|r_kk| > RANK_TOL * |r_00|``. scipy's
+    economic pivoted ``qr``: ``q`` F-ordered, ``r`` C-ordered, ``perm`` int32."""
+    a = np.asarray_chkfinite(x)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D array")
+    (m, n), k = a.shape, min(a.shape)
+    if a.size == 0:
+        q, r = np.empty_like(a, shape=(m, k)), np.empty_like(a, shape=(k, n))
+        return q, r, np.arange(n, dtype=np.int32), 0
+    if a.shape not in _QR_WORK:
+        qr, _, tau, work, _ = dgeqp3(a, lwork=-1)
+        _QR_WORK[a.shape] = int(work[0]), int(dorgqr(qr[:, :k], tau, lwork=-1)[1][0])
+    lwork_p, lwork_q = _QR_WORK[a.shape]
+    qr, jpvt, tau, _, info = dgeqp3(a, lwork=lwork_p)
+    r = qr[:k].copy()
+    for i in range(1, k):
+        r[i, :i] = 0.0  # np.triu's bytes
+    q, _, info_q = dorgqr(qr[:, :k], tau, lwork=lwork_q, overwrite_a=1)
+    if min(info, info_q) < 0:
+        raise ValueError("illegal value in an argument of internal geqp3/orgqr")
     d = np.abs(np.diag(r))
-    rank = int(np.sum(d > RANK_TOL * d[0])) if d.size and d[0] > 0.0 else 0
-    return q, r, perm, rank
+    rank = int(np.sum(d > RANK_TOL * d[0])) if d[0] > 0.0 else 0
+    return q, r, jpvt - 1, rank
+
+
+def _thin_q(a: np.ndarray) -> np.ndarray:
+    """numpy's reduced ``qr(a)[0]``, C-ordered, of a finite ``a``."""
+    a = np.array(np.asarray_chkfinite(a), dtype=float)
+    tau = qr_r_raw(a, signature="d->d")  # overwrites a
+    return qr_reduced(a, tau, signature="dd->d")
 
 
 def _solve_upper(r: np.ndarray, b: np.ndarray, *, check_r: bool = True) -> np.ndarray:
@@ -393,16 +428,6 @@ def _full_rank_factor(cols: np.ndarray, model: ModelSet):
     if rank < len(model):
         raise RankDeficient(model)
     return q, r, perm
-
-
-def _ls_factors(design: StandardizedDesign, model: ModelSet):
-    """``q, r, perm``, the diagonal of (X'X)^{-1} and the scales of a
-    non-empty model."""
-    q, r, perm = _full_rank_factor(design.columns(model), model)
-    rinv = _solve_upper(r, np.eye(len(model)))
-    unit_var = np.empty(len(model))
-    unit_var[perm] = np.sum(rinv * rinv, axis=1)
-    return q, r, perm, unit_var, design.scales[list(model.indices)]
 
 
 def _gemv_rows(a: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -489,11 +514,14 @@ def _ls_block(
     if k == 0:
         empty = np.zeros((len(ys), 0))
         return empty, empty, np.vecdot(ys, ys), empty
-    q, rmat, perm, unit_var, scales = _ls_factors(design, model)
+    q, rmat, perm = _full_rank_factor(design.columns(model), model)
+    rinv = _solve_upper(rmat, np.eye(k))
+    unit_var = np.empty(k)  # the diagonal of (X'X)^{-1}
+    unit_var[perm] = np.sum(rinv * rinv, axis=1)
     qty = _gemv_rows(q.T, ys)
     theta = np.empty_like(qty)
     for row, b in zip(theta, qty):
-        row[perm] = _solve_upper(rmat, b, check_r=False)  # checked by _ls_factors
+        row[perm] = _solve_upper(rmat, b, check_r=False)  # rmat checked above
     resid = ys - _gemv_rows(q, qty)
     rss_b = np.vecdot(resid, resid)
     ok = rss_b >= DEGENERATE_RSS
@@ -502,4 +530,4 @@ def _ls_block(
         raise DegenerateResidual(f"rss={bad:.3e} on model {tuple(model)}")
     t2 = np.full_like(theta, np.nan)
     t2[ok] = theta[ok] * theta[ok] / (unit_var * (rss_b[ok, None] / (n_eff - k)))
-    return theta, theta / scales, rss_b, t2
+    return theta, theta / design.scales[list(model.indices)], rss_b, t2

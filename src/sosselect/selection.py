@@ -49,6 +49,7 @@ from .design import (
     _gemv_rows,
     _ls_block,
     _residual_sq,
+    _thin_q,
     ls_fit,
 )
 from .errors import EnumerationTooLarge, ScreenTooLarge, TooManyPredictors
@@ -154,7 +155,7 @@ def _path_block(design: StandardizedDesign, seq: tuple, ys: np.ndarray, r: float
         q, rmat, perm = _full_rank_factor(design.x0[:, list(seq)], model)
         # R back in the ordering, re-triangularized: its Q turns q into the
         # orthonormal prefix directions
-        q2 = np.linalg.qr(rmat[:, np.argsort(perm)])[0]
+        q2 = _thin_q(rmat[:, np.argsort(perm)])
         contrib = _gemv_rows(q2.T, _gemv_rows(q.T, ys)) ** 2
     removed = np.concatenate([np.zeros((len(ys), 1)), np.cumsum(contrib, axis=1)], axis=1)
     rss_path = np.maximum(np.vecdot(ys, ys)[:, None] - removed, 0.0)
@@ -231,7 +232,7 @@ def _exhaustive_block(
             col = x0[:, j]
             w = col - qbasis[:, :depth] @ (qbasis[:, :depth].T @ col)
             w -= qbasis[:, :depth] @ (qbasis[:, :depth].T @ w)
-            nw = float(np.linalg.norm(w))
+            nw = math.sqrt(w.dot(w))
             if nw <= RANK_TOL:  # unit-norm columns: the design's relative rank rule
                 free = p - j - 1
                 skipped += sum(

@@ -58,6 +58,7 @@ from .design import (
     StandardizedDesign,
     _center,
     _gemv_rows,
+    _thin_q,
     json_text,
     standardize,
 )
@@ -269,7 +270,7 @@ def _pivot_block(draw: _DesignDraw, ys: np.ndarray, mode: str, model: ModelSet) 
     cols = [draw.x[:, j] for j in model.indices]
     if d > len(model):  # the intercept is a fitted coordinate
         cols = [np.ones(n)] + cols
-    qmat, _ = np.linalg.qr(np.column_stack(cols))
+    qmat = _thin_q(np.column_stack(cols))
     target = qmat @ (qmat.T @ draw.mu)
     fit = _gemv_rows(qmat, _gemv_rows(qmat.T, ys))
     rss = np.sum((ys - fit) ** 2, axis=1)

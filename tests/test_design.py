@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sosselect import design as design_module
 from sosselect.design import (
     DEGENERATE_RSS,
     Dataset,
@@ -25,6 +26,7 @@ from sosselect.design import (
     _gemv_rows,
     _ls_block,
     _solve_upper,
+    _thin_q,
     ls_fit,
     rss,
     span_basis,
@@ -507,6 +509,73 @@ def test_solve_upper_keeps_scipys_checks(order):
             _solve_upper(broken, np.ones(3))
         with pytest.raises(ValueError, match="infs or NaNs"):
             _solve_upper(r, np.array([1.0, bad, 1.0]))
+
+
+def _qr_input(case):
+    """The QR input of one byte-equality case: tall, square and wide shapes,
+    one with k > 128 (LAPACK's blocked code), duplicate and all-zero
+    columns, and F-ordered and int input."""
+    rng = np.random.default_rng(2019)
+    shape = {"square": (6, 6), "wide": (4, 9), "blocked": (200, 150)}.get(case, (30, 5))
+    a = rng.standard_normal(shape)
+    if case == "duplicate":
+        a[:, 3] = a[:, 1]
+    elif case == "zero":
+        a[:, 2] = 0.0
+    elif case == "fortran":
+        a = np.asfortranarray(a)
+    elif case == "int":
+        a = rng.integers(-9, 10, shape)
+    return a
+
+
+def _assert_same_array(got, want):
+    assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+    assert (got.flags.c_contiguous, got.flags.f_contiguous) == (
+        want.flags.c_contiguous,
+        want.flags.f_contiguous,
+    )
+    assert got.tobytes() == want.tobytes()
+
+
+QR_CASES = ["tall", "square", "wide", "blocked", "duplicate", "zero", "fortran", "int"]
+
+
+@pytest.mark.parametrize("case", QR_CASES)
+def test_factor_is_bytewise_scipys_pivoted_qr(case, monkeypatch):
+    """The direct geqp3/orgqr calls give scipy's Q, R and perm: bytes,
+    layouts and the int32 perm, with the workspace cache cold and warm."""
+    a = _qr_input(case)
+    want = scipy.linalg.qr(a, mode="economic", pivoting=True)
+    monkeypatch.setattr(design_module, "_QR_WORK", {})
+    for warm in (False, True):
+        assert (a.shape in design_module._QR_WORK) is warm
+        q, r, perm, _ = _factor(a)
+        for got, expected in zip((q, r, perm), want):
+            _assert_same_array(got, expected)
+    assert perm.dtype == np.int32
+
+
+@pytest.mark.parametrize("case", QR_CASES)
+def test_thin_q_is_bytewise_numpys_qr(case):
+    a = _qr_input(case)
+    for _ in range(2):
+        _assert_same_array(_thin_q(a), np.linalg.qr(a)[0])
+
+
+def test_span_basis_keeps_its_edge_cases():
+    assert span_basis(np.zeros((5, 0))).shape == (5, 0)
+    assert _factor(np.zeros((5, 3)))[3] == 0
+    assert span_basis(np.zeros((5, 3))).shape == (5, 0)
+    with pytest.raises(ValueError, match="expected a 2-D array"):
+        span_basis(np.ones(5))
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.ones((5, 2))
+        x[1, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            span_basis(x)
+    q = span_basis(np.arange(12).reshape(6, 2))
+    assert q.dtype == np.float64 and q.shape == (6, 2)
 
 
 def test_ls_fit_rejects_a_non_finite_response_alone_or_in_a_block():
