@@ -335,14 +335,13 @@ def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
         column in practical mode).
     """
     mode = Parametrization(mode)
-    xc = _center(data.x, mode)
-    scales = np.linalg.norm(xc, axis=0)
+    xc = _center(data.x, mode)  # always a new array, so scaled in place
+    scales = np.sqrt(np.add.reduce(xc * xc, axis=0))  # np.linalg.norm's sum, no conj() copy
     bad = np.nonzero(scales < _ZERO_NORM_TOL)[0]
     if bad.size:
         raise ZeroNormColumn(int(bad[0]), float(scales[bad[0]]))
-    return StandardizedDesign(
-        x0=xc / scales, y0=_center(data.y, mode), scales=scales, mode=mode
-    )
+    xc /= scales
+    return StandardizedDesign(x0=xc, y0=_center(data.y, mode), scales=scales, mode=mode)
 
 
 def _center(a: np.ndarray, mode, axis: int = 0) -> np.ndarray:

@@ -167,6 +167,26 @@ def test_standardize_column_rescaling_invariance():
     np.testing.assert_allclose(d2.scales, d1.scales * c, rtol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+@pytest.mark.parametrize("shape, order", [((200, 1000), "C"), ((30, 7), "C"), ((45, 12), "F")])
+def test_standardize_is_bytewise_the_norm_reference(mode, shape, order):
+    # the reference divides a new array by np.linalg.norm's column norms;
+    # standardize must give its bytes and layout and leave the data as it was
+    rng = np.random.default_rng(13 + shape[1])
+    x = np.asarray(3.0 * rng.standard_normal(shape) + 1.5, order=order)
+    data = Dataset(x=x, y=rng.standard_normal(shape[0]))
+    x_kept, y_kept = data.x.copy(order="K"), data.y.copy()
+    d = standardize(data, mode)
+    xc = _center(data.x, mode)
+    scales = np.linalg.norm(xc, axis=0)
+    x0 = xc / scales
+    assert d.scales.tobytes() == scales.tobytes()
+    assert d.x0.tobytes() == x0.tobytes() and d.x0.strides == x0.strides
+    assert d.y0.tobytes() == _center(data.y, mode).tobytes()
+    assert data.x.tobytes() == x_kept.tobytes() and data.x.strides == x_kept.strides
+    assert data.y.tobytes() == y_kept.tobytes()
+
+
 def test_modelset_normalization_and_set_ops():
     m = ModelSet.of([3, 1, 3, 2])
     assert m.indices == (1, 2, 3)

@@ -196,6 +196,20 @@ def _skip_case(name):
         huge[-1] = 1e15
         d = standardize(Dataset(x=q, y=q @ c), "formal")
         return d, 1.0, {"theta0": huge, "max_iter": 6, "tol": 0.0}
+    if name.startswith("tie"):
+        # Orthonormal columns and r_l = |z| of the first coordinate's first
+        # step, so that step meets z = +r_l or z = -r_l exactly, where the
+        # soft-threshold gives a zero of z's sign; from a warm start it
+        # writes that zero, so -0.0 reaches theta in the negative case.
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((30, 8)))[0]
+        y = np.random.default_rng(4).standard_normal(30)
+        sign = 1.0 if name.startswith("tie-positive") else -1.0
+        d = standardize(Dataset(x=q, y=sign * y), "formal")
+        theta0 = np.zeros(8)
+        theta0[0] = 0.5 if name.endswith("warm") else 0.0
+        z = theta0[0] + float(d.x0[:, 0] @ (d.y0 - d.x0 @ theta0))
+        assert math.copysign(1.0, z) == sign
+        return d, abs(z), {"theta0": theta0}
     rng = np.random.default_rng(45)
     n, p = (60, 400) if name.startswith("wide") else (30, 12)
     x = rng.standard_normal((n, p))
@@ -245,6 +259,10 @@ def _skip_case(name):
         "wide-at-max-correlation",
         "duplicate",
         "zero-penalty",
+        "tie-positive",
+        "tie-negative",
+        "tie-positive-warm",
+        "tie-negative-warm",
     ],
 )
 def test_skipping_sweeps_equal_full_sweeps(name):
