@@ -40,8 +40,8 @@ def chi2_tail_sandwich(k, x):
     k = int(k)
     if k < 1:
         raise DomainError("degrees of freedom must be a positive integer")
-    if not x > 0.0:  # a NaN fails each positivity check in this form
-        raise DomainError("tail point must be positive")
+    if not 0.0 < x < math.inf:  # NaN and inf fail each positivity check in this form
+        raise DomainError("tail point must be positive and finite")
     if k > 1 and x <= k - 2.0:
         raise DomainError(f"tail point {x} must exceed {k - 2} for k={k}")
     w = math.exp(-0.5 * x + (0.5 * k - 1.0) * math.log(0.5 * x) - math.lgamma(0.5 * k))
@@ -67,8 +67,8 @@ def event_a_bound(p, r_l, sigma2):
     """
     if p < 1:
         raise ValueError("p must be at least 1")
-    if not (r_l > 0.0 and sigma2 > 0.0):
-        raise ValueError("r_l and sigma2 must be positive")
+    if not (0.0 < r_l < math.inf and 0.0 < sigma2 < math.inf):
+        raise ValueError("r_l and sigma2 must be positive and finite")
     q = r_l * r_l / (8.0 * sigma2)
     return min(1.0, _mill_form(float(p), q, q))
 
@@ -121,8 +121,8 @@ def derived_screen_size(t, kappa):
     bounds to apply."""
     if t < 1:
         raise ValueError("t must be positive")
-    if not kappa > 0.0:
-        raise ValueError("kappa must be positive to derive the budget")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError("kappa must be positive and finite to derive the budget")
     return t + int(math.floor(math.sqrt(t) / (kappa * kappa)))
 
 
@@ -296,8 +296,8 @@ def exhaustive_lower_bound(r, sigma2):
     """Lower bound on the all-subsets search error probability:
     (r/(r+sigma^2)) exp(-q)/sqrt(pi q) with q = r/(2 sigma^2). Holds whenever
     at least one spurious predictor exists."""
-    if not (r > 0.0 and sigma2 > 0.0):
-        raise ValueError("r and sigma2 must be positive")
+    if not (0.0 < r < math.inf and 0.0 < sigma2 < math.inf):
+        raise ValueError("r and sigma2 must be positive and finite")
     q = r / (2.0 * sigma2)
     return _mill_form(r / (r + sigma2), q, q)
 

@@ -11,22 +11,20 @@ is certified by the KKT residual: for active coordinates the column/residual
 inner product must equal ``r_l * sign(theta_j)``, for inactive ones it must
 not exceed ``r_l`` in absolute value.
 
-A sweep skips a coordinate at zero whose inner product the previous KKT
-check certifies to stay within ``r_l``: its update would change nothing, so
-iterates, sweep counts and gaps are bit-identical to visiting every one.
-
-Many responses on one design (the replicates of a fixed-design experiment)
-run the same descent as one block: the private ``_lasso_block`` makes, row by
-row of a (B, n) residual stack, the BLAS calls ``solve_lasso`` makes for one
-response (``np.vecdot`` for a coordinate step, the design module's stacked
-gemv for the KKT check), so a response's fit is ``solve_lasso``'s bytes in
-any block. ``solve_lasso`` stays the solver of one response and of fresh
-designs because it is much faster there: on ten n = 200, p = 1000 designs
-(8-11 sweeps, one BLAS thread, 2-vCPU Xeon) it took 4 ms per fit (median)
-against 110 ms for a block of one, whose numpy calls at every coordinate
-cost more than the Python-float steps and skip rule of ``solve_lasso``. Both
-descents build their fits and gaps with the same ``_lasso_fit`` and
-``_kkt_block``.
+One private driver, ``_lasso_block``, runs the descent for a (B, n) stack of
+responses on one design (the replicates of a fixed-design experiment, or a
+block of one: ``solve_lasso`` is that block). Each sweep picks its kernel
+from the live width, the rows not yet stopped. While two or more run, a
+coordinate step is one ``np.vecdot`` over the stack. The last row steps on
+Python floats and skips a coordinate at zero whose inner product the previous
+KKT check certifies to stay within ``r_l``: its update would change nothing.
+Both kernels make one ``ddot`` per visited coordinate with the same column
+view and the same roundings around it, and the KKT check is the design
+module's stacked gemv, so a response's fit is the same bytes in any block.
+Each kernel is the faster one where it runs (one BLAS thread, 2-vCPU Xeon):
+at n = 200, p = 1000 the stacked kernel on one row took about 90 ms per fit
+against 3-4 ms on Python floats, and at n = 80, p = 6 the Python-float sweep
+row by row took about 19 ms per 128 responses against 2 ms for the stack.
 
 Screening keeps coefficients above ``6 r_l`` (first stage) and then above
 ``6 r_l * sqrt(max(|S0|, 1))`` (second stage); both thresholds are inclusive.
@@ -125,15 +123,24 @@ def _kkt_block(x0: np.ndarray, ys: np.ndarray, theta: np.ndarray, r_l: float):
     return _stationarity_gap(grad.T, theta.T, r_l), grad, full
 
 
-def _kkt(design: StandardizedDesign, theta: np.ndarray, r_l: float):
-    """:func:`_kkt_block` of one response: the gap, gradient and residual."""
-    gap, grad, full = _kkt_block(design.x0, design.y0[None], theta[None], r_l)
-    return float(gap[0]), grad[0], full[0]
+def _checked(r_l: float, v, length: int, name: str) -> np.ndarray:
+    """``v`` as a float vector, after checking that ``r_l`` is finite and
+    nonnegative and ``v`` finite of shape (length,); ValueError names the
+    argument that is not."""
+    if not 0.0 <= r_l < math.inf:
+        raise ValueError(f"r_l must be finite and nonnegative, got {r_l!r}")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (length,):
+        raise ValueError(f"{name} must have length {length}, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
 
 
 def kkt_gap(design: StandardizedDesign, theta: np.ndarray, r_l: float) -> float:
     """Max violation of the stationarity conditions (0 at an exact solution)."""
-    return _kkt(design, theta, r_l)[0]
+    theta = _checked(r_l, theta, design.p, "theta")
+    return float(_kkt_block(design.x0, design.y0[None], theta[None], r_l)[0][0])
 
 
 def solve_lasso(
@@ -144,65 +151,22 @@ def solve_lasso(
     max_iter: int = DEFAULT_MAX_ITER,
     theta0: "np.ndarray | None" = None,
 ) -> LassoFit:
-    """Cyclic coordinate descent with residual updates.
+    """Cyclic coordinate descent with residual updates, from ``theta0`` or
+    zero: :func:`_lasso_block` of one response.
 
     Each sweep updates every coordinate in index order by soft-thresholding
     ``theta_j + x_j' resid`` at ``r_l`` (columns have unit norm). Stops when
     the KKT gap falls to ``tol``; if ``max_iter`` sweeps pass first, the last
     iterate is returned with ``converged=False``.
-
-    A coordinate at zero is skipped when the gradient of the last KKT check
-    certifies ``|x_j' resid| <= r_l``: its update would leave it at zero.
     """
-    if not 0.0 <= r_l < math.inf:
-        raise ValueError(f"r_l must be finite and nonnegative, got {r_l!r}")
+    theta = _checked(r_l, np.zeros(design.p) if theta0 is None else theta0, design.p, "theta0")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     if _column_index(max_iter, "max_iter") < 0:
         raise ValueError(f"max_iter must be nonnegative, got {max_iter!r}")
-    x0, y0 = design.x0, design.y0
-    p = design.p
-    theta = np.zeros(p) if theta0 is None else np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (p,):
-        raise ValueError("theta0 has the wrong shape")
-    if not np.isfinite(theta).all():
-        raise ValueError("theta0 must be finite")
-    resid = y0 - x0 @ theta
-    cols = list(x0.T)  # the strided column views, made once
-    coef = theta.tolist()  # Python floats: a scalar step costs less than on numpy scalars
-    gap, grad, full = _kkt(design, theta, r_l)
-    sweeps = 0
-    while gap > tol and sweeps < max_iter:
-        # Skip rule. With resid0 the residual at the start of the sweep and
-        # moved the sum of |old - new| over its updates so far (each moves
-        # resid by that times a unit column), at any point of the sweep
-        #   |x_j' resid| <= |grad_j| + ||resid0 - full|| + moved + eta,
-        # grad = X0' full and full = y0 - X0 theta as _kkt computed them.
-        # eta covers rounding: the dots behind grad_j and behind the skipped
-        # update, the residual updates, the norms and sums each err by a few
-        # (n + p) u (||resid0|| + moved + r_l), u = 1.1e-16, and moved < r_l
-        # when a skip is taken; eta = 1e-9 (1 + ||resid0|| + r_l) holds that
-        # with a factor above 10 up to n + p = 10^5. So a skipped coordinate
-        # has computed |x_j' resid| <= r_l and a zero soft-threshold.
-        drift = resid - full
-        eta = 1e-9 * (1.0 + math.sqrt(resid.dot(resid)) + r_l)
-        slack = (r_l - math.sqrt(drift.dot(drift)) - eta - np.abs(grad)).tolist()
-        moved = 0.0
-        for j in range(p):
-            old = coef[j]
-            if moved < slack[j] and old == 0.0:
-                continue
-            z = old + float(cols[j].dot(resid))
-            # copysign(max(|z| - r_l, 0), z), bit for bit and -0.0 included
-            new = z - r_l if z > r_l else z + r_l if z < -r_l else math.copysign(0.0, z)
-            if new != old:
-                resid += cols[j] * (old - new)
-                coef[j] = new
-                moved += abs(old - new)
-        sweeps += 1
-        theta = np.array(coef)
-        gap, grad, full = _kkt(design, theta, r_l)
-    return _lasso_fit(design, theta, r_l, gap, sweeps, tol)
+    return _lasso_block(
+        design, design.y0[None], r_l, tol=tol, max_iter=max_iter, theta0=theta[None]
+    )[0]
 
 
 def _lasso_block(
@@ -212,46 +176,79 @@ def _lasso_block(
     *,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    theta0: "np.ndarray | None" = None,
 ) -> list:
-    """:func:`solve_lasso` from zero for several responses on one design.
+    """The descent of :func:`solve_lasso` for each row of ``responses`` (B,
+    n) on one design, from the rows of ``theta0`` (B, p) or from zero: the
+    one descent driver (see the module docstring).
 
-    Each row of one (B, n) residual stack runs the same cyclic order,
-    soft-threshold, KKT stop and ``max_iter``; a response leaves the stack
-    when it stops. Every product is the BLAS call :func:`solve_lasso` makes
-    for that response: the inner product of a coordinate step is
-    ``np.vecdot`` with the same column view, one ``ddot`` per row, and the
-    KKT check is :func:`_kkt_block`. So each fit is the bytes of
-    ``solve_lasso`` on its response, in any block. A coordinate and its
-    residual row are written only in the rows where it moved, so an unmoved
-    +0.0 never turns into -0.0. There is no skip rule: a skip changes no
-    value, and at small p the visit costs less than its certificate. ``r_l``
-    comes from a :class:`PenaltyPair`, which is nonnegative.
+    Every row runs the same cyclic order, soft-threshold, KKT stop and
+    ``max_iter`` on one (B, n) residual stack and leaves it when it stops.
+    The stacked kernel writes a coordinate and its residual row only in the
+    rows where it moved, so an unmoved +0.0 never turns into -0.0, and has no
+    skip rule: at small p the visit costs less than its certificate. ``r_l``
+    is checked by the callers (:func:`solve_lasso`, :class:`PenaltyPair`).
     """
     x0 = design.x0
     ys = np.array(responses, dtype=float)  # always a copy, C-ordered (B, n)
-    theta = np.zeros((len(ys), design.p))
-    cols = list(x0.T)  # the strided column views of solve_lasso
+    theta = np.zeros((len(ys), design.p)) if theta0 is None else np.array(theta0, dtype=float)
+    cols = list(x0.T)  # the strided column views, made once
     fits = [None] * len(ys)
     live = np.arange(len(ys))
-    gap, _, resid = _kkt_block(x0, ys, theta, r_l)
+    gap, grad, full = _kkt_block(x0, ys, theta, r_l)
+    resid = full.copy()
+    coef = None  # the last row's coefficients, once one is left
     sweep = 0
     while True:
         done = ~(gap > tol) | (sweep >= max_iter)
-        for k in np.flatnonzero(done):
-            fits[live[k]] = _lasso_fit(design, theta[k].copy(), r_l, gap[k], sweep, tol)
-        keep = ~done
-        live, theta, gap, ys, resid = live[keep], theta[keep], gap[keep], ys[keep], resid[keep]
+        if done.any():
+            for k in np.flatnonzero(done):
+                fits[live[k]] = _lasso_fit(design, theta[k].copy(), r_l, gap[k], sweep, tol)
+            state = (a[~done] for a in (live, theta, gap, grad, full, ys, resid))
+            live, theta, gap, grad, full, ys, resid = state
         if not live.size:
             return fits
-        for j, col in enumerate(cols):
-            old = theta[:, j]
-            z = old + np.vecdot(col, resid)
-            new = np.copysign(np.maximum(np.abs(z) - r_l, 0.0), z)
-            rows = np.flatnonzero(new != old)
-            resid[rows] += col * (old - new)[rows, None]
-            theta[rows, j] = new[rows]
+        if live.size > 1:
+            for j, col in enumerate(cols):
+                old = theta[:, j]
+                z = old + np.vecdot(col, resid)
+                new = np.copysign(np.maximum(np.abs(z) - r_l, 0.0), z)
+                rows = np.flatnonzero(new != old)
+                resid[rows] += col * (old - new)[rows, None]
+                theta[rows, j] = new[rows]
+        else:
+            res = resid[0]  # a view into the stack
+            if coef is None:  # a step on Python floats costs less than on numpy's
+                coef = theta[0].tolist()
+            # Skip rule. With resid0 the residual at the start of the sweep and
+            # moved the sum of |old - new| over its updates so far (each moves
+            # resid by that times a unit column), at any point of the sweep
+            #   |x_j' resid| <= |grad_j| + ||resid0 - full|| + moved + eta,
+            # grad = X0' full and full = y0 - X0 theta as _kkt_block computed them.
+            # eta covers rounding: the dots behind grad_j and behind the skipped
+            # update, the residual updates, the norms and sums each err by a few
+            # (n + p) u (||resid0|| + moved + r_l), u = 1.1e-16, and moved < r_l
+            # when a skip is taken; eta = 1e-9 (1 + ||resid0|| + r_l) holds that
+            # with a factor above 10 up to n + p = 10^5. So a skipped coordinate
+            # has computed |x_j' resid| <= r_l and a zero soft-threshold.
+            drift = res - full[0]
+            eta = 1e-9 * (1.0 + math.sqrt(res.dot(res)) + r_l)
+            slack = (r_l - math.sqrt(drift.dot(drift)) - eta - np.abs(grad[0])).tolist()
+            moved = 0.0
+            for j in range(len(coef)):
+                old = coef[j]
+                if moved < slack[j] and old == 0.0:
+                    continue
+                z = old + float(cols[j].dot(res))
+                # copysign(max(|z| - r_l, 0), z), bit for bit and -0.0 included
+                new = z - r_l if z > r_l else z + r_l if z < -r_l else math.copysign(0.0, z)
+                if new != old:
+                    res += cols[j] * (old - new)
+                    coef[j] = new
+                    moved += abs(old - new)
+            theta = np.array(coef)[None]
         sweep += 1
-        gap = _kkt_block(x0, ys, theta, r_l)[0]
+        gap, grad, full = _kkt_block(x0, ys, theta, r_l)
 
 
 @dataclass(frozen=True)
@@ -309,10 +306,9 @@ class EventAWitness(JsonFields):
 
 
 def event_a(design: StandardizedDesign, epsilon: np.ndarray, r_l: float) -> EventAWitness:
-    """Evaluate the event on a realized noise vector (standardized columns)."""
-    eps = np.asarray(epsilon, dtype=float).ravel()
-    if eps.shape[0] != design.n:
-        raise ValueError("noise vector length mismatch")
+    """Evaluate the event on a realized noise vector (standardized columns);
+    ``r_l`` must be finite and nonnegative, the noise finite of length n."""
+    eps = _checked(r_l, np.asarray(epsilon, dtype=float).ravel(), design.n, "epsilon")
     mc = float(_event_a_block(design, eps[None])[0])
     return EventAWitness(holds=mc <= r_l, max_correlation=mc, threshold=r_l)
 

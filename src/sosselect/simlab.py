@@ -19,9 +19,9 @@ centered response). Replicates come in blocks that share one design draw: a
 fixed design is drawn once and its replicates come ``_RESPONSE_BLOCK`` at a
 time, a fresh design makes a block of one. A block's y side is one (B, n)
 stack, each row's noise drawn from its replicate's own stream. Its screening
-Lassos are one block coordinate descent (``lasso._lasso_block``, whose fits
-are ``solve_lasso``'s bytes; fresh designs keep one ``solve_lasso`` per
-replicate) and its exhaustive searches share one subset-lattice walk. Then
+Lassos are one run of the descent driver ``lasso._lasso_block``, which steps
+the whole stack while two or more rows run and the last row on Python floats,
+and its exhaustive searches share one subset-lattice walk. Then
 the block is grouped: replicates with the same screened set share one
 ordering fit, those with the same ordering one prefix path, and those that
 select the same model one pivot projection; event A is one stacked product
@@ -72,7 +72,6 @@ from .lasso import (
     _lasso_block,
     _screen_block,
     default_penalties,
-    solve_lasso,
 )
 from .schemas import check_field_bounds, read_json_fields
 from .selection import _exhaustive_block, _order_block, _path_block
@@ -350,10 +349,7 @@ def _block_records(
     errors = [None] * size
     keep = np.ones((size, design.p), dtype=bool)  # os orders every column
     if sos:
-        if config.fixed_design:
-            fits = _lasso_block(design, y0s, penalties.r_l)
-        else:
-            fits = [solve_lasso(replace(design, y0=y0s[0]), penalties.r_l)]
+        fits = _lasso_block(design, y0s, penalties.r_l)
         for b, fit in enumerate(fits):
             try:
                 _check_converged(fit)

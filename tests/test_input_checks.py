@@ -34,6 +34,7 @@ from sosselect.lasso import (
     PenaltyPair,
     default_penalties,
     event_a,
+    kkt_gap,
     solve_lasso,
     verify_oracle_inequalities,
 )
@@ -288,6 +289,66 @@ REJECTIONS = {
         lambda d, t: solve_lasso(d, 1.0, theta0=np.full(P, NAN)),
         ValueError,
         "theta0",
+    ),
+    # kkt_gap returned nan for a NaN r_l or theta and a gap for a negative
+    # r_l; event_a returned holds=False with threshold nan for a NaN r_l and
+    # max_correlation nan for NaN noise
+    "kkt_gap_nan_r_l": (lambda d, t: kkt_gap(d, np.zeros(P), NAN), ValueError, "r_l"),
+    "kkt_gap_negative_r_l": (lambda d, t: kkt_gap(d, np.zeros(P), -1.0), ValueError, "r_l"),
+    "kkt_gap_inf_r_l": (lambda d, t: kkt_gap(d, np.zeros(P), math.inf), ValueError, "r_l"),
+    "kkt_gap_nan_theta": (lambda d, t: kkt_gap(d, np.full(P, NAN), 1.0), ValueError, "theta"),
+    "kkt_gap_theta_shape": (lambda d, t: kkt_gap(d, np.zeros(P + 1), 1.0), ValueError, "theta"),
+    # a list used to end in a TypeError from indexing it with None
+    "kkt_gap_list_theta_length": (
+        lambda d, t: kkt_gap(d, [0.0] * (P - 1), 1.0),
+        ValueError,
+        "theta",
+    ),
+    "solve_lasso_inf_theta0": (
+        lambda d, t: solve_lasso(d, 1.0, theta0=np.full(P, math.inf)),
+        ValueError,
+        "theta0",
+    ),
+    "event_a_nan_r_l": (lambda d, t: event_a(d, np.zeros(N), NAN), ValueError, "r_l"),
+    "event_a_inf_r_l": (lambda d, t: event_a(d, np.zeros(N), math.inf), ValueError, "r_l"),
+    "event_a_negative_r_l": (lambda d, t: event_a(d, np.zeros(N), -1.0), ValueError, "r_l"),
+    "event_a_nan_noise": (lambda d, t: event_a(d, np.full(N, NAN), 1.0), ValueError, "epsilon"),
+    "event_a_inf_noise": (
+        lambda d, t: event_a(d, np.full(N, math.inf), 1.0),
+        ValueError,
+        "epsilon",
+    ),
+    # an infinite argument passed the positivity checks: the bounds came out
+    # nan, inf or 0.0
+    "exhaustive_lower_bound_inf_r": (
+        lambda d, t: exhaustive_lower_bound(math.inf, 1.0),
+        ValueError,
+        "positive and finite",
+    ),
+    "exhaustive_lower_bound_inf_sigma2": (
+        lambda d, t: exhaustive_lower_bound(1.0, math.inf),
+        ValueError,
+        "positive and finite",
+    ),
+    "chi2_tail_inf_point": (
+        lambda d, t: chi2_tail_sandwich(3, math.inf),
+        DomainError,
+        "tail point",
+    ),
+    "event_a_bound_inf_sigma2": (
+        lambda d, t: event_a_bound(4, 1.0, math.inf),
+        ValueError,
+        "positive and finite",
+    ),
+    "event_a_bound_inf_r_l": (
+        lambda d, t: event_a_bound(4, math.inf, 1.0),
+        ValueError,
+        "positive and finite",
+    ),
+    "derived_screen_size_inf_kappa": (
+        lambda d, t: derived_screen_size(2, math.inf),
+        ValueError,
+        "kappa must be positive",
     ),
     "f_pivot_without_residual_dof": (
         lambda d, t: f_pivot_check(ScenarioConfig(n=3, p=3, t=2)),

@@ -23,6 +23,7 @@ from sosselect.lasso import (
     OracleCheckReport,
     PenaltyPair,
     _event_a_block,
+    _kkt_block,
     _lasso_block,
     _screen_block,
     default_penalties,
@@ -82,6 +83,37 @@ def full_sweep_lasso(design, r_l, *, tol=1e-8, max_iter=10_000, theta0=None):
         sweeps += 1
         gap = kkt_gap(design, theta, r_l)
     return theta, sweeps, gap
+
+
+def stack_sweep_reference(design, responses, r_l, *, tol=1e-8, max_iter=10_000):
+    """The stacked sweep alone, at every live width down to one row and with
+    no skip rule: the loop the descent driver must reproduce bit for bit
+    whichever kernel it runs; returns (theta, sweeps, gap) per response."""
+    x0 = design.x0
+    ys = np.array(responses, dtype=float)
+    theta = np.zeros((len(ys), design.p))
+    out = [None] * len(ys)
+    live = np.arange(len(ys))
+    gap, _, resid = _kkt_block(x0, ys, theta, r_l)
+    sweeps = 0
+    while True:
+        done = ~(gap > tol) | (sweeps >= max_iter)
+        for k in np.flatnonzero(done):
+            out[live[k]] = (theta[k].copy(), sweeps, float(gap[k]))
+        keep = ~done
+        live, theta, gap, ys, resid = live[keep], theta[keep], gap[keep], ys[keep], resid[keep]
+        if not live.size:
+            return out
+        for j in range(design.p):
+            col = x0[:, j]
+            old = theta[:, j]
+            z = old + np.vecdot(col, resid)
+            new = np.copysign(np.maximum(np.abs(z) - r_l, 0.0), z)
+            rows = np.flatnonzero(new != old)
+            resid[rows] += col * (old - new)[rows, None]
+            theta[rows, j] = new[rows]
+        sweeps += 1
+        gap = _kkt_block(x0, ys, theta, r_l)[0]
 
 
 def orthonormal_design(rng, n, p, y=None):
@@ -352,6 +384,48 @@ def test_lasso_block_is_solve_lasso_on_random_designs():
             fits += 1
             unconverged += not got.converged
     assert fits > 500 and unconverged > 0
+
+
+def _straggler_case(name):
+    """(design, responses, r_l) of a block whose rows stop at different
+    sweeps, the last of them alone for two or more sweeps."""
+    if name == "wide":  # p >> n: the last row's sweeps take the skip rule
+        rng = np.random.default_rng(64)
+        x = rng.standard_normal((60, 200))
+        signal = x[:, :4] @ np.array([3.0, -2.5, 2.0, 1.5])
+        designs = [
+            standardize(Dataset(x=x, y=signal + rng.standard_normal(60) * (1 + k)), "practical")
+            for k in range(6)
+        ]
+        return designs[0], [d.y0 for d in designs], 3.0
+    seed, p, width, rho = {"p6": (62, 6, 16, 0.6), "p9": (60, 9, 12, 0.9), "p12": (60, 12, 8, 0.8)}[
+        name
+    ]
+    designs, r_l = fixed_design_block(seed, p=p, width=width, rho=rho)
+    return designs[0], [d.y0 for d in designs], r_l
+
+
+@pytest.mark.parametrize("name", ["p6", "p9", "p12", "wide"])
+def test_lasso_block_is_the_stack_sweep_reference_with_stragglers(name):
+    d, ys, r_l = _straggler_case(name)
+    sweeps = sorted(its for _, its, _ in stack_sweep_reference(d, ys, r_l))
+    assert sweeps[-1] > sweeps[-2] + 1  # one row outlives the others
+    stopped = 0
+    for max_iter in (DEFAULT_MAX_ITER, sweeps[-2] + 1, 3):
+        ref = stack_sweep_reference(d, ys, r_l, max_iter=max_iter)
+        for fit, (theta, its, gap) in zip(_lasso_block(d, ys, r_l, max_iter=max_iter), ref):
+            assert fit.theta_hat.tobytes() == theta.tobytes()
+            assert fit.iterations == its
+            assert repr(fit.kkt_gap) == repr(gap)
+            assert fit.converged == (gap <= 1e-8)
+            stopped += not fit.converged
+    assert stopped > 0
+
+
+def test_kkt_gap_reads_a_list_as_its_vector():
+    designs, r_l = fixed_design_block(59, width=1)
+    theta = solve_lasso(designs[0], r_l).theta_hat
+    assert kkt_gap(designs[0], theta.tolist(), r_l) == kkt_gap(designs[0], theta, r_l)
 
 
 def test_lasso_block_orthonormal_soft_threshold_closed_form():
