@@ -15,9 +15,9 @@ Two families of quantities are computed for a sparse truth
   gradient steps in ``nu_J``) from many restarts, batched across restarts,
   subsets and every estimate of a report: equal searches run once, a start
   row drawn several times runs once with its count as weight, and all
-  searches of one size run in one pass. The l1-ball projection returns at
-  once when a certified row sum puts every row inside its ball, and the
-  search checks that sum itself before it calls the projection.
+  searches of one size run in one pass. The l1-ball projection is exact; the
+  search's inner loop skips it when a certified row sum puts every row
+  inside its ball.
   Certified envelopes accompany every estimate: ``lambda_min(Sigma)`` from
   below, ``lambda_min(Sigma_J)`` (the c = 0 value, also the estimate's
   initialization) from above.
@@ -260,16 +260,14 @@ def _project_l1_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """Project each row of v (its last axis) onto the l1 ball of the matching
     radius; leading axes are flattened into rows and restored.
 
-    A row is moved exactly when numpy's ``sum(|row|)`` exceeds its radius.
-    When one BLAS row sum puts every row under its ``_shortcut_bound``, v is
-    returned as is, with no sort and no numpy reduction."""
+    A row is moved exactly when numpy's ``sum(|row|)`` exceeds its radius;
+    when none is, v is returned as is. The search's hot loop skips the call
+    when a BLAS row sum puts every row under its ``_shortcut_bound``."""
     shape = v.shape
     q = shape[-1]
     v = v.reshape(-1, q)
     radii = radii.reshape(-1)
     a = np.abs(v)
-    if (a @ np.ones(q) <= _shortcut_bound(radii, q)).all():
-        return v.reshape(shape)
     over = a.sum(axis=1) > radii
     if not over.any():
         return v.reshape(shape)
@@ -467,11 +465,12 @@ def _estimate(design, requests) -> list:
     of weight 0. Searches share no arithmetic, so batching changes no
     result. Padding and running a repeated row once change none either as
     long as each product rounds a row alone, the same at any position and
-    row count: with numpy 2.4's OpenBLAS 0.3.31 on x86-64 that holds while
-    a search's off-J rows have under 8 entries at size 1 and under 16 at
-    larger sizes. Past that, BLAS can round a row differently at another
-    position or row count, and a value can move by a few ulps (1 to 4 seen
-    at size 1 with 8 to 11 off-J columns). ``lambda_min`` of Sigma
+    row count: with numpy 2.4's OpenBLAS 0.3.31 on x86-64 under the SkylakeX
+    and Haswell kernels that holds while a search's off-J rows have under 8
+    entries at size 1 and under 16 at larger sizes. Past that, BLAS can round
+    a row differently at another position or row count, and a value can move
+    by a few ulps (1 to 4 seen at size 1 with 8 to 11 off-J columns; under
+    Sandybridge 1 to 2 already with 5 and 7). ``lambda_min`` of Sigma
     and of each Sigma_JJ is computed once per call, and each request's
     estimate is folded over its own subsets, in their order.
     """

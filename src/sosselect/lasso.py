@@ -28,10 +28,10 @@ row by row took about 19 ms per 128 responses against 2 ms for the stack.
 
 Screening keeps coefficients above ``6 r_l`` (first stage) and then above
 ``6 r_l * sqrt(max(|S0|, 1))`` (second stage); both thresholds are inclusive.
-``screen`` and ``event_a`` are blocks of one of ``_screen_block`` and
-``_event_a_block``, which treat a stack of fits or noise vectors at once,
-each row the bytes of its own call (``event_a``'s product is the design
-module's stacked gemv).
+``screen`` and ``event_a`` are blocks of one of ``_screen_block`` (the one
+owner of both thresholds) and ``_event_a_block``, which treat a stack of
+fits or noise vectors at once, each row the bytes of its own call
+(``event_a``'s product is the design module's stacked gemv).
 """
 
 from __future__ import annotations
@@ -89,38 +89,18 @@ class LassoFit(JsonFields):
     converged: bool
 
 
-def _stationarity_gap(grad: np.ndarray, theta: np.ndarray, r_l: float):
-    """Max violation, over axis 0, of the stationarity conditions at
-    ``theta`` given the gradient ``grad = X0' (y0 - X0 theta)``: an active
-    coordinate needs ``grad_j = r_l sign(theta_j)``, one at zero
-    ``|grad_j| <= r_l``."""
+def _kkt_block(x0: np.ndarray, ys: np.ndarray, theta: np.ndarray, r_l: float):
+    """KKT gaps (B,) of the rows of ``theta`` (B, p) for the rows of ``ys``
+    (B, n), with the gradients ``grad = X0' full`` (B, p) and the residuals
+    ``full = y0 - X0 theta`` (B, n) they come from; every product is the
+    design module's stacked gemv, so each row is the bytes of its own call.
+    A gap is the largest violation of the conditions in the module docstring."""
+    full = ys - _gemv_rows(x0, theta)
+    grad = _gemv_rows(x0.T, full)
     gaps = np.maximum(np.abs(grad) - r_l, 0.0)
     active = theta != 0.0
     gaps[active] = np.abs(grad - r_l * np.sign(theta))[active]
-    return gaps.max(axis=0, initial=0.0)
-
-
-def _lasso_fit(design: StandardizedDesign, theta, r_l, gap, sweeps, tol) -> LassoFit:
-    """The fit a descent stopped at: ``theta`` after ``sweeps`` sweeps with
-    KKT gap ``gap``, converged when the gap is within ``tol``."""
-    return LassoFit(
-        theta_hat=theta,
-        beta_hat=theta / design.scales,
-        penalty=r_l,
-        kkt_gap=float(gap),
-        iterations=sweeps,
-        converged=bool(gap <= tol),
-    )
-
-
-def _kkt_block(x0: np.ndarray, ys: np.ndarray, theta: np.ndarray, r_l: float):
-    """KKT gaps (B,) of the rows of ``theta`` (B, p) for the rows of ``ys``
-    (B, n), with the gradients ``X0' full`` (B, p) and the residuals ``full =
-    y0 - X0 theta`` (B, n) they were computed from; every product is the
-    design module's stacked gemv, so each row is the bytes of its own call."""
-    full = ys - _gemv_rows(x0, theta)
-    grad = _gemv_rows(x0.T, full)
-    return _stationarity_gap(grad.T, theta.T, r_l), grad, full
+    return gaps.max(axis=1, initial=0.0), grad, full
 
 
 def _checked(r_l: float, v, length: int, name: str) -> np.ndarray:
@@ -203,7 +183,10 @@ def _lasso_block(
         done = ~(gap > tol) | (sweep >= max_iter)
         if done.any():
             for k in np.flatnonzero(done):
-                fits[live[k]] = _lasso_fit(design, theta[k].copy(), r_l, gap[k], sweep, tol)
+                fits[live[k]] = LassoFit(
+                    theta_hat=theta[k].copy(), beta_hat=theta[k] / design.scales, penalty=r_l,
+                    kkt_gap=float(gap[k]), iterations=sweep, converged=bool(gap[k] <= tol),
+                )
             state = (a[~done] for a in (live, theta, gap, grad, full, ys, resid))
             live, theta, gap, grad, full, ys, resid = state
         if not live.size:
@@ -265,10 +248,8 @@ def screen(fit: LassoFit) -> ScreenResult:
     """Keep coefficients with ``|theta| >= 6 r_l``, then re-threshold at
     ``6 r_l sqrt(max(|S0|, 1))``. Requires a converged fit."""
     _check_converged(fit)
-    keep0, keep1, a1 = _screen_block(fit.theta_hat[None], fit.penalty)
-    return ScreenResult(
-        s0=_kept(keep0[0]), s1=_kept(keep1[0]), a0=6.0 * fit.penalty, a1=float(a1[0])
-    )
+    keep0, keep1, a0, a1 = _screen_block(fit.theta_hat[None], fit.penalty)
+    return ScreenResult(s0=_kept(keep0[0]), s1=_kept(keep1[0]), a0=a0, a1=float(a1[0]))
 
 
 def _check_converged(fit: LassoFit) -> None:
@@ -282,12 +263,12 @@ def _check_converged(fit: LassoFit) -> None:
 
 def _screen_block(theta: np.ndarray, r_l: float):
     """The two-stage thresholds of :func:`screen` on each row of ``theta``
-    (B, p): the S0 and S1 masks (B, p) and the second threshold (B,)."""
+    (B, p): the S0 and S1 masks (B, p), the first threshold and the second (B,)."""
     a0 = 6.0 * r_l
     abs_theta = np.abs(theta)
     keep0 = abs_theta >= a0
     a1 = a0 * np.sqrt(np.maximum(np.count_nonzero(keep0, axis=1), 1))
-    return keep0, abs_theta >= a1[:, None], a1
+    return keep0, abs_theta >= a1[:, None], a0, a1
 
 
 def _kept(mask: np.ndarray) -> ModelSet:

@@ -15,9 +15,10 @@ bytes of its own call: the walk depends on the design alone, so one walk
 serves the block; the ordering fit factors once per screened set and the
 prefix path once per ordering, and each treats its (B, n) stack of responses
 by the design module's stacked-gemv rule. The public calls are blocks of
-one. The walk owns the default size cap ``min(p, n_effective - 1)``, which
-leaves every model a residual degree of freedom, and the subset budget; a
-column counts as dependent by the design module's ``RANK_TOL``.
+one, and an empty screened set is ordered by its k = 0 fit like any other.
+The walk owns the default size cap ``min(p, n_effective - 1)``, which leaves
+every model a residual degree of freedom, and the subset budget; a column
+counts as dependent by the design module's ``RANK_TOL``.
 
 Tie rules are exact (no tolerance): equal criterion values resolve to the
 smaller model, then to the lexicographically smallest index tuple; equal
@@ -87,12 +88,12 @@ def order_by_t(
     sorts the leave-one-out residuals ``rss(s1 minus j)`` in non-increasing
     order, which is also the fallback used when the full fit's residual is
     ~0 and t-statistics are undefined (``allow_degenerate=True``; otherwise
-    that situation raises :class:`DegenerateResidual`).
+    that situation raises :class:`DegenerateResidual`). An empty ``s1``
+    gives ``Ordering((), ())``.
     """
-    s1 = ModelSet.of(s1)
-    if not s1:
-        return Ordering(sequence=(), t_squared=())
-    seqs, t2 = _order_block(design, s1, design.y0[None], allow_degenerate=allow_degenerate)
+    seqs, t2 = _order_block(
+        design, ModelSet.of(s1), design.y0[None], allow_degenerate=allow_degenerate
+    )
     t2 = None if np.isnan(t2[0]).any() else tuple(t2[0].tolist())
     return Ordering(sequence=tuple(seqs[0].tolist()), t_squared=t2)
 
@@ -100,13 +101,13 @@ def order_by_t(
 def _order_block(
     design: StandardizedDesign, s1: ModelSet, ys: np.ndarray, *, allow_degenerate: bool
 ):
-    """:func:`order_by_t` of a non-empty ``s1`` for each row of ``ys``
-    (B, n): the sequences (B, k) and their squared t-statistics in that
-    order, NaN in the rows the leave-one-out fallback ordered. One fit of
-    ``s1`` serves the block."""
+    """:func:`order_by_t` of ``s1`` for each row of ``ys`` (B, n): the
+    sequences (B, k) and their squared t-statistics in that order, NaN in the
+    rows the leave-one-out fallback ordered (k = 0 for an empty ``s1``). One
+    fit of ``s1`` serves the block."""
     _, _, rss_b, t2 = _ls_block(design, s1, ys, allow_degenerate=allow_degenerate)
     by_t = np.argsort(-t2, axis=1, kind="stable")  # a tie keeps the smaller index first
-    seqs = np.array(s1.indices)[by_t]
+    seqs = np.array(s1.indices, dtype=int)[by_t]
     for b in np.flatnonzero(rss_b < DEGENERATE_RSS):
         loo = {j: _residual_sq(design, ys[b], s1.minus([j]).indices, strict=True) for j in s1}
         seqs[b] = sorted(s1.indices, key=lambda j: (-loo[j], j))

@@ -363,9 +363,7 @@ def _block_records(
         s1 = _kept(keep[rows[0]])
         if len(s1) >= design.n_effective:
             return
-        found = [()] * len(rows)
-        if s1:
-            found = _order_block(design, s1, y0s[rows], allow_degenerate=True)[0].tolist()
+        found = _order_block(design, s1, y0s[rows], allow_degenerate=True)[0].tolist()
         for b, seq in zip(rows, found):
             seqs[b] = tuple(seq)
 

@@ -433,9 +433,9 @@ def test_restarts_below_one_are_rejected(restarts):
 
 
 def project_l1_rows_reference(v, radii):
-    """``_project_l1_rows`` without its row-sum shortcut, the projection it
-    must reproduce bit for bit: a row moves exactly when numpy's sum of its
-    magnitudes exceeds its radius."""
+    """The l1-ball projection ``_project_l1_rows`` must reproduce bit for
+    bit: a row moves exactly when numpy's sum of its magnitudes exceeds its
+    radius."""
     if v.size == 0:
         return v
     shape = v.shape
@@ -511,6 +511,20 @@ def test_l1_projection_is_the_reference_bit_for_bit():
     # the cases hold rows that a shortcut with a margin not growing with q
     # would return unprojected
     assert through_q_free_margin > 0
+
+
+def test_shortcut_bound_certifies_the_numpy_row_sum():
+    # the search loop skips the projection when every BLAS row sum is at or
+    # under _shortcut_bound; each such row must then be inside its ball by
+    # the projection's own test, numpy's sum(|row|)
+    under = 0
+    for v, radii in l1_projection_cases():
+        q = v.shape[-1]
+        rows, radii = np.abs(v).reshape(-1, q), radii.reshape(-1)
+        ok = rows @ np.ones(q) <= identify._shortcut_bound(radii, q)
+        assert np.all(rows[ok].sum(axis=1) <= radii[ok])
+        under += np.count_nonzero(ok)
+    assert under > 0
 
 
 def spy(monkeypatch, name, record):

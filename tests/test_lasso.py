@@ -422,6 +422,42 @@ def test_lasso_block_is_the_stack_sweep_reference_with_stragglers(name):
     assert stopped > 0
 
 
+def stationarity_gap_reference(grad, theta, r_l):
+    """The KKT gap reduced over axis 0 of transposed (p, B) gradients and
+    coefficients: an active coordinate needs ``grad_j = r_l sign(theta_j)``,
+    one at zero ``|grad_j| <= r_l``."""
+    gaps = np.maximum(np.abs(grad) - r_l, 0.0)
+    active = theta != 0.0
+    gaps[active] = np.abs(grad - r_l * np.sign(theta))[active]
+    return gaps.max(axis=0, initial=0.0)
+
+
+def test_kkt_block_gap_is_the_axis_0_reference_bit_for_bit():
+    # stacks of converged fits (active coordinates at grad_j = r_l sign) and
+    # of random rows with zeros and -0.0, at penalties that put coordinates
+    # exactly at |grad_j| = r_l
+    designs, r_fit = fixed_design_block(14, width=12)
+    design, ys = designs[0], np.array([d.y0 for d in designs])
+    fits = _lasso_block(design, ys, r_fit)
+    rng = np.random.default_rng(15)
+    theta = rng.standard_normal(ys.shape[:1] + (design.p,))
+    theta[rng.random(theta.shape) < 0.4] = 0.0
+    theta[rng.random(theta.shape) < 0.2] = -0.0
+    theta[3] = 0.0
+    theta[4] = -0.0
+    stacks = [np.array([fit.theta_hat for fit in fits]), theta, theta[:1], theta[:0]]
+    at_edge = 0
+    for stack in stacks:
+        grad = _kkt_block(design.x0, ys[: len(stack)], stack, 0.0)[1]
+        for r_l in [0.0, r_fit, 3.0, *np.abs(grad[:2, :3]).ravel().tolist()]:
+            gap, grad, _ = _kkt_block(design.x0, ys[: len(stack)], stack, r_l)
+            ref = stationarity_gap_reference(grad.T, stack.T, r_l)
+            assert gap.shape == ref.shape == (len(stack),)
+            assert gap.tobytes() == ref.tobytes()
+            at_edge += np.count_nonzero(np.abs(grad) == r_l)
+    assert np.signbit(theta[theta == 0.0]).any() and at_edge > 0
+
+
 def test_kkt_gap_reads_a_list_as_its_vector():
     designs, r_l = fixed_design_block(59, width=1)
     theta = solve_lasso(designs[0], r_l).theta_hat
@@ -555,12 +591,12 @@ def test_screen_and_event_a_blocks_are_their_single_calls():
     theta[3, :] = 0.0  # nothing kept
     theta[4, :] = 0.0
     theta[4, :2] = [6.0 * r_l * math.sqrt(2.0), 6.0 * r_l]  # exactly a1 and a0
-    keep0, keep1, a1 = _screen_block(theta, r_l)
+    keep0, keep1, a0, a1 = _screen_block(theta, r_l)
     for b, row in enumerate(theta):
         single = screen(_manual_fit(row, r_l))
         assert single.s0.indices == tuple(np.flatnonzero(keep0[b]).tolist())
         assert single.s1.indices == tuple(np.flatnonzero(keep1[b]).tolist())
-        assert single.a1 == float(a1[b])
+        assert single.a0 == a0 and single.a1 == float(a1[b])
     assert not keep1[3].any() and keep1[4].tolist() == [True] + [False] * 8
     with pytest.raises(NotConverged):
         screen(dataclasses.replace(_manual_fit(theta[0], r_l), converged=False))

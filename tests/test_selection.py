@@ -19,6 +19,7 @@ from sosselect.design import (
     ModelSet,
     _center,
     _full_rank_factor,
+    json_text,
     ls_fit,
     rss,
     standardize,
@@ -103,7 +104,21 @@ def test_order_by_t_singleton_and_empty():
     rng = np.random.default_rng(52)
     d = random_design(rng, 10, 3)
     assert order_by_t(d, ModelSet.of([2])).sequence == (2,)
-    assert order_by_t(d, ModelSet.empty()).sequence == ()
+    for empty in ([], (), np.array([], dtype=int), ModelSet.empty()):
+        got = order_by_t(d, empty)
+        assert got == Ordering((), ())
+        assert json.loads(json_text(got.to_json_dict())) == {"sequence": [], "t_squared": []}
+
+
+@pytest.mark.parametrize("allow_degenerate", [True, False])
+def test_order_block_of_an_empty_set_is_empty(allow_degenerate):
+    # the k = 0 fit: (B, 0) rows even for a zero response, whose residual
+    # would make any non-empty set degenerate, and no DegenerateResidual
+    base, ys = block_design("practical")
+    ys = np.vstack([ys, np.zeros(ys.shape[1])])
+    seqs, t2 = _order_block(base, ModelSet.empty(), ys, allow_degenerate=allow_degenerate)
+    assert seqs.shape == t2.shape == (len(ys), 0)
+    assert [tuple(seq) for seq in seqs.tolist()] == [()] * len(ys)
 
 
 def test_order_by_t_zero_residual_fallback():
