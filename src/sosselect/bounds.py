@@ -13,15 +13,9 @@ capped at 1 with the raw value kept alongside. All logarithms are natural.
 import math
 from dataclasses import dataclass, fields
 
-from .design import JsonFields
+from .design import JsonFields, _check_indices
 from .errors import DomainError
-from .identify import (
-    DEFAULT_RESTARTS,
-    _estimate,
-    _support_request,
-    _uniform_request,
-    delta_scaled,
-)
+from .identify import DEFAULT_RESTARTS, _estimate, _request, _subsets, delta_scaled
 from .schemas import check_field_bounds, read_json_fields
 
 # the two small constants entering the ordering/beta-min conditions
@@ -311,9 +305,10 @@ def bound_input_from_design(design, truth, penalties, a, *, restarts=DEFAULT_RES
     if not (0.0 < a < 1.0):
         raise ValueError("a must lie in (0,1)")
     t = truth.t
+    _check_indices(design, truth.support)
     est_support, est_uniform = _estimate(design, [
-        _support_request(design, truth.support, 3.0, restarts, None),
-        _uniform_request(design, t, 3.0, restarts, None),
+        _request(design, [truth.support.indices], 3.0, restarts, None),
+        _request(design, _subsets(design.p, t, "t"), 3.0, restarts, None),
     ])
     k = est_support.kappa
     s = min(derived_screen_size(t, k), design.p) if k > 1e-8 else design.p

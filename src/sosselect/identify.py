@@ -15,9 +15,10 @@ Two families of quantities are computed for a sparse truth
   gradient steps in ``nu_J``) from many restarts, batched across restarts,
   subsets and every estimate of a report: equal searches run once, a start
   row drawn several times runs once with its count as weight, and all
-  searches of one size run in one pass. The l1-ball projection is exact; the
-  search's inner loop skips it when a certified row sum puts every row
-  inside its ball.
+  searches of one size run in one pass. Every estimate is asked for by one
+  request builder, which routes each witness (finite, of length p) to a
+  subset. The l1-ball projection is exact; the search skips it when a
+  certified row sum puts every row inside its ball.
   Certified envelopes accompany every estimate: ``lambda_min(Sigma)`` from
   below, ``lambda_min(Sigma_J)`` (the c = 0 value, also the estimate's
   initialization) from above.
@@ -261,8 +262,8 @@ def _project_l1_rows(v: np.ndarray, radii: np.ndarray) -> np.ndarray:
     radius; leading axes are flattened into rows and restored.
 
     A row is moved exactly when numpy's ``sum(|row|)`` exceeds its radius;
-    when none is, v is returned as is. The search's hot loop skips the call
-    when a BLAS row sum puts every row under its ``_shortcut_bound``."""
+    when none is, v is returned as is. The search skips the call when a BLAS
+    row sum puts every row under its ``_shortcut_bound``."""
     shape = v.shape
     q = shape[-1]
     v = v.reshape(-1, q)
@@ -319,8 +320,9 @@ def _restart_rows(k: int, restarts: int):
 
 
 def _witness_rows(jj, others, c, extra_starts):
-    """Witness vectors split into on-J rows of unit norm and off-J rows
-    projected into the cone; witnesses vanishing on J are dropped."""
+    """Witness vectors split into a stack of on-J rows of unit norm and one
+    of off-J rows projected into the cone; witnesses vanishing on J are
+    dropped, so the stacks may have 0 rows."""
     eu, ev = [], []
     for nu in extra_starts or ():
         nj = float(np.linalg.norm(nu[jj]))
@@ -328,13 +330,9 @@ def _witness_rows(jj, others, c, extra_starts):
             continue
         eu.append(nu[jj] / nj)
         ev.append(nu[others] / nj)
-    if not eu:
-        return np.zeros((0, len(jj))), np.zeros((0, len(others)))
-    eu = np.array(eu)
-    ev = _project_l1_rows(
-        np.array(ev), c * np.abs(eu).sum(axis=1)
-    )  # force feasibility at fp edges
-    return eu, ev
+    eu = np.reshape(eu, (len(eu), len(jj)))
+    ev = np.reshape(ev, (len(ev), len(others)))
+    return eu, _project_l1_rows(ev, c * np.abs(eu).sum(axis=1))  # feasible at fp edges
 
 
 def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, weight):
@@ -372,21 +370,26 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, weight):
         tops = np.broadcast_to(top, v.shape).copy()
         z, w, mag, sums = v.copy(), np.empty_like(v), np.empty(v.shape), np.empty(bound.size)
         mag_rows = mag.reshape(-1, q)
+
+        def project(a, radii, bound):
+            # the projection runs only when a row may leave its ball, and
+            # then returns a or a projected copy
+            np.abs(a, out=mag)
+            if np.count_nonzero(np.dot(mag_rows, ones, out=sums) > bound):
+                return _project_l1_rows(a, radii)
+            return a
+
         for coef in _MOMENTUM:
             np.matmul(z, s_oo, out=w)
             w += u_soj
             w /= tops
             np.subtract(z, w, out=w)
-            # the projection runs only when a row may leave its ball, and
-            # then returns w or a projected copy
-            np.abs(w, out=mag)
-            if np.count_nonzero(np.dot(mag_rows, ones, out=sums) > bound):
-                w = _project_l1_rows(w, radii)
+            w = project(w, radii, bound)
             np.subtract(w, v, out=z)
             z *= coef
             z += w
             v, w = w, v
-        v = _project_l1_rows(v, radii)
+        v = project(v, radii, bound)
 
         # normalized gradient steps in the on-J block, with backtracking; v
         # stays fixed through them, so its product with Sigma_JcJ is made
@@ -415,7 +418,8 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, weight):
             hu = np.where(better, hc, hu)
             eta = np.where(better, eta, eta * 0.25)
         # u moved: re-fit the off-J block budget before scoring
-        v = _project_l1_rows(v, c * np.abs(u).sum(axis=2))
+        radii = c * np.abs(u).sum(axis=2)
+        v = project(v, radii, _shortcut_bound(radii, q).ravel())
 
         cur = _batched_objective(u, v, s_jj, s_oj, s_oo)
         best = np.minimum(best, cur)
@@ -563,35 +567,22 @@ def _subsets(p: int, s: int, name: str) -> list:
     return list(itertools.combinations(range(p), s))
 
 
-def _finite_witnesses(extra_starts) -> list:
-    """``extra_starts`` as flat float arrays, once every entry is finite."""
-    rows = [np.asarray(nu, dtype=float).ravel() for nu in extra_starts or ()]
-    if not all(np.isfinite(nu).all() for nu in rows):
-        raise ValueError("extra_starts must hold finite vectors")
-    return rows
-
-
-def _support_request(design, j_set, c, restarts, extra_starts):
-    """The request behind :func:`kappa`: one subset, every witness on it."""
-    j_set = ModelSet.of(j_set)
-    if not j_set:
-        raise ValueError("J must be nonempty")
-    _check_indices(design, j_set)
-    restarts = _check_search(c, restarts)
-    return [list(j_set.indices)], c, restarts, {0: _finite_witnesses(extra_starts)}
-
-
-def _uniform_request(design, s, c, restarts, extra_starts):
-    """The request behind :func:`kappa_uniform`: every size-s subset."""
-    p = design.p
-    subsets = [list(combo) for combo in _subsets(p, s, "s")]
-    restarts, witnesses = _check_search(c, restarts), _finite_witnesses(extra_starts)
-    position = {ModelSet.of(jj): pos for pos, jj in enumerate(subsets)}
+def _request(design, subsets, c, restarts, extra_starts):
+    """The estimate request for ``min over J in subsets of kappa^2(J, c)``,
+    once ``c``, ``restarts`` and the witnesses are valid: each witness a
+    finite vector of length p. A witness is routed to the subset holding its
+    |J| largest-magnitude coordinates (ties to the smaller index), or to the
+    first subset when none does, so one subset takes every witness."""
+    p, restarts = design.p, _check_search(c, restarts)
+    witnesses = [np.asarray(nu, dtype=float) for nu in extra_starts or ()]
+    if not all(nu.shape == (p,) and np.isfinite(nu).all() for nu in witnesses):
+        raise ValueError(f"extra_starts must hold finite vectors of length p={p}")
+    position = {tuple(jj): pos for pos, jj in enumerate(subsets)}
     routed: dict = {}
     for nu in witnesses:
-        order = np.lexsort((np.arange(p), -np.abs(nu)))
-        routed.setdefault(position[ModelSet.of(order[:s])], []).append(nu)
-    return subsets, c, restarts, routed
+        top = np.lexsort((np.arange(p), -np.abs(nu)))[: len(subsets[0])]
+        routed.setdefault(position.get(tuple(sorted(top.tolist())), 0), []).append(nu)
+    return [list(jj) for jj in subsets], c, restarts, routed
 
 
 def kappa(
@@ -609,10 +600,14 @@ def kappa(
     vectors whose initial objective is recorded before any optimization, so
     the returned value never exceeds a supplied witness's objective. The
     ``c = 0`` case (and J every column) is an exact eigenvalue problem and
-    skips optimization. ``restarts`` must be at least 1 and every witness
-    entry finite.
+    skips optimization. ``restarts`` must be at least 1 and every witness a
+    finite vector of length p.
     """
-    return _estimate(design, [_support_request(design, j_set, c, restarts, extra_starts)])[0]
+    j_set = ModelSet.of(j_set)
+    if not j_set:
+        raise ValueError("J must be nonempty")
+    _check_indices(design, j_set)
+    return _estimate(design, [_request(design, [j_set.indices], c, restarts, extra_starts)])[0]
 
 
 def min_subset_eigen(design: StandardizedDesign, size: int):
@@ -642,10 +637,12 @@ def kappa_uniform(
     """Estimate ``kappa^2(s, c) = min over |J| = s of kappa^2(J, c)``.
 
     The quantity is non-increasing in s, so enumerating size exactly s
-    covers all smaller sizes. Witness vectors in ``extra_starts`` are routed
-    to the subset holding their s largest-magnitude coordinates.
+    covers all smaller sizes. Witness vectors in ``extra_starts``, each
+    finite and of length p, are routed to the subset holding their s
+    largest-magnitude coordinates.
     """
-    return _estimate(design, [_uniform_request(design, s, c, restarts, extra_starts)])[0]
+    subsets = _subsets(design.p, s, "s")
+    return _estimate(design, [_request(design, subsets, c, restarts, extra_starts)])[0]
 
 
 def _prop5_witness(design, truth, kept):
@@ -658,8 +655,7 @@ def _prop5_witness(design, truth, kept):
     """
     keep = list(kept)
     nu = truth.full_theta(design.p)
-    if keep:
-        nu[keep] -= np.linalg.lstsq(design.x0[:, keep], _signal(design, truth), rcond=None)[0]
+    nu[keep] -= np.linalg.lstsq(design.x0[:, keep], _signal(design, truth), rcond=None)[0]
     return nu
 
 
@@ -752,9 +748,10 @@ def check_propositions(
     # Every estimate of the report is answered by one batched search.
     s_here, s4 = min(t, p), min(4 * t, p)
     witness = [_prop5_witness(design, truth, argmins[s][2]) for s in (s_here, s4)]
+    uniform = _subsets(p, t, "t")
     requests = [
-        _support_request(design, truth.support, 3.0, restarts, witness[:1]),
-        _uniform_request(design, t, 3.0, restarts, witness[1:]),
+        _request(design, [truth.support.indices], 3.0, restarts, witness[:1]),
+        _request(design, uniform, 3.0, restarts, witness[1:]),
     ]
     caps, eigens = [], {}
     for s_chk, c_chk in ((t, 3.0), (t, 1.0)):
@@ -766,7 +763,7 @@ def check_propositions(
         except EnumerationTooLarge:
             continue
         lam2, _, eigvec = eigens[size]
-        requests.append(_uniform_request(design, s_chk, c_chk, restarts, [eigvec]))
+        requests.append(_request(design, uniform, c_chk, restarts, [eigvec]))
         caps.append(blow * lam2)
     kappa_support, kappa_unif, *collapse = _estimate(design, requests)
 

@@ -31,7 +31,9 @@ Screening keeps coefficients above ``6 r_l`` (first stage) and then above
 ``screen`` and ``event_a`` are blocks of one of ``_screen_block`` (the one
 owner of both thresholds) and ``_event_a_block``, which treat a stack of
 fits or noise vectors at once, each row the bytes of its own call
-(``event_a``'s product is the design module's stacked gemv).
+(``event_a``'s product is the design module's stacked gemv). Screening needs
+a converged fit; the check returns its ``NotConverged`` error for the caller
+to raise, one fit or a block of them.
 """
 
 from __future__ import annotations
@@ -247,18 +249,19 @@ class ScreenResult(JsonFields):
 def screen(fit: LassoFit) -> ScreenResult:
     """Keep coefficients with ``|theta| >= 6 r_l``, then re-threshold at
     ``6 r_l sqrt(max(|S0|, 1))``. Requires a converged fit."""
-    _check_converged(fit)
+    if (err := _unconverged(fit)) is not None:
+        raise err
     keep0, keep1, a0, a1 = _screen_block(fit.theta_hat[None], fit.penalty)
     return ScreenResult(s0=_kept(keep0[0]), s1=_kept(keep1[0]), a0=a0, a1=float(a1[0]))
 
 
-def _check_converged(fit: LassoFit) -> None:
-    """Screening needs a certified fit; raise :class:`NotConverged` if not."""
-    if not fit.converged:
-        raise NotConverged(
-            "screening requires a converged penalized fit "
-            f"(KKT gap {fit.kkt_gap:.1e} after {fit.iterations} sweeps)"
-        )
+def _unconverged(fit: LassoFit) -> NotConverged | None:
+    """Screening needs a certified fit: the :class:`NotConverged` error to
+    raise when ``fit`` is not one, else None."""
+    return None if fit.converged else NotConverged(
+        "screening requires a converged penalized fit "
+        f"(KKT gap {fit.kkt_gap:.1e} after {fit.iterations} sweeps)"
+    )
 
 
 def _screen_block(theta: np.ndarray, r_l: float):

@@ -15,7 +15,8 @@ bytes of its own call: the walk depends on the design alone, so one walk
 serves the block; the ordering fit factors once per screened set and the
 prefix path once per ordering, and each treats its (B, n) stack of responses
 by the design module's stacked-gemv rule. The public calls are blocks of
-one, and an empty screened set is ordered by its k = 0 fit like any other.
+one; an empty screened set is ordered by its k = 0 fit, and an empty
+ordering's path factors its (n, 0) columns, like any other.
 The walk owns the default size cap ``min(p, n_effective - 1)``, which leaves
 every model a residual degree of freedom, and the subset budget; a column
 counts as dependent by the design module's ``RANK_TOL``.
@@ -146,18 +147,16 @@ def _path_block(design: StandardizedDesign, seq: tuple, ys: np.ndarray, r: float
     factorization of the ordered columns serves the block."""
     if not 0.0 <= r < math.inf:
         raise ValueError(f"penalty r must be finite and nonnegative, got {r!r}")
-    contrib = np.zeros((len(ys), 0))
-    if seq:
-        model = ModelSet.of(seq)
-        if len(model) != len(seq):
-            raise ValueError("ordering contains repeated indices")
-        _check_indices(design, model)
-        # a rank-deficient prefix would contribute a spurious ~0 direction
-        q, rmat, perm = _full_rank_factor(design.x0[:, list(seq)], model)
-        # R back in the ordering, re-triangularized: its Q turns q into the
-        # orthonormal prefix directions
-        q2 = _thin_q(rmat[:, np.argsort(perm)])
-        contrib = _gemv_rows(q2.T, _gemv_rows(q.T, ys)) ** 2
+    model = ModelSet.of(seq)
+    if len(model) != len(seq):
+        raise ValueError("ordering contains repeated indices")
+    _check_indices(design, model)
+    # a rank-deficient prefix would contribute a spurious ~0 direction
+    q, rmat, perm = _full_rank_factor(design.x0[:, list(seq)], model)
+    # R back in the ordering, re-triangularized: its Q turns q into the
+    # orthonormal prefix directions
+    q2 = _thin_q(rmat[:, np.argsort(perm)])
+    contrib = _gemv_rows(q2.T, _gemv_rows(q.T, ys)) ** 2
     removed = np.concatenate([np.zeros((len(ys), 1)), np.cumsum(contrib, axis=1)], axis=1)
     rss_path = np.maximum(np.vecdot(ys, ys)[:, None] - removed, 0.0)
     values = rss_path + r * np.arange(len(seq) + 1)

@@ -66,11 +66,11 @@ from .errors import DegenerateSelection, NotConverged, SosSelectError
 from .identify import TruthSpec
 from .lasso import (
     PenaltyPair,
-    _check_converged,
     _event_a_block,
     _kept,
     _lasso_block,
     _screen_block,
+    _unconverged,
     default_penalties,
 )
 from .schemas import check_field_bounds, read_json_fields
@@ -350,11 +350,7 @@ def _block_records(
     keep = np.ones((size, design.p), dtype=bool)  # os orders every column
     if sos:
         fits = _lasso_block(design, y0s, penalties.r_l)
-        for b, fit in enumerate(fits):
-            try:
-                _check_converged(fit)
-            except NotConverged as err:
-                errors[b] = err
+        errors = [_unconverged(fit) for fit in fits]
         keep = _screen_block(np.array([fit.theta_hat for fit in fits]), penalties.r_l)[1]
     seqs = [None] * size  # None: a screened set too large to order
     cuts = [0] * size

@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.optimize
 
 from sosselect import identify
-from sosselect.design import Dataset, ModelSet, standardize
+from sosselect.design import Dataset, ModelSet, _check_indices, standardize
 from sosselect.errors import EnumerationTooLarge, RankDeficient
 from sosselect.identify import (
     IdentifiabilityReport,
@@ -699,12 +699,12 @@ def test_distinct_start_rows_give_the_bytes_of_every_drawn_row(monkeypatch, p):
     # one call per restart budget, as check_propositions makes one per report
     calls = [
         [
-            make(d, subsets, c, restarts, extra)
+            identify._request(d, subsets, c, restarts, extra)
             for size in (1, 2, 3)
             for extra in (None, [witness])
-            for make, subsets, c in (
-                (identify._uniform_request, size, 1.0),
-                (identify._support_request, range(size), 3.0),
+            for subsets, c in (
+                (identify._subsets(p, size, "s"), 1.0),
+                ([range(size)], 3.0),
             )
         ]
         for restarts in (1, 2, 5, 8, 24, 64)
@@ -741,12 +741,13 @@ def test_batch_over_two_cones_is_exactly_the_separate_calls(monkeypatch, block_r
     d = standardize(Dataset(x=x, y=rng.standard_normal(18)), "formal")
     witness = np.array([0.1, -2.0, 0.3, 1.5, -0.2])  # routed to J = {1, 3}
     other = np.array([0.0, 1.0, 0.2, -0.5, 0.1])  # also routed to J = {1, 3}
+    pairs = identify._subsets(5, 2, "s")
     batch = identify._estimate(d, [
-        identify._uniform_request(d, 2, 1.0, 8, [witness]),
-        identify._uniform_request(d, 2, 3.0, 8, [witness]),
-        identify._uniform_request(d, 2, 3.0, 8, [other]),
-        identify._support_request(d, [1, 3], 3.0, 8, [other]),
-        identify._support_request(d, [1, 3], 3.0, 8, [witness]),
+        identify._request(d, pairs, 1.0, 8, [witness]),
+        identify._request(d, pairs, 3.0, 8, [witness]),
+        identify._request(d, pairs, 3.0, 8, [other]),
+        identify._request(d, [(1, 3)], 3.0, 8, [other]),
+        identify._request(d, [(1, 3)], 3.0, 8, [witness]),
     ])
     separate = [
         kappa_uniform(d, 2, 1.0, restarts=8, extra_starts=[witness]),
@@ -757,6 +758,89 @@ def test_batch_over_two_cones_is_exactly_the_separate_calls(monkeypatch, block_r
     ]
     assert batch == separate
     assert separate[0].value != separate[1].value and separate[3].value != separate[4].value
+
+
+def finite_witnesses_reference(extra_starts) -> list:
+    """``extra_starts`` as flat float arrays, once every entry is finite."""
+    rows = [np.asarray(nu, dtype=float).ravel() for nu in extra_starts or ()]
+    if not all(np.isfinite(nu).all() for nu in rows):
+        raise ValueError("extra_starts must hold finite vectors")
+    return rows
+
+
+def support_request_reference(design, j_set, c, restarts, extra_starts):
+    """The request behind :func:`kappa`: one subset, every witness on it."""
+    j_set = ModelSet.of(j_set)
+    if not j_set:
+        raise ValueError("J must be nonempty")
+    _check_indices(design, j_set)
+    restarts = identify._check_search(c, restarts)
+    return [list(j_set.indices)], c, restarts, {0: finite_witnesses_reference(extra_starts)}
+
+
+def uniform_request_reference(design, s, c, restarts, extra_starts):
+    """The request behind :func:`kappa_uniform`: every size-s subset."""
+    p = design.p
+    subsets = [list(combo) for combo in identify._subsets(p, s, "s")]
+    restarts, witnesses = identify._check_search(c, restarts), finite_witnesses_reference(extra_starts)
+    position = {ModelSet.of(jj): pos for pos, jj in enumerate(subsets)}
+    routed: dict = {}
+    for nu in witnesses:
+        order = np.lexsort((np.arange(p), -np.abs(nu)))
+        routed.setdefault(position[ModelSet.of(order[:s])], []).append(nu)
+    return subsets, c, restarts, routed
+
+
+def routed_rows(request):
+    """A request's fields, its witnesses as (position, dtype, bytes) in
+    routed order; a position holding an empty list is one without witness,
+    as ``_estimate`` reads it."""
+    subsets, c, restarts, routed = request
+    rows = [
+        (pos, nu.dtype, nu.shape, nu.tobytes())
+        for pos, witnesses in routed.items() for nu in witnesses
+    ]
+    return subsets, repr(c), restarts, rows
+
+
+@pytest.mark.parametrize("seed, p", [(150, 5), (151, 6)])
+def test_one_request_builder_is_the_support_and_uniform_builders(seed, p):
+    # _request gives the subsets, c, restarts and routed witnesses of the
+    # support builder (one subset, every witness on it, top coordinates on J
+    # or not) and of the uniform builder (each witness on the subset of its
+    # largest magnitudes, ties to the smaller index), sizes 1 to 3 and s >= p
+    rng = np.random.default_rng(seed)
+    d, _ = random_instance(rng, 20, p, 2)
+    tied = np.zeros(p)
+    tied[[0, 2, p - 1]] = [1.0, -1.0, 1.0]
+    off_j = np.zeros(p)
+    off_j[[0, p - 1]] = [0.1, 5.0]  # its top coordinate misses J = {0, 1}
+    pools = [[], [rng.standard_normal(p)], [tied, off_j, list(rng.standard_normal(p))]]
+    for witnesses, restarts, c in itertools.product(pools, (1, 8), (0.0, 1.0, 3.0)):
+        for j_set in ([0], [0, 1], [1, 2, p - 1], range(p)):
+            got = identify._request(d, [ModelSet.of(j_set).indices], c, restarts, witnesses)
+            want = support_request_reference(d, j_set, c, restarts, witnesses)
+            assert routed_rows(got) == routed_rows(want)
+        for s in (1, 2, 3, p, p + 2):
+            got = identify._request(d, identify._subsets(p, s, "s"), c, restarts, witnesses)
+            want = uniform_request_reference(d, s, c, restarts, witnesses)
+            assert routed_rows(got) == routed_rows(want)
+
+
+def test_witness_rows_of_no_witness_are_empty_float_stacks():
+    # no witness, or one that vanishes on J, stacks as (0, |J|) and (0, q)
+    for extra in (None, [], [np.array([0.5, 0.0, -1.0, 0.0, 2.0])]):
+        eu, ev = identify._witness_rows([1, 3], [0, 2, 4], 3.0, extra)
+        assert (eu.dtype, eu.shape, ev.dtype, ev.shape) == (np.float64, (0, 2), np.float64, (0, 3))
+
+
+def test_prop5_witness_of_no_kept_column_is_the_truth():
+    # at t = 1 the minimizing deletion keeps no column: nothing is subtracted
+    rng = np.random.default_rng(152)
+    d, truth = random_instance(rng, 20, 5, 1)
+    assert identify.delta_scaled_argmin(d, truth, 1)[2] == ()
+    got = identify._prop5_witness(d, truth, ())
+    assert got.dtype == np.float64 and got.tobytes() == truth.full_theta(d.p).tobytes()
 
 
 def test_min_subset_eigen_returns_witness():

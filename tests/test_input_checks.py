@@ -273,6 +273,24 @@ REJECTIONS = {
         ValueError,
         "extra_starts",
     ),
+    # a witness longer than p was accepted with its extra entries ignored, a
+    # shorter one raised a bare IndexError, and kappa_uniform raised numpy's
+    # "all keys need to be the same shape" for either
+    "kappa_long_witness": (
+        lambda d, t: kappa(d, [0, 1], 3.0, restarts=8, extra_starts=[np.ones(P + 1)]),
+        ValueError,
+        "extra_starts must hold finite vectors of length p",
+    ),
+    "kappa_short_witness": (
+        lambda d, t: kappa(d, [0, 1], 3.0, restarts=8, extra_starts=[np.ones(3)]),
+        ValueError,
+        "extra_starts must hold finite vectors of length p",
+    ),
+    "kappa_uniform_short_witness": (
+        lambda d, t: kappa_uniform(d, 2, 3.0, restarts=8, extra_starts=[np.ones(P - 1)]),
+        ValueError,
+        "extra_starts must hold finite vectors of length p",
+    ),
     # an infinite truth gave a report whose JSON held Infinity
     "truth_inf_sigma2": (
         lambda d, t: TruthSpec.from_beta(d, [0, 2], [4.0, -3.0], sigma2=math.inf),

@@ -8,6 +8,7 @@ of the same objective written below, sharing no code with the package.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from sosselect.lasso import (
     _kkt_block,
     _lasso_block,
     _screen_block,
+    _unconverged,
     default_penalties,
     event_a,
     kkt_gap,
@@ -191,7 +193,12 @@ def test_warm_start_and_unconverged_flag():
     assert not rough.converged and rough.iterations == 1
     polished = solve_lasso(d, 0.1, theta0=rough.theta_hat)
     assert polished.converged
-    with pytest.raises(NotConverged):
+    # the convergence check returns its error, which screen raises
+    assert _unconverged(polished) is None
+    message = "screening requires a converged penalized fit (KKT gap 3.5e-01 after 1 sweeps)"
+    err = _unconverged(rough)
+    assert type(err) is NotConverged and str(err) == message
+    with pytest.raises(NotConverged, match=re.escape(message)):
         screen(rough)
     untouched = solve_lasso(d, 0.1, max_iter=0, tol=0.0)
     assert untouched.iterations == 0 and not untouched.theta_hat.any()

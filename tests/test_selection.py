@@ -223,6 +223,28 @@ def gic_path_reference(design, seq, r):
     return GicPath(rss_path, values, int(np.argmin(values)), r)
 
 
+def empty_path_reference(ys, r):
+    """The zero-width path ``_path_block`` once built for an empty ordering
+    without factoring: no direction removes anything, one size."""
+    contrib = np.zeros((len(ys), 0))
+    removed = np.concatenate([np.zeros((len(ys), 1)), np.cumsum(contrib, axis=1)], axis=1)
+    rss_path = np.maximum(np.vecdot(ys, ys)[:, None] - removed, 0.0)
+    values = rss_path + r * np.arange(1)
+    return rss_path, values, np.argmin(values, axis=1)
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+def test_empty_ordering_takes_the_factorization_path_to_the_zero_width_bytes(mode):
+    # the empty column set factors to (n, 0) and (0, 0) arrays, so the
+    # prefix products add nothing and the path is the criterion at size 0
+    base, ys = block_design(mode)
+    for rows in (ys, ys[:1]):
+        for r in (0.0, 0.7):
+            got, want = _path_block(base, (), rows, r), empty_path_reference(rows, r)
+            assert [a.shape for a in got] == [(len(rows), 1)] * 2 + [(len(rows),)]
+            assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+
+
 @pytest.mark.parametrize("mode", ["practical", "formal"])
 def test_path_block_rows_are_byte_identical_to_gic_path(mode):
     base, ys = block_design(mode)
