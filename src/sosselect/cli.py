@@ -9,9 +9,11 @@ Four subcommands bind the library to files:
 * ``bounds``    evaluate every closed-form error bound on a JSON input
 
 Exit codes: 0 success, 1 domain errors (rank deficiency, enumeration
-guards, bad files), 2 usage errors. Diagnostics go to stderr, results to
-stdout or the ``--out`` target. Predictor indices are 1-based in all
-user-facing input and output; the library is 0-based internally.
+guards, bad files), 2 usage errors. Diagnostics go to stderr. Each
+subcommand returns its result, and ``main`` renders it to stdout or the
+``--out`` file (``simulate``'s ``--out`` is its directory of result files).
+Predictor indices are 1-based in all user-facing input and output; the
+library is 0-based internally.
 """
 
 import argparse
@@ -241,7 +243,7 @@ def _cmd_fit(args) -> "tuple[dict, dict]":
 
 # ---------------------------------------------------------------- simulate
 
-def _cmd_simulate(args) -> None:
+def _cmd_simulate(args) -> "tuple[list, dict]":
     blob = _load_json(args.config)
     config = ScenarioConfig.from_json_dict(blob)
     if args.seed is not None:
@@ -251,7 +253,7 @@ def _cmd_simulate(args) -> None:
         config.replicates, config.n, config.p, config.t, config.algorithm, args.jobs,
     )
     summary = run_experiment(config, jobs=args.jobs)
-    paths = persist(summary, args.out)
+    paths = persist(summary, args.out_dir)
     freq = summary.frequencies
     lines = ["event frequencies:"]
     for name in _BUCKETS:
@@ -265,7 +267,7 @@ def _cmd_simulate(args) -> None:
     lines.append("wrote:")
     for key in sorted(paths):
         lines.append(f"  {paths[key]}")
-    _emit("\n".join(lines), None)
+    return lines, {"table": "\n".join}
 
 
 # ---------------------------------------------------------------- diagnose
@@ -412,13 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = subs.add_parser("simulate", help="run a Monte Carlo experiment")
     sim.add_argument("--config", required=True, help="scenario JSON file")
-    sim.add_argument("--out", required=True, help="output directory")
+    sim.add_argument(
+        "--out", dest="out_dir", metavar="OUT", required=True, help="output directory"
+    )
     sim.add_argument("--jobs", type=int, default=1, help="worker processes")
     sim.add_argument(
         "--seed", type=int, default=None,
         help="override the config's master seed",
     )
-    sim.set_defaults(handler=_cmd_simulate)
+    sim.set_defaults(handler=_cmd_simulate, out=None, format="table")
 
     dia = subs.add_parser(
         "diagnose", help="identifiability margins for a dataset with known truth"
@@ -468,13 +472,11 @@ def main(argv=None) -> int:
             )
             return 2
     try:
-        if args.command != "simulate" and args.out is not None:
-            _check_out_dir(args.out)  # simulate makes its own output directory
-        result = args.handler(args)
-        if result is not None:  # simulate writes its own output directory
-            blob, renderers = result
-            render = json_text if args.format == "json" else renderers[args.format]
-            _emit(render(blob), args.out)
+        if args.out is not None:
+            _check_out_dir(args.out)
+        blob, renderers = args.handler(args)
+        render = json_text if args.format == "json" else renderers[args.format]
+        _emit(render(blob), args.out)
         return 0
     except SosSelectError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -206,14 +206,6 @@ class ModelSet:
         return cls(tuple(sorted(set(map(_column_index, indices)))))
 
     @classmethod
-    def _sorted(cls, indices: tuple) -> "ModelSet":
-        """A set of ``indices`` the caller knows to be a strictly increasing
-        tuple of non-negative Python ints; skips the checks."""
-        model = object.__new__(cls)
-        object.__setattr__(model, "indices", indices)
-        return model
-
-    @classmethod
     def empty(cls) -> "ModelSet":
         return cls(())
 
@@ -229,9 +221,6 @@ class ModelSet:
 
     def __contains__(self, j):
         return _column_index(j) in self.indices
-
-    def __bool__(self):
-        return bool(self.indices)
 
     def union(self, other) -> "ModelSet":
         return ModelSet.of(set(self.indices) | set(ModelSet.of(other).indices))
@@ -438,10 +427,9 @@ def _gemv_rows(a: np.ndarray, ys: np.ndarray) -> np.ndarray:
 def _residual_sq(design: StandardizedDesign, v: np.ndarray, cols, *, strict: bool = False) -> float:
     """||v - proj_span(columns)||^2 over the :func:`span_basis` of the
     columns in the given order; dependent columns raise
-    :class:`RankDeficient` with ``strict`` and are tolerated without."""
+    :class:`RankDeficient` with ``strict`` and are tolerated without. No
+    columns give the (n, 0) basis, so ``v`` itself: ``||v||^2``."""
     cols = list(cols)
-    if not cols:
-        return float(v @ v)
     q = span_basis(design.x0[:, cols])
     if strict and q.shape[1] < len(cols):
         raise RankDeficient(cols)

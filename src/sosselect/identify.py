@@ -147,6 +147,8 @@ def _guard_subsets(p: int, s: int) -> None:
 
 
 def _signal(design: StandardizedDesign, truth: TruthSpec) -> np.ndarray:
+    """The true mean; a support column past p raises ValueError, first in every margin."""
+    _check_indices(design, truth.support)
     return design.columns(truth.support) @ truth.theta_star
 
 
@@ -359,37 +361,37 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, weight):
     best = _batched_objective(u, v, s_jj, s_oj, s_oo)
     prev = best.copy()
     improving = np.ones((n_sub, m), dtype=bool)
+    # each row's l1 radius and shortcut bound, made again only when u moves;
+    # project(a) returns a, or its projection when a row may leave its ball
+    radii = c * np.abs(u).sum(axis=2)
+    bound = _shortcut_bound(radii, q)
+
+    def project(a):
+        np.abs(a, out=mag)
+        if np.count_nonzero(np.dot(mag_rows, ones, out=sums) > bound.ravel()):
+            return _project_l1_rows(a, radii)
+        return a
+
     for _ in range(_MAX_OUTER):
         # exact convex step in the off-J block (accelerated projected gradient,
         # step 1 / (2 top) on the gradient 2 (u Sigma_JJc + z Sigma_JcJc)), in
         # buffers made once per round: w and v swap after each step
-        radii = c * np.abs(u).sum(axis=2)
-        bound = _shortcut_bound(radii, q).ravel()
         u_soj = u @ s_oj.transpose(0, 2, 1)
         # (2 g) / (2 top) and g / top round the same quotient, broadcast or not
         tops = np.broadcast_to(top, v.shape).copy()
         z, w, mag, sums = v.copy(), np.empty_like(v), np.empty(v.shape), np.empty(bound.size)
         mag_rows = mag.reshape(-1, q)
-
-        def project(a, radii, bound):
-            # the projection runs only when a row may leave its ball, and
-            # then returns a or a projected copy
-            np.abs(a, out=mag)
-            if np.count_nonzero(np.dot(mag_rows, ones, out=sums) > bound):
-                return _project_l1_rows(a, radii)
-            return a
-
         for coef in _MOMENTUM:
             np.matmul(z, s_oo, out=w)
             w += u_soj
             w /= tops
             np.subtract(z, w, out=w)
-            w = project(w, radii, bound)
+            w = project(w)
             np.subtract(w, v, out=z)
             z *= coef
             z += w
             v, w = w, v
-        v = project(v, radii, bound)
+        v = project(v)
 
         # normalized gradient steps in the on-J block, with backtracking; v
         # stays fixed through them, so its product with Sigma_JcJ is made
@@ -419,7 +421,8 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, weight):
             eta = np.where(better, eta, eta * 0.25)
         # u moved: re-fit the off-J block budget before scoring
         radii = c * np.abs(u).sum(axis=2)
-        v = project(v, radii, _shortcut_bound(radii, q).ravel())
+        bound = _shortcut_bound(radii, q)
+        v = project(v)
 
         cur = _batched_objective(u, v, s_jj, s_oj, s_oo)
         best = np.minimum(best, cur)
@@ -435,8 +438,8 @@ def _alternating_min(u, v, s_jj, s_oj, s_oo, top_v, lam_j, c, weight):
             return best_out, frac_out
         live = live[going]
         u, v, best, prev, improving = (a[going] for a in (u, v, best, prev, improving))
-        s_jj, s_oj, s_oo, top, eta0, c, weight = (
-            a[going] for a in (s_jj, s_oj, s_oo, top, eta0, c, weight)
+        s_jj, s_oj, s_oo, top, eta0, c, weight, radii, bound = (
+            a[going] for a in (s_jj, s_oj, s_oo, top, eta0, c, weight, radii, bound)
         )
     best_out[live] = best.min(axis=1)
     frac_out[live] = (weight * ~improving).sum(axis=1) / weight.sum(axis=1)
@@ -480,16 +483,14 @@ def _estimate(design, requests) -> list:
     """
     p, sigma = design.p, design.gram
     lam_full = _lam_min(sigma)
-    bases, groups, plans, best, frac = {}, {}, [], {}, {}
+    groups, plans, best, frac = {}, [], {}, {}
     eighs = {jj: _subset_eigh(sigma, jj) for jj in {tuple(j) for r in requests for j in r[0]}}
     for subsets, c, restarts, routed in requests:
         k = len(subsets[0])
         if c == 0.0 or k == p:
             plans.append(None)
             continue
-        if (k, restarts) not in bases:
-            bases[k, restarts] = _restart_rows(k, restarts)
-        (base, counts), keys = bases[k, restarts], []
+        (base, counts), keys = _restart_rows(k, restarts), []
         for pos, jj in enumerate(subsets):
             others = [i for i in range(p) if i not in jj]
             eu, ev = _witness_rows(jj, others, c, routed.get(pos))

@@ -276,8 +276,7 @@ def _screen_block(theta: np.ndarray, r_l: float):
 
 def _kept(mask: np.ndarray) -> ModelSet:
     """The columns a screening mask keeps."""
-    # np.flatnonzero is strictly increasing; tolist gives Python ints
-    return ModelSet._sorted(tuple(np.flatnonzero(mask).tolist()))
+    return ModelSet(tuple(np.flatnonzero(mask).tolist()))
 
 
 @dataclass(frozen=True)

@@ -288,8 +288,7 @@ class SelectionOutcome(JsonFields):
 def _finish(algorithm, design, penalties, scr, fit, ordering) -> SelectionOutcome:
     """Cut the ordering's criterion path and refit the selected prefix."""
     path = gic_path(design, ordering, penalties.r)
-    # the ordering is a permutation of a ModelSet, so its sorted prefix is one
-    selected = ModelSet._sorted(tuple(sorted(ordering.sequence[: path.selected_size])))
+    selected = ModelSet(tuple(sorted(ordering.sequence[: path.selected_size])))
     return SelectionOutcome(
         algorithm=algorithm,
         mode=design.mode,
@@ -321,8 +320,9 @@ def run_sos(
 ) -> SelectionOutcome:
     """Screen with the Lasso, order by t-statistics, select by the criterion.
 
-    An empty screened set short-circuits to the empty selection with a null
-    refit.
+    An empty screened set takes the general path: its ordering is empty,
+    its criterion path holds the size-0 fit alone, and the refit is the
+    empty model's ``LsFit``.
 
     Raises
     ------

@@ -7,11 +7,11 @@ compares empirical frequencies against the closed-form bounds, optionally
 races the greedy selector against the all-subsets search, and checks the
 post-selection F pivot.
 
-Seed derivation is published here: the design stream of replicate i is
-numpy's SeedSequence((master_seed, 1, i)) (index 0 for every replicate in
-fixed-design mode) and the noise stream is SeedSequence((master_seed, 2, i)),
-so any subset of replicates is reproducible in isolation and results are
-independent of the parallelism degree.
+Seed derivation is published here: stream s at index i is numpy's
+SeedSequence((master_seed, s, i)). Replicate i draws its design from stream
+1 at i (at 0 for every replicate in fixed-design mode) and its noise from
+stream 2 at i, so any subset of replicates is reproducible in isolation and
+results are independent of the parallelism degree.
 
 A replicate splits into an X side (the design draw, its standardized
 columns, the truth and the noiseless mean) and a y side (noise, response,
@@ -86,8 +86,6 @@ _LEDGER_RESTARTS = {True: 64, False: 24}
 # one exhaustive-search walk, one factorization per screened set, ordering and
 # selected model; bounds the responses held at once
 _RESPONSE_BLOCK = 128
-# the selection of a replicate whose screened set was too large to order
-_NO_MODEL = ModelSet.empty()
 
 
 @dataclass(frozen=True)
@@ -138,17 +136,14 @@ class ScenarioConfig(JsonFields):
         return cls(**read_json_fields(cls, blob, "scenario_config"))
 
 
-def _design_rng(config: ScenarioConfig, index: int) -> np.random.Generator:
-    idx = 0 if config.fixed_design else index
-    return np.random.default_rng(
-        np.random.SeedSequence((config.master_seed, _DESIGN_STREAM, idx))
-    )
+def _design_index(config: ScenarioConfig, index: int) -> int:
+    """The design draw replicate ``index`` uses: 0 for a fixed design."""
+    return 0 if config.fixed_design else index
 
 
-def _noise_rng(config: ScenarioConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((config.master_seed, _NOISE_STREAM, index))
-    )
+def _rng(config: ScenarioConfig, stream: int, index: int) -> np.random.Generator:
+    """The one seed-stream rule: ``SeedSequence((master_seed, stream, index))``."""
+    return np.random.default_rng(np.random.SeedSequence((config.master_seed, stream, index)))
 
 
 def _beta_values(config: ScenarioConfig) -> np.ndarray:
@@ -168,7 +163,7 @@ class _DesignDraw:
 
 
 def _draw_design(config: ScenarioConfig, index: int) -> _DesignDraw:
-    rng = _design_rng(config, index)
+    rng = _rng(config, _DESIGN_STREAM, _design_index(config, index))
     base_p = config.p - (config.copies if config.design_kind == "duplicated_spurious" else 0)
     x = rng.standard_normal((config.n, base_p))
     if config.design_kind == "ar1" and config.rho > 0.0:
@@ -190,7 +185,7 @@ def _draw_noise(config: ScenarioConfig, indices) -> np.ndarray:
     from its replicate's own stream."""
     eps = np.empty((len(indices), config.n))
     for row, i in zip(eps, indices):
-        _noise_rng(config, i).standard_normal(out=row)
+        _rng(config, _NOISE_STREAM, i).standard_normal(out=row)
     return eps * math.sqrt(config.sigma2)
 
 
@@ -310,11 +305,11 @@ def _outcome(sos: bool, truth: TruthSpec, seq, size: int):
     true_set = set(truth.support.indices)
     if seq is None:
         screen_ok = order_ok = False
-        selected = _NO_MODEL
+        selected = ModelSet.empty()
     else:
         screen_ok = not sos or true_set.issubset(seq)
         order_ok = screen_ok and _order_correct(seq, true_set)
-        selected = ModelSet._sorted(tuple(sorted(seq[:size])))
+        selected = ModelSet(tuple(sorted(seq[:size])))
     k = len(selected)
     exact = order_ok and k == truth.t
     recovered = selected == truth.support
@@ -408,7 +403,7 @@ def _block_records(
 
 def _seed(config: ScenarioConfig, index: int) -> str:
     """The seed streams of replicate ``index``: master, design and noise."""
-    return f"{config.master_seed}:{0 if config.fixed_design else index}:{index}"
+    return f"{config.master_seed}:{_design_index(config, index)}:{index}"
 
 
 def _worst_bounds(blobs) -> dict:
@@ -437,7 +432,7 @@ def _run_block(config: ScenarioConfig, lo: int, hi: int, want_bounds: bool):
     records, ledgers = [], []
     for draw, indices in _response_blocks(config, lo, hi):
         records += _block_records(config, draw, indices, penalties)
-        if want_bounds and (indices[0] == 0 or not config.fixed_design):
+        if want_bounds and _design_index(config, indices[0]) == indices[0]:
             inp = bound_input_from_design(
                 draw.noiseless, draw.truth, penalties, config.a,
                 restarts=_LEDGER_RESTARTS[config.fixed_design],

@@ -397,6 +397,32 @@ def test_simulate_seed_and_flag_overrides(tmp_path, capsys):
     assert summary["exhaustive_error"] is not None
 
 
+@pytest.mark.parametrize("compare", [False, True])
+def test_simulate_prints_its_table_through_main(tmp_path, capsys, compare):
+    # simulate returns its lines like every subcommand, and main writes them
+    # to stdout: the buckets, event A, the race when it ran, and the files
+    cfg_path = tmp_path / "scen.json"
+    cfg_path.write_text(json.dumps(base_config(replicates=6, compare_exhaustive=compare)))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    freq = summary["frequencies"]
+    expected = ["event frequencies:"]
+    for name in ("screen_fail", "order_fail", "underfit", "overfit", "exact"):
+        expected.append(f"  {name:<12s} {freq[name]:.4f}")
+    expected.append(f"event A frequency: {summary['event_a_freq']:.4f}")
+    if compare:
+        expected.append(
+            f"greedy error {summary['greedy_error']:.4f} vs "
+            f"exhaustive error {summary['exhaustive_error']:.4f}"
+        )
+    expected.append("wrote:")
+    expected += [f"  {out / name}" for name in ("bounds.json", "summary.json", "trials.tsv")]
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
+    assert main(["simulate", "--help"]) == 0
+    assert "--out OUT" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag", ["--fixed-design", "--compare-exhaustive"])
 def test_simulate_config_fields_have_no_second_flag(tmp_path, capsys, flag):
     cfg_path = tmp_path / "scen.json"

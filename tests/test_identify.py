@@ -18,7 +18,7 @@ import scipy.linalg
 import scipy.optimize
 
 from sosselect import identify
-from sosselect.design import Dataset, ModelSet, _check_indices, standardize
+from sosselect.design import Dataset, ModelSet, _check_indices, _residual_sq, rss, standardize
 from sosselect.errors import EnumerationTooLarge, RankDeficient
 from sosselect.identify import (
     IdentifiabilityReport,
@@ -190,6 +190,21 @@ def test_delta_pair_least_squares_distance_identity():
             assert delta_pair(d, truth, comp) == pytest.approx(
                 2.0 * truth.sigma2 * kl_min, abs=1e-9
             )
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+def test_no_columns_leave_the_vector_whole_byte_for_byte(mode):
+    # no columns give the (n, 0) basis, so the residual is a copy of v and
+    # its square is float(v @ v), the value a shortcut for them once returned
+    rng = np.random.default_rng(83)
+    for _ in range(5):
+        d, truth = random_instance(rng, 25, 5, 2, mode)
+        signal = identify._signal(d, truth)
+        for v in (d.y0, signal):
+            assert _residual_sq(d, v, []).hex() == float(v @ v).hex()
+            assert _residual_sq(d, v, [], strict=True).hex() == float(v @ v).hex()
+        assert rss(d, []).hex() == float(d.y0 @ d.y0).hex()
+        assert delta_pair(d, truth, []).hex() == float(signal @ signal).hex()
 
 
 def test_delta_pair_rejects_rank_deficient_competitor():
@@ -653,6 +668,21 @@ def test_search_kernel_is_the_reference_bit_for_bit(monkeypatch, c):
         assert all(g.tobytes() == a.tobytes() for g, a in zip(given, args))  # inputs kept
     assert any(rounds_apart)  # searches of one pass stop in different rounds
     assert any(projections) or c > 0.5
+
+
+def test_the_search_makes_one_shortcut_bound_per_objective(monkeypatch):
+    # the radii and their bound change only when u moves: once before the
+    # first round and after each round's u-steps, as the objective is scored
+    bounds, objectives = [], []
+    spy(monkeypatch, "_shortcut_bound", lambda args, _: bounds.append(args[0].shape))
+    spy(monkeypatch, "_batched_objective", lambda args, _: objectives.append(len(args[0])))
+    rng = np.random.default_rng(96)
+    d, _ = random_instance(rng, 18, 5, 2)
+    kappa_uniform(d, 2, 3.0, restarts=8)
+    assert len(objectives) > 2
+    assert len(bounds) == len(objectives)
+    # each bound covers the searches still running when it was made
+    assert [shape[0] for shape in bounds] == objectives
 
 
 def count_search_passes(monkeypatch):

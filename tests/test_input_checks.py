@@ -24,6 +24,7 @@ from sosselect.errors import DomainError, KappaDegenerate
 from sosselect.identify import (
     TruthSpec,
     check_propositions,
+    delta_identifiability,
     delta_pair,
     delta_scaled,
     kappa,
@@ -64,6 +65,11 @@ def design():
 @pytest.fixture(scope="module")
 def truth(design):
     return TruthSpec.from_beta(design, [0, 2], [4.0, -3.0])
+
+
+def beyond_p_truth():
+    """A truth whose second support column is one past the design's last."""
+    return TruthSpec(ModelSet((0, P)), np.array([4.0, -3.0]), np.array([4.0, -3.0]))
 
 
 REJECTIONS = {
@@ -367,6 +373,27 @@ REJECTIONS = {
         lambda d, t: derived_screen_size(2, math.inf),
         ValueError,
         "kappa must be positive",
+    ),
+    # a truth column at p used to end in a bare IndexError from the margins
+    "check_propositions_truth_beyond_p": (
+        lambda d, t: check_propositions(d, beyond_p_truth(), restarts=2),
+        ValueError,
+        "out of range",
+    ),
+    "delta_pair_truth_beyond_p": (
+        lambda d, t: delta_pair(d, beyond_p_truth(), [1]),
+        ValueError,
+        "out of range",
+    ),
+    "delta_scaled_truth_beyond_p": (
+        lambda d, t: delta_scaled(d, beyond_p_truth(), 3),
+        ValueError,
+        "out of range",
+    ),
+    "delta_identifiability_truth_beyond_p": (
+        lambda d, t: delta_identifiability(d, beyond_p_truth()),
+        ValueError,
+        "out of range",
     ),
     "f_pivot_without_residual_dof": (
         lambda d, t: f_pivot_check(ScenarioConfig(n=3, p=3, t=2)),

@@ -654,8 +654,8 @@ def test_selection_outcome_serialization_roundtrip():
 
 
 def test_internal_model_sets_are_sorted_python_ints():
-    """The pipeline builds its screened and selected sets without re-checking
-    them; they must still be what the public constructor gives."""
+    """The screened and selected sets the pipeline builds are what the
+    public constructor gives: sorted Python ints."""
     rng = np.random.default_rng(2019)
     outcomes = []
     for n, p, support in [(60, 8, [1, 4]), (45, 6, [0, 5]), (80, 10, [2, 3, 7])]:

@@ -77,6 +77,32 @@ def test_fixed_design_shares_x_but_not_noise():
     assert not np.array_equal(e1, e2)
 
 
+@pytest.mark.parametrize("fixed", [True, False])
+def test_streams_follow_the_published_seed_rule(fixed):
+    # stream s at index i is SeedSequence((master_seed, s, i)): the design
+    # from stream 1 at the replicate's design draw (0 for a fixed design),
+    # the noise from stream 2 at the replicate
+    cfg = ScenarioConfig(
+        n=30, p=5, t=2, b=3.0, sigma2=0.5, master_seed=2**40 + 3, fixed_design=fixed
+    )
+
+    def stream(stream, index):
+        return np.random.default_rng(np.random.SeedSequence((cfg.master_seed, stream, index)))
+
+    for index in (0, 1, 129):
+        design_index = 0 if fixed else index
+        assert simlab._seed(cfg, index) == f"{cfg.master_seed}:{design_index}:{index}"
+        rng = stream(1, design_index)
+        x = rng.standard_normal((cfg.n, cfg.p))
+        support = np.sort(rng.permutation(cfg.p)[: cfg.t])
+        eps = stream(2, index).standard_normal(cfg.n) * math.sqrt(cfg.sigma2)
+        dataset, _, truth, noise = generate_trial(cfg, index)
+        assert dataset.x.tobytes() == x.tobytes()
+        assert truth.support.indices == tuple(support.tolist())
+        assert noise.tobytes() == eps.tobytes()
+        assert dataset.y.tobytes() == (x[:, support] @ np.full(cfg.t, cfg.b) + eps).tobytes()
+
+
 def test_noiseless_trials_and_recovery():
     cfg = strong_config(sigma2=0.0, replicates=5, penalty_rule="explicit", r=1.0, r_l=0.5)
     dataset, _, truth, eps = generate_trial(cfg, 0)
