@@ -191,8 +191,8 @@ class ModelSet:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(_column_index(j) for j in self.indices)
-        if any(j < 0 for j in idx):
+        idx = tuple(map(_column_index, self.indices))
+        if idx and min(idx) < 0:
             raise ValueError(f"negative column index in {idx}")
         if list(idx) != sorted(set(idx)):
             raise ValueError(f"indices must be strictly increasing: {idx}")

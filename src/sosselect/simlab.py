@@ -8,10 +8,13 @@ races the greedy selector against the all-subsets search, and checks the
 post-selection F pivot.
 
 Seed derivation is published here: stream s at index i is numpy's
-SeedSequence((master_seed, s, i)). Replicate i draws its design from stream
-1 at i (at 0 for every replicate in fixed-design mode) and its noise from
-stream 2 at i, so any subset of replicates is reproducible in isolation and
-results are independent of the parallelism degree.
+SeedSequence((master_seed, s, i)) feeding PCG64. Replicate i draws its design
+from stream 1 at i (at 0 for every replicate in fixed-design mode) and its
+noise from stream 2 at i, so any subset of replicates is reproducible in
+isolation and results are independent of the parallelism degree. The rule is
+computed for a whole block of indices in one array pass (numpy's SeedSequence
+hash on uint32 arrays, PCG64's seeding on Python ints), and a test pins it to
+numpy's own ``default_rng(SeedSequence(...))`` byte for byte.
 
 A replicate splits into an X side (the design draw, its standardized
 columns, the truth and the noiseless mean) and a y side (noise, response,
@@ -39,7 +42,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 
 from .bounds import (
     PIPELINE_BOUNDS,
@@ -78,6 +80,14 @@ from .selection import _exhaustive_block, _order_block, _path_block
 
 _DESIGN_STREAM = 1
 _NOISE_STREAM = 2
+# numpy's SeedSequence hash (bit_generator.pyx) and PCG64's LCG multiplier
+_POOL_SIZE, _XSHIFT = 4, 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_GENERATOR = np.random.Generator(np.random.PCG64(0))  # every stream's state is set on it
 _BOUND_GUARD_P = 12  # per-replicate margin/eigenvalue work only below this
 # restricted-eigenvalue restarts of one design draw's bound ledger, keyed by
 # fixed_design: a fixed design's single ledger can afford the larger budget
@@ -141,9 +151,78 @@ def _design_index(config: ScenarioConfig, index: int) -> int:
     return 0 if config.fixed_design else index
 
 
-def _rng(config: ScenarioConfig, stream: int, index: int) -> np.random.Generator:
-    """The one seed-stream rule: ``SeedSequence((master_seed, stream, index))``."""
-    return np.random.default_rng(np.random.SeedSequence((config.master_seed, stream, index)))
+def _entropy_words(value: int) -> list:
+    """numpy's split of a non-negative int into little-endian uint32 words."""
+    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hash_constants(init: int, mult: int, count: int):
+    """The value numpy's SeedSequence hash xors in at each of ``count``
+    calls and the one it then multiplies by, as (count, 1) uint32 columns."""
+    consts = np.cumprod(np.array([init] + [mult] * count, dtype=np.uint32), dtype=np.uint32)
+    return consts[:-1, None], consts[1:, None]
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence ``mix`` of pool words ``x`` with hashed words ``y``."""
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ r >> _XSHIFT
+
+
+def _pcg64_seeds(words: np.ndarray) -> list:
+    """PCG64's (state, inc) seeded by ``SeedSequence`` from each column of
+    ``words``, a (length, B) uint32 array of entropy words: numpy's pool
+    mixing and ``generate_state(4, uint64)`` over all B columns at once, then
+    PCG64's two 128-bit LCG seeding steps on Python ints."""
+    length = len(words)
+    # one call per pool word, one per ordered pair of pool words, and one per
+    # pool word for each entropy word beyond the pool
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * max(length, _POOL_SIZE))
+    at = 0
+
+    def hashmix(values, count):  # the next ``count`` calls of numpy's hashmix
+        nonlocal at
+        v = (values ^ xor[at : at + count]) * mul[at : at + count]
+        at += count
+        return v ^ v >> _XSHIFT
+
+    pool = np.zeros((_POOL_SIZE, words.shape[1]), dtype=np.uint32)
+    pool[:length] = words[:_POOL_SIZE]
+    pool = hashmix(pool, _POOL_SIZE)
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], len(dst)))
+    for word in words[_POOL_SIZE:]:  # entropy beyond the pool
+        pool = _mix(pool, hashmix(word, _POOL_SIZE))
+    xor, mul = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = (np.vstack((pool, pool)) ^ xor) * mul
+    state = (state ^ state >> _XSHIFT).astype(np.uint64)
+    seeds = []
+    for hi, lo, seq_hi, seq_lo in zip(*(state[0::2] | state[1::2] << np.uint64(32)).tolist()):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        seeds.append((((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return seeds
+
+
+def _streams(config: ScenarioConfig, stream: int, indices):
+    """The one seed-stream rule: stream ``stream`` at each of ``indices`` in
+    turn, each the bytes of ``default_rng(SeedSequence((master_seed, stream,
+    index)))``. Each ``_RESPONSE_BLOCK`` indices are seeded in one array pass,
+    grouped by entropy length. The one generator yielded is reset to each
+    index's stream, so each must be drawn from before the next is asked for."""
+    head = _entropy_words(config.master_seed) + _entropy_words(stream)
+    bits = _GENERATOR.bit_generator
+    for start in range(0, len(indices), _RESPONSE_BLOCK):
+        tails = [_entropy_words(i) for i in indices[start : start + _RESPONSE_BLOCK]]
+        seeds = [None] * len(tails)
+        for rows in _groups(len(tail) for tail in tails).values():
+            words = np.array([head + tails[b] for b in rows], dtype=np.uint32).T
+            for b, seed in zip(rows, _pcg64_seeds(words)):
+                seeds[b] = seed
+        for state, inc in seeds:
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield _GENERATOR
 
 
 def _beta_values(config: ScenarioConfig) -> np.ndarray:
@@ -162,8 +241,8 @@ class _DesignDraw:
     truth: TruthSpec
 
 
-def _draw_design(config: ScenarioConfig, index: int) -> _DesignDraw:
-    rng = _rng(config, _DESIGN_STREAM, _design_index(config, index))
+def _draw_design(config: ScenarioConfig, rng: np.random.Generator) -> _DesignDraw:
+    """The X side of a replicate, drawn from its design stream ``rng``."""
     base_p = config.p - (config.copies if config.design_kind == "duplicated_spurious" else 0)
     x = rng.standard_normal((config.n, base_p))
     if config.design_kind == "ar1" and config.rho > 0.0:
@@ -180,12 +259,14 @@ def _draw_design(config: ScenarioConfig, index: int) -> _DesignDraw:
     return _DesignDraw(x=x, mu=mu, noiseless=noiseless, truth=truth)
 
 
-def _draw_noise(config: ScenarioConfig, indices) -> np.ndarray:
-    """The noise of replicates ``indices``, one row each, each row drawn
-    from its replicate's own stream."""
-    eps = np.empty((len(indices), config.n))
-    for row, i in zip(eps, indices):
-        _rng(config, _NOISE_STREAM, i).standard_normal(out=row)
+def _draw_noise(config: ScenarioConfig, streams, count: int) -> np.ndarray:
+    """The noise of the next ``count`` replicates of ``streams``, one row
+    each, each row drawn from its replicate's own stream: stream 2 at the
+    replicate, numpy's SeedSequence((master_seed, 2, index)) feeding PCG64,
+    seeded by ``_streams`` in one array pass per block of indices."""
+    eps = np.empty((count, config.n))
+    for row, rng in zip(eps, streams):
+        rng.standard_normal(out=row)
     return eps * math.sqrt(config.sigma2)
 
 
@@ -196,8 +277,7 @@ def generate_trial(config: ScenarioConfig, index: int):
     base columns; the duplicated_spurious kind appends exact copies of the
     first spurious base columns, which therefore never enter the truth.
     """
-    draw = _draw_design(config, index)
-    eps = _draw_noise(config, [index])[0]
+    draw, _, (eps,) = next(_response_blocks(config, index, index + 1))
     y = draw.mu + eps
     design = replace(draw.noiseless, y0=_center(y, draw.noiseless.mode))
     return Dataset(x=draw.x, y=y), design, draw.truth, eps
@@ -276,15 +356,20 @@ def _pivot_block(draw: _DesignDraw, ys: np.ndarray, mode: str, model: ModelSet) 
 
 def _response_blocks(config: ScenarioConfig, lo: int, hi: int):
     """Replicates ``lo..hi-1`` in blocks that share one design draw, as
-    ``(draw, indices)``. A fixed design is drawn once and its replicates
-    come ``_RESPONSE_BLOCK`` at a time; a fresh design per replicate makes
-    blocks of one. Callers drop a block before asking for the next, so at
-    most one fresh design is held at a time."""
-    shared = _draw_design(config, 0) if config.fixed_design else None
+    ``(draw, indices, eps)``, the noise of ``indices`` one row each. A fixed
+    design is drawn once and its replicates come ``_RESPONSE_BLOCK`` at a
+    time; a fresh design per replicate makes blocks of one. Each stream is
+    seeded over the span, so blocks of one share its array passes. Callers
+    drop a block before asking for the next, so at most one fresh design is
+    held at a time."""
+    designs = _streams(config, _DESIGN_STREAM, [0] if config.fixed_design else range(lo, hi))
+    noises = _streams(config, _NOISE_STREAM, range(lo, hi))
+    shared = _draw_design(config, next(designs)) if config.fixed_design else None
     step = _RESPONSE_BLOCK if config.fixed_design else 1
     for start in range(lo, hi, step):
-        draw = shared if shared is not None else _draw_design(config, start)
-        yield draw, range(start, min(start + step, hi))
+        draw = shared if shared is not None else _draw_design(config, next(designs))
+        indices = range(start, min(start + step, hi))
+        yield draw, indices, _draw_noise(config, noises, len(indices))
         del draw
 
 
@@ -327,12 +412,12 @@ def _outcome(sos: bool, truth: TruthSpec, seq, size: int):
 
 
 def _block_records(
-    config: ScenarioConfig, draw: _DesignDraw, indices, penalties: PenaltyPair
+    config: ScenarioConfig, draw: _DesignDraw, indices, eps: np.ndarray, penalties: PenaltyPair
 ) -> list:
-    """The records of replicates ``indices`` on one design ``draw``, their y
-    side computed as one stack (see the module docstring)."""
+    """The records of replicates ``indices`` with noise rows ``eps`` on one
+    design ``draw``, their y side computed as one stack (see the module
+    docstring)."""
     design, sos = draw.noiseless, config.algorithm == "sos"
-    eps = _draw_noise(config, indices)
     ys = draw.mu + eps
     y0s = _center(ys, design.mode, axis=1)
     size = len(indices)
@@ -430,8 +515,8 @@ def _run_block(config: ScenarioConfig, lo: int, hi: int, want_bounds: bool):
     fixed design's single ledger from the block that holds replicate 0."""
     penalties = config.penalties()
     records, ledgers = [], []
-    for draw, indices in _response_blocks(config, lo, hi):
-        records += _block_records(config, draw, indices, penalties)
+    for draw, indices, eps in _response_blocks(config, lo, hi):
+        records += _block_records(config, draw, indices, eps, penalties)
         if want_bounds and _design_index(config, indices[0]) == indices[0]:
             inp = bound_input_from_design(
                 draw.noiseless, draw.truth, penalties, config.a,
@@ -475,6 +560,7 @@ def pivot_dimension(t: int, mode: str) -> int:
 
 def _pivot_ks(config: ScenarioConfig, values) -> float:
     """Kolmogorov distance of pivot values from their F(d, n - d) reference."""
+    import scipy.special  # only simulate needs it: the other subcommands start without it
     d = pivot_dimension(config.t, config.mode)
     vals = np.sort(np.asarray(values, dtype=float))
     n = len(vals)
@@ -585,9 +671,8 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
         raise ValueError("reference needs n larger than the model dimension")
     if oracle:
         vals = []
-        for draw, indices in _response_blocks(config, 0, config.replicates):
-            ys = draw.mu + _draw_noise(config, indices)
-            vals += _pivot_block(draw, ys, config.mode, draw.truth.support)
+        for draw, _, eps in _response_blocks(config, 0, config.replicates):
+            vals += _pivot_block(draw, draw.mu + eps, config.mode, draw.truth.support)
             del draw
     else:
         vals = [r.f_stat for r in run_experiment(config, jobs=jobs).records]

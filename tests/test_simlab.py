@@ -103,6 +103,25 @@ def test_streams_follow_the_published_seed_rule(fixed):
         assert dataset.y.tobytes() == (x[:, support] @ np.full(cfg.t, cfg.b) + eps).tobytes()
 
 
+@pytest.mark.parametrize("block", [128, 3])
+@pytest.mark.parametrize("stream", [1, 2])
+@pytest.mark.parametrize("master_seed", [0, 2**32 - 1, 2**32, 2**64 + 5])
+def test_block_seeding_is_numpys_seed_rule_byte_for_byte(monkeypatch, master_seed, stream, block):
+    # one- and two-word indices in one array pass, or in three passes of
+    # which the middle one mixes them; with a master seed of one to three
+    # words the entropy is 3 to 6 words, past numpy's 4-word pool. If numpy
+    # changes SeedSequence or PCG64 seeding, this fails
+    monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", block)
+    indices = [0, 1, 127, 2**32, 128, 10**6, 2**64 - 1]
+    cfg = ScenarioConfig(n=30, p=5, t=2, master_seed=master_seed)
+    for index, rng in zip(indices, simlab._streams(cfg, stream, indices)):
+        want = np.random.default_rng(np.random.SeedSequence((master_seed, stream, index)))
+        # as the design draw: standard_normal, then a permutation, which
+        # reads PCG64's buffered uint32 and leaves one for the next row to drop
+        got = rng.standard_normal(11).tobytes() + rng.permutation(9).tobytes()
+        assert got == want.standard_normal(11).tobytes() + want.permutation(9).tobytes(), index
+
+
 def test_noiseless_trials_and_recovery():
     cfg = strong_config(sigma2=0.0, replicates=5, penalty_rule="explicit", r=1.0, r_l=0.5)
     dataset, _, truth, eps = generate_trial(cfg, 0)
@@ -596,25 +615,20 @@ def test_fixed_design_block_factors_each_model_once(monkeypatch):
 
 def test_engine_replicates_equal_generate_trial(monkeypatch):
     cfg = exhaustive_race_config(replicates=9, mode="formal")
-    noise, walk, records = simlab._draw_noise, simlab._exhaustive_block, simlab._block_records
+    walk, records = simlab._exhaustive_block, simlab._block_records
     seen_eps, seen_y0, seen_design, seen_truth = {}, [], [], {}
-
-    def spy_noise(config, indices):
-        eps = noise(config, indices)
-        seen_eps.update(zip(indices, eps))
-        return eps
 
     def spy_walk(design, responses, r):
         seen_y0.extend(responses)
         seen_design.extend([design] * len(responses))
         return walk(design, responses, r)
 
-    def spy_records(config, draw, indices, penalties):
+    def spy_records(config, draw, indices, eps, penalties):
+        seen_eps.update(zip(indices, eps))
         seen_truth.update((i, draw.truth) for i in indices)
-        return records(config, draw, indices, penalties)
+        return records(config, draw, indices, eps, penalties)
 
     monkeypatch.setattr(simlab, "_RESPONSE_BLOCK", 4)
-    monkeypatch.setattr(simlab, "_draw_noise", spy_noise)
     monkeypatch.setattr(simlab, "_exhaustive_block", spy_walk)
     monkeypatch.setattr(simlab, "_block_records", spy_records)
     run_experiment(cfg)
@@ -658,7 +672,7 @@ def single_trial_reference(config, index, branches, max_iter=DEFAULT_MAX_ITER):
     y-side: the oracle of ``simlab._block_records``. Its Lasso is
     ``run_sos``'s ``solve_lasso`` with ``max_iter`` sweeps. Adds to
     ``branches`` the rare paths it took."""
-    draw = simlab._draw_design(config, index)
+    draw = next(simlab._response_blocks(config, index, index + 1))[0]
     dataset, design, truth, eps = generate_trial(config, index)
     penalties = config.penalties()
     best = exhaustive_gic(design, penalties.r) if config.compare_exhaustive else None
@@ -850,7 +864,7 @@ def test_oracle_pivot_is_the_per_replicate_pivot():
         vals = []
         for i in range(cfg.replicates):
             dataset, _, truth, _ = generate_trial(cfg, i)
-            draw = simlab._draw_design(cfg, i)
+            draw = next(simlab._response_blocks(cfg, i, i + 1))[0]
             vals.append(f_stat_reference(draw.x, draw.mu, dataset.y, cfg.mode, truth.support))
         report = f_pivot_check(cfg, oracle=True)
         assert report.ks_distance == simlab._pivot_ks(cfg, vals)
@@ -1061,12 +1075,21 @@ def test_pivot_ks_matches_the_scipy_stats_reference_bit_for_bit():
             assert simlab._pivot_ks(cfg, vals) == float(max(upper, lower))
 
 
-def test_import_leaves_scipy_stats_unloaded():
+def assert_import_leaves_unloaded(module, unloaded):
     src = os.path.dirname(os.path.dirname(os.path.abspath(sosselect.__file__)))
-    code = "import sys, sosselect; assert 'scipy.stats' not in sys.modules"
+    code = f"import sys, {module}; assert {unloaded!r} not in sys.modules"
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    assert_import_leaves_unloaded("sosselect", "scipy.stats")
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # only the pivot distance needs it, so only simulate loads it
+    assert_import_leaves_unloaded("sosselect.cli", "scipy.special")
 
 
 def test_noiseless_pivot_is_degenerate():
