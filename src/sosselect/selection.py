@@ -9,17 +9,22 @@ re-triangularized by a k x k QR, gives the orthonormal prefix directions, and
 each removes its squared inner product with the response. Exhaustive search
 walks the subset lattice depth-first, extending a Gram-Schmidt basis by one
 column per node, so every subset costs one orthogonalization instead of a
-fresh factorization. Both searches serve a block of responses on one design
-(the replicates of a fixed-design experiment), each response's result the
-bytes of its own call: the walk depends on the design alone, so one walk
-serves the block; the ordering fit factors once per screened set and the
-prefix path once per ordering, and each treats its (B, n) stack of responses
-by the design module's stacked-gemv rule. The public calls are blocks of
-one; an empty screened set is ordered by its k = 0 fit, and an empty
-ordering's path factors its (n, 0) columns, like any other.
-The walk owns the default size cap ``min(p, n_effective - 1)``, which leaves
-every model a residual degree of freedom, and the subset budget; a column
-counts as dependent by the design module's ``RANK_TOL``.
+fresh factorization. The walk owns the default size cap
+``min(p, n_effective - 1)``, which leaves every model a residual degree of
+freedom, and the subset budget; a column counts as dependent by the design
+module's ``RANK_TOL``.
+
+Every search serves a block of responses on one design (the replicates of a
+fixed-design experiment), each response's result the bytes of its own call:
+one walk serves the block, and the ordering fit and the prefix path treat
+their (B, n) stack by the design module's stacked-gemv rule. One pipeline
+follows the Lasso, in ``run_sos`` and ``run_os`` (blocks of one) and in the
+Monte Carlo engine: the screened set S1 (every column for ``run_os``),
+refused when ``|S1| >= n_effective``; one ordering fit per distinct S1; one
+criterion path per distinct ordering. A response keeps its first error, a
+shared fit's included, and skips the later stages. An empty S1 is ordered by
+its k = 0 fit, and its empty ordering's path factors (n, 0) columns, like
+any other.
 
 Tie rules are exact (no tolerance): equal criterion values resolve to the
 smaller model, then to the lexicographically smallest index tuple; equal
@@ -54,13 +59,16 @@ from .design import (
     _thin_q,
     ls_fit,
 )
-from .errors import EnumerationTooLarge, ScreenTooLarge, TooManyPredictors
+from .errors import EnumerationTooLarge, ScreenTooLarge, SosSelectError, TooManyPredictors
 from .lasso import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     LassoFit,
     PenaltyPair,
     ScreenResult,
+    _kept,
+    _screen_block,
+    _unconverged,
     screen,
     solve_lasso,
 )
@@ -102,10 +110,9 @@ def order_by_t(
 def _order_block(
     design: StandardizedDesign, s1: ModelSet, ys: np.ndarray, *, allow_degenerate: bool
 ):
-    """:func:`order_by_t` of ``s1`` for each row of ``ys`` (B, n): the
-    sequences (B, k) and their squared t-statistics in that order, NaN in the
-    rows the leave-one-out fallback ordered (k = 0 for an empty ``s1``). One
-    fit of ``s1`` serves the block."""
+    """:func:`order_by_t` of ``s1`` for each row of ``ys`` (B, n), from one
+    fit of ``s1``: the sequences (B, k) and their squared t-statistics in that
+    order, NaN in the rows the leave-one-out fallback ordered."""
     _, _, rss_b, t2 = _ls_block(design, s1, ys, allow_degenerate=allow_degenerate)
     by_t = np.argsort(-t2, axis=1, kind="stable")  # a tie keeps the smaller index first
     seqs = np.array(s1.indices, dtype=int)[by_t]
@@ -131,12 +138,8 @@ class GicPath(JsonFields):
 
 
 def gic_path(design: StandardizedDesign, ordering: Ordering, r: float) -> GicPath:
-    """Evaluate the criterion on every prefix of ``ordering``.
-
-    One factorization of the ordered columns yields all prefix residuals:
-    the k-th orthonormal prefix direction removes ``(q_k' y0)^2`` from the
-    running RSS.
-    """
+    """Evaluate the criterion on every prefix of ``ordering``, all from one
+    factorization of the ordered columns (see the module docstring)."""
     rss_path, values, sizes = _path_block(design, tuple(ordering.sequence), design.y0[None], r)
     return GicPath(rss_path=rss_path[0], values=values[0], selected_size=int(sizes[0]), penalty=r)
 
@@ -162,6 +165,55 @@ def _path_block(design: StandardizedDesign, seq: tuple, ys: np.ndarray, r: float
     values = rss_path + r * np.arange(len(seq) + 1)
     # first minimum = smallest size on ties
     return rss_path, values, np.argmin(values, axis=1)
+
+
+def _groups(keys) -> dict:
+    """The rows of each distinct key, in row order; a None key joins none."""
+    groups = {}
+    for b, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(b)
+    return groups
+
+
+def _select_block(design: StandardizedDesign, ys: np.ndarray, fits, r: float):
+    """The pipeline after the Lasso (see the module docstring) for each row of
+    ``ys`` (B, n), screened by its fit in ``fits`` (None keeps every column).
+    Per row: its ordering ``(sequence, t_squared)``, its path ``(rss_path,
+    values, selected)``, each None once the row has failed, and its error."""
+    errors = [None] * len(ys)
+    keep = np.ones((len(ys), design.p), dtype=bool)
+    if fits is not None:
+        errors = [_unconverged(fit) for fit in fits]
+        keep = _screen_block(np.array([fit.theta_hat for fit in fits]), fits[0].penalty)[1]
+    orders, paths = [None] * len(ys), [None] * len(ys)
+    keys = [mask.tobytes() for mask in keep]  # then each ordered row's sequence
+
+    def by_t(_, rows):
+        s1 = _kept(keep[rows[0]])
+        if len(s1) >= design.n_effective:
+            raise ScreenTooLarge(f"|S1|={len(s1)} >= n_effective={design.n_effective}")
+        seqs, t2 = _order_block(design, s1, ys[rows], allow_degenerate=True)
+        for i, (b, seq) in enumerate(zip(rows, seqs.tolist())):
+            keys[b] = tuple(seq)
+            orders[b] = keys[b], t2[i]
+
+    def cut(seq, rows):
+        rss_path, values, sizes = _path_block(design, seq, ys[rows], r)
+        models = {}  # the selection of each size, made once
+        for i, (b, k) in enumerate(zip(rows, sizes.tolist())):
+            if k not in models:
+                models[k] = ModelSet(tuple(sorted(seq[:k])))
+            paths[b] = rss_path[i], values[i], models[k]
+
+    for run in (by_t, cut):
+        for key, rows in _groups(k if e is None else None for k, e in zip(keys, errors)).items():
+            try:
+                run(key, rows)
+            except SosSelectError as err:  # what each row alone would raise
+                for b in rows:
+                    errors[b] = err
+    return orders, paths, errors
 
 
 @dataclass(frozen=True)
@@ -285,17 +337,21 @@ class SelectionOutcome(JsonFields):
     design: StandardizedDesign = field(metadata=NOT_JSON)
 
 
-def _finish(algorithm, design, penalties, scr, fit, ordering) -> SelectionOutcome:
-    """Cut the ordering's criterion path and refit the selected prefix."""
-    path = gic_path(design, ordering, penalties.r)
-    selected = ModelSet(tuple(sorted(ordering.sequence[: path.selected_size])))
+def _finish(algorithm, design, penalties, fit) -> SelectionOutcome:
+    """The pipeline's block of one after the Lasso ``fit`` (None for the
+    full design), and the refit of its selection."""
+    fits = None if fit is None else [fit]
+    orders, paths, errors = _select_block(design, design.y0[None], fits, penalties.r)
+    if errors[0] is not None:
+        raise errors[0]
+    (seq, t2), (rss_path, values, selected) = orders[0], paths[0]
     return SelectionOutcome(
         algorithm=algorithm,
         mode=design.mode,
         penalties=penalties,
-        screen=scr,
-        ordering=ordering,
-        path=path,
+        screen=None if fit is None else screen(fit),
+        ordering=Ordering(seq, None if np.isnan(t2).any() else tuple(t2.tolist())),
+        path=GicPath(rss_path, values, selected_size=len(selected), penalty=penalties.r),
         selected=selected,
         refit=ls_fit(design, selected, allow_degenerate=True),
         lasso=fit,
@@ -320,10 +376,6 @@ def run_sos(
 ) -> SelectionOutcome:
     """Screen with the Lasso, order by t-statistics, select by the criterion.
 
-    An empty screened set takes the general path: its ordering is empty,
-    its criterion path holds the size-0 fit alone, and the refit is the
-    empty model's ``LsFit``.
-
     Raises
     ------
     TypeError
@@ -337,11 +389,7 @@ def run_sos(
     """
     _check_design(design)
     fit = solve_lasso(design, penalties.r_l, tol=tol, max_iter=max_iter)
-    scr = screen(fit)  # raises NotConverged on an uncertified fit
-    if len(scr.s1) >= design.n_effective:
-        raise ScreenTooLarge(f"|S1|={len(scr.s1)} >= n_effective={design.n_effective}")
-    ordering = order_by_t(design, scr.s1, allow_degenerate=True)
-    return _finish("sos", design, penalties, scr, fit, ordering)
+    return _finish("sos", design, penalties, fit)
 
 
 def run_os(design: StandardizedDesign, penalties: PenaltyPair) -> SelectionOutcome:
@@ -354,5 +402,4 @@ def run_os(design: StandardizedDesign, penalties: PenaltyPair) -> SelectionOutco
         raise TooManyPredictors(
             f"p={design.p} >= n_effective={design.n_effective}; screen first"
         )
-    ordering = order_by_t(design, ModelSet.full(design.p), allow_degenerate=True)
-    return _finish("os", design, penalties, None, None, ordering)
+    return _finish("os", design, penalties, None)

@@ -24,15 +24,15 @@ time, a fresh design makes a block of one. A block's y side is one (B, n)
 stack, each row's noise drawn from its replicate's own stream. Its screening
 Lassos are one run of the descent driver ``lasso._lasso_block``, which steps
 the whole stack while two or more rows run and the last row on Python floats,
-and its exhaustive searches share one subset-lattice walk. Then
-the block is grouped: replicates with the same screened set share one
-ordering fit, those with the same ordering one prefix path, and those that
-select the same model one pivot projection; event A is one stacked product
-for the block. Every product over a stack is the design module's stacked
-gemv, so each record is the bytes of its replicate run alone, and neither
-``jobs`` nor the block size moves one. The first replicate, in index order,
-whose pipeline raises makes the block raise that error. No record reads the
-refit of the selected model, so the block does not compute it.
+and its exhaustive searches share one subset-lattice walk. Then the block
+runs the selection module's pipeline; replicates that select the same model
+share one pivot projection, and event A is one stacked product for the block.
+Every product over a stack is the design module's stacked gemv, so each
+record is the bytes of its replicate run alone, and neither ``jobs`` nor the
+block size moves one. The first replicate, in index order, whose pipeline
+raises makes the block raise that error, save that a screened set too large
+to order is a screening failure. No record reads the refit of the selected
+model, so the block does not compute it.
 """
 
 import math
@@ -59,24 +59,17 @@ from .design import (
     Parametrization,
     StandardizedDesign,
     _center,
+    _column_index,
     _gemv_rows,
     _thin_q,
     json_text,
     standardize,
 )
-from .errors import DegenerateSelection, NotConverged, SosSelectError
+from .errors import DegenerateSelection, NotConverged, ScreenTooLarge
 from .identify import TruthSpec
-from .lasso import (
-    PenaltyPair,
-    _event_a_block,
-    _kept,
-    _lasso_block,
-    _screen_block,
-    _unconverged,
-    default_penalties,
-)
+from .lasso import PenaltyPair, _event_a_block, _lasso_block, default_penalties
 from .schemas import check_field_bounds, read_json_fields
-from .selection import _exhaustive_block, _order_block, _path_block
+from .selection import _exhaustive_block, _groups, _select_block
 
 _DESIGN_STREAM = 1
 _NOISE_STREAM = 2
@@ -276,7 +269,10 @@ def generate_trial(config: ScenarioConfig, index: int):
     The truth support is the first t entries of a seeded permutation of the
     base columns; the duplicated_spurious kind appends exact copies of the
     first spurious base columns, which therefore never enter the truth.
+    ``index`` must be a nonnegative integer, as numpy's seed rule takes.
     """
+    if _column_index(index, "index") < 0:
+        raise ValueError(f"index must be nonnegative, got {index!r}")
     draw, _, (eps,) = next(_response_blocks(config, index, index + 1))
     y = draw.mu + eps
     design = replace(draw.noiseless, y0=_center(y, draw.noiseless.mode))
@@ -373,28 +369,14 @@ def _response_blocks(config: ScenarioConfig, lo: int, hi: int):
         del draw
 
 
-def _groups(keys) -> dict:
-    """The rows of each distinct key, in row order; a None key joins none."""
-    groups = {}
-    for b, key in enumerate(keys):
-        if key is not None:
-            groups.setdefault(key, []).append(b)
-    return groups
-
-
-def _outcome(sos: bool, truth: TruthSpec, seq, size: int):
+def _outcome(sos: bool, truth: TruthSpec, seq, selected: ModelSet):
     """The record flags and the selection of a replicate whose ordering
-    ``seq`` (None when its screened set was too large to order, a screening
-    failure) was cut at ``size``. Each error flag is raised only when every
-    earlier step succeeded."""
+    ``seq`` was cut to ``selected`` (None and the empty model when its
+    screened set was too large to order, a screening failure). Each error
+    flag is raised only when every earlier step succeeded."""
     true_set = set(truth.support.indices)
-    if seq is None:
-        screen_ok = order_ok = False
-        selected = ModelSet.empty()
-    else:
-        screen_ok = not sos or true_set.issubset(seq)
-        order_ok = screen_ok and _order_correct(seq, true_set)
-        selected = ModelSet(tuple(sorted(seq[:size])))
+    screen_ok = seq is not None and (not sos or true_set.issubset(seq))
+    order_ok = screen_ok and _order_correct(seq, true_set)
     k = len(selected)
     exact = order_ok and k == truth.t
     recovered = selected == truth.support
@@ -424,48 +406,19 @@ def _block_records(
     bests = [None] * size
     if config.compare_exhaustive:
         bests = _exhaustive_block(design, y0s, penalties.r)
-    # a replicate's first error; later stages skip it, and the first
-    # replicate in index order with one raises it
-    errors = [None] * size
-    keep = np.ones((size, design.p), dtype=bool)  # os orders every column
-    if sos:
-        fits = _lasso_block(design, y0s, penalties.r_l)
-        errors = [_unconverged(fit) for fit in fits]
-        keep = _screen_block(np.array([fit.theta_hat for fit in fits]), penalties.r_l)[1]
-    seqs = [None] * size  # None: a screened set too large to order
-    cuts = [0] * size
-
-    def order(_, rows):
-        s1 = _kept(keep[rows[0]])
-        if len(s1) >= design.n_effective:
-            return
-        found = _order_block(design, s1, y0s[rows], allow_degenerate=True)[0].tolist()
-        for b, seq in zip(rows, found):
-            seqs[b] = tuple(seq)
-
-    def cut(seq, rows):
-        for b, k in zip(rows, _path_block(design, seq, y0s[rows], penalties.r)[2].tolist()):
-            cuts[b] = k
-
-    for keys, run in (([mask.tobytes() for mask in keep], order), (seqs, cut)):
-        live = (key if err is None else None for key, err in zip(keys, errors))
-        for key, rows in _groups(live).items():
-            try:
-                run(key, rows)
-            except SosSelectError as err:  # what each row alone would raise
-                for b in rows:
-                    errors[b] = err
-
+    fits = _lasso_block(design, y0s, penalties.r_l) if sos else None
+    orders, paths, errors = _select_block(design, y0s, fits, penalties.r)
     outcomes, memo = [], {}
-    for b, index in enumerate(indices):
-        err = errors[b]
+    for index, order, path, err in zip(indices, orders, paths, errors):
         if isinstance(err, NotConverged):
             raise NotConverged(f"replicate {index} (seed {_seed(config, index)}): {err}") from err
-        if err is not None:
+        if err is not None and not isinstance(err, ScreenTooLarge):
             raise err
-        if (seqs[b], cuts[b]) not in memo:
-            memo[seqs[b], cuts[b]] = _outcome(sos, draw.truth, seqs[b], cuts[b])
-        outcomes.append(memo[seqs[b], cuts[b]])
+        seq, selected = (order[0], path[2]) if err is None else (None, ModelSet.empty())
+        key = seq, selected.indices
+        if key not in memo:
+            memo[key] = _outcome(sos, draw.truth, seq, selected)
+        outcomes.append(memo[key])
 
     f_vals = [None] * size
     for model, rows in _groups(selected for _, selected in outcomes).items():
@@ -578,9 +531,9 @@ def run_experiment(config: ScenarioConfig, *, jobs: int = 1) -> ExperimentSummar
     in replicate order, so ``jobs`` never changes any reported number. The
     bound ledger (only for p <= ``_BOUND_GUARD_P`` and positive noise and
     penalties) folds the ledgers the blocks build, one per design draw.
-    Raises ValueError when ``jobs < 1``.
+    Raises ValueError when ``jobs`` is not an integer of at least 1.
     """
-    if jobs < 1:
+    if (jobs := _column_index(jobs, "jobs")) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     start = time.time()
     penalties = config.penalties()
@@ -664,7 +617,7 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
     ValueError. Raises DegenerateSelection when no replicate yields a
     usable statistic.
     """
-    if oracle and jobs != 1:
+    if oracle and _column_index(jobs, "jobs") != 1:
         raise ValueError(f"the oracle pivot runs in one process; got jobs={jobs}")
     d = pivot_dimension(config.t, config.mode)
     if config.n - d < 1:

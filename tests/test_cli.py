@@ -300,6 +300,30 @@ def test_domain_errors_exit_1(tmp_path, capsys):
     assert "TooManyPredictors" in err
 
 
+@pytest.mark.parametrize(
+    "shape, flags, message",
+    [
+        ((30, 4), ["--penalty-r", "12", "--max-iter", "1"], "NotConverged: screening requires"),
+        (
+            (6, 8),
+            ["--penalty-r", "0", "--penalty-rl", "0"],
+            "ScreenTooLarge: |S1|=8 >= n_effective=5",
+        ),
+    ],
+)
+def test_fit_selection_errors_exit_1(tmp_path, capsys, shape, flags, message):
+    # an unconverged screening fit, and a screened set too large to order
+    # (p > n with zero penalties): an error line, no result, no traceback
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(shape)
+    path = tmp_path / "d.csv"
+    write_csv(path, x, 6 * x[:, 0] - 5 * x[:, 2] + rng.standard_normal(shape[0]), header=False)
+    assert main(["fit", str(path), "--no-header", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 def test_auto_sigma2_needs_spare_dof(tmp_path, capsys):
     x, y = strong_data(n=5, p=6)
     small = tmp_path / "small.csv"

@@ -40,9 +40,10 @@ from sosselect.lasso import (
     verify_oracle_inequalities,
 )
 from sosselect.selection import Ordering, exhaustive_gic, gic_path, run_sos
-from sosselect.simlab import ScenarioConfig, f_pivot_check
+from sosselect.simlab import ScenarioConfig, f_pivot_check, generate_trial, run_experiment
 
 N, P = 30, 6
+SMALL_SCENARIO = ScenarioConfig(n=20, p=4, t=1, b=5.0, replicates=3)
 NAN = float("nan")
 PENALTIES = PenaltyPair(r=12.0, r_l=6.0)
 
@@ -399,6 +400,46 @@ REJECTIONS = {
         lambda d, t: f_pivot_check(ScenarioConfig(n=3, p=3, t=2)),
         ValueError,
         "larger than the model dimension",
+    ),
+    # a replicate index of -1 used to be seeded by the entropy word
+    # 0xFFFFFFFF, which numpy's SeedSequence((0, 2, -1)) refuses, and True
+    # was seeded as index 1
+    "generate_trial_negative_index": (
+        lambda d, t: generate_trial(SMALL_SCENARIO, -1),
+        ValueError,
+        "index must be nonnegative",
+    ),
+    "generate_trial_bool_index": (
+        lambda d, t: generate_trial(SMALL_SCENARIO, True),
+        ValueError,
+        "index must be an integer",
+    ),
+    "generate_trial_float_index": (
+        lambda d, t: generate_trial(SMALL_SCENARIO, 1.0),
+        ValueError,
+        "index must be an integer",
+    ),
+    # jobs 2.5 ended in a bare TypeError from the process pool, and jobs
+    # True ran and wrote "jobs": true into summary.json's meta
+    "run_experiment_float_jobs": (
+        lambda d, t: run_experiment(SMALL_SCENARIO, jobs=2.5),
+        ValueError,
+        "jobs must be an integer",
+    ),
+    "run_experiment_bool_jobs": (
+        lambda d, t: run_experiment(SMALL_SCENARIO, jobs=True),
+        ValueError,
+        "jobs must be an integer",
+    ),
+    "oracle_pivot_bool_jobs": (
+        lambda d, t: f_pivot_check(SMALL_SCENARIO, oracle=True, jobs=True),
+        ValueError,
+        "jobs must be an integer",
+    ),
+    "oracle_pivot_float_jobs": (
+        lambda d, t: f_pivot_check(SMALL_SCENARIO, oracle=True, jobs=1.0),
+        ValueError,
+        "jobs must be an integer",
     ),
 }
 

@@ -27,17 +27,28 @@ from sosselect.design import (
 from sosselect.errors import (
     DegenerateResidual,
     EnumerationTooLarge,
+    NotConverged,
     RankDeficient,
     ScreenTooLarge,
+    SosSelectError,
     TooManyPredictors,
 )
-from sosselect.lasso import PenaltyPair, default_penalties
+from sosselect.lasso import (
+    DEFAULT_MAX_ITER,
+    PenaltyPair,
+    _lasso_block,
+    default_penalties,
+    screen,
+    solve_lasso,
+)
 from sosselect.selection import (
     GicPath,
     Ordering,
+    SelectionOutcome,
     _exhaustive_block,
     _order_block,
     _path_block,
+    _select_block,
     exhaustive_gic,
     gic_path,
     order_by_t,
@@ -684,3 +695,200 @@ def test_gic_path_checks_its_ordering_alone_and_in_a_block():
             gic_path(design, Ordering(sequence=seq), 0.5)
         with pytest.raises(ValueError, match=match):
             _path_block(design, seq, ys, 0.5)
+
+
+# ------------------------------------------- the one pipeline after the Lasso
+
+
+def one_response_reference(design, penalties, algorithm, max_iter=DEFAULT_MAX_ITER):
+    """``run_sos`` / ``run_os`` from the public one-response steps, as they
+    ran before they became blocks of one of ``_select_block``: solve_lasso,
+    screen, the ``|S1| >= n_effective`` refusal, order_by_t, gic_path, the cut
+    and the ls_fit refit."""
+    fit = scr = None
+    s1 = ModelSet.full(design.p)
+    if algorithm == "sos":
+        fit = solve_lasso(design, penalties.r_l, max_iter=max_iter)
+        scr = screen(fit)  # raises NotConverged on an uncertified fit
+        s1 = scr.s1
+        if len(s1) >= design.n_effective:
+            raise ScreenTooLarge(f"|S1|={len(s1)} >= n_effective={design.n_effective}")
+    ordering = order_by_t(design, s1, allow_degenerate=True)
+    path = gic_path(design, ordering, penalties.r)
+    selected = ModelSet(tuple(sorted(ordering.sequence[: path.selected_size])))
+    return SelectionOutcome(
+        algorithm=algorithm,
+        mode=design.mode,
+        penalties=penalties,
+        screen=scr,
+        ordering=ordering,
+        path=path,
+        selected=selected,
+        refit=ls_fit(design, selected, allow_degenerate=True),
+        lasso=fit,
+        design=design,
+    )
+
+
+def outcome_bytes(call):
+    """The JSON text of ``call()``'s outcome, or its error as (type, message)."""
+    try:
+        return json_text(call().to_json_dict())
+    except SosSelectError as exc:
+        return type(exc), str(exc)
+
+
+def seeded_design(mode, seed, n, beta, noise=1.0, copy=None):
+    """x standard normal (column ``copy[1]`` a copy of ``copy[0]``), y = x beta
+    plus ``noise`` times standard normal noise."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, len(beta)))
+    if copy is not None:
+        x[:, copy[1]] = x[:, copy[0]]
+    y = x @ np.array(beta, dtype=float) + noise * rng.standard_normal(n)
+    return standardize(Dataset(x=x, y=y), mode)
+
+
+def selected_is(indices):
+    return lambda want: json.loads(want)["selected"] == indices
+
+
+def raised(error):
+    return lambda want: want[0] is error
+
+
+# name: (design by mode, penalties, max_iter, [(algorithm, what the reference reaches)])
+PIPELINE_CASES = {
+    "strong": (
+        lambda mode: seeded_design(mode, 80, 40, [0, 20, 0, 0, -15, 0, 0, 0]),
+        default_penalties(8, 1.0, 0.5),
+        DEFAULT_MAX_ITER,
+        [("sos", selected_is([1, 4])), ("os", selected_is([1, 4]))],
+    ),
+    "empty_s1": (
+        lambda mode: seeded_design(mode, 81, 30, [0.0] * 5, noise=0.01),
+        PenaltyPair(r=100.0, r_l=20.0),
+        DEFAULT_MAX_ITER,
+        [("sos", lambda want: json.loads(want)["screen"]["s1"] == [])],
+    ),
+    # no noise: the ordering fit leaves a ~0 residual, so the order comes
+    # from the leave-one-out fallback and no t-statistic is reported
+    "leave_one_out": (
+        lambda mode: seeded_design(mode, 82, 40, [25, 0, 0, -20, 0, 0], noise=0.0),
+        PenaltyPair(r=1.0, r_l=0.5),
+        DEFAULT_MAX_ITER,
+        [
+            (alg, lambda want: json.loads(want)["ordering"]["t_squared"] is None)
+            for alg in ("sos", "os")
+        ],
+    ),
+    # p > n and zero penalties: every column survives screening
+    "screen_too_large": (
+        lambda mode: seeded_design(mode, 83, 6, [3, 0, -2, 0, 1, 0, 0, 0]),
+        PenaltyPair(r=0.0, r_l=0.0),
+        DEFAULT_MAX_ITER,
+        [("sos", raised(ScreenTooLarge))],
+    ),
+    "not_converged": (
+        lambda mode: seeded_design(mode, 80, 40, [0, 20, 0, 0, -15, 0, 0, 0]),
+        default_penalties(8, 1.0, 0.5),
+        3,
+        [("sos", raised(NotConverged))],
+    ),
+    # column 4 is a copy of column 0: the full-design ordering fit is singular
+    "rank_deficient": (
+        lambda mode: seeded_design(mode, 84, 30, [3, 0, -2, 0, 0], copy=(0, 4)),
+        PenaltyPair(r=1.0, r_l=2.0),
+        DEFAULT_MAX_ITER,
+        [("os", raised(RankDeficient)), ("sos", selected_is([]))],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+def test_run_sos_and_run_os_keep_the_one_response_bytes(case, mode):
+    make, penalties, max_iter, runs = PIPELINE_CASES[case]
+    design = make(mode)
+    for algorithm, reached in runs:
+        if algorithm == "sos":
+            got = outcome_bytes(lambda: run_sos(design, penalties, max_iter=max_iter))
+        else:
+            got = outcome_bytes(lambda: run_os(design, penalties))
+        want = outcome_bytes(
+            lambda: one_response_reference(design, penalties, algorithm, max_iter)
+        )
+        assert got == want
+        assert reached(want), (algorithm, want)
+
+
+def select_rows(design, ys, fits, r):
+    """Each row of one ``_select_block`` call: its sequence and t² bytes, its
+    path bytes and selection, its error as (type, message)."""
+    orders, paths, errors = _select_block(design, ys, fits, r)
+    return [
+        (
+            None if order is None else (order[0], order[1].tobytes()),
+            None if path is None else (path[0].tobytes(), path[1].tobytes(), path[2]),
+            None if err is None else (type(err), str(err)),
+        )
+        for order, path, err in zip(orders, paths, errors)
+    ]
+
+
+def assert_rows_are_their_own(design, ys, fits, r, seed):
+    """A block, and the block in a permuted order, give each row what its
+    block of one gives it; returns the rows alone."""
+
+    def pick(rows):
+        return None if fits is None else [fits[b] for b in rows]
+
+    alone = [select_rows(design, ys[[b]], pick([b]), r)[0] for b in range(len(ys))]
+    assert select_rows(design, ys, fits, r) == alone
+    perm = np.random.default_rng(seed).permutation(len(ys))
+    assert select_rows(design, ys[perm], pick(perm), r) == [alone[b] for b in perm]
+    return alone
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+def test_select_block_rows_are_their_blocks_of_one_after_a_lasso(mode):
+    rng = np.random.default_rng(2100)
+    n, p = 9, 10  # n_effective 8 or 9 < p: a dense signal screens too many columns
+    x = rng.standard_normal((n, p))
+    design = standardize(Dataset(x=x, y=rng.standard_normal(n)), mode)
+    sparse = design.x0[:, [0, 3]] @ np.array([8.0, -6.0])
+    rows = [sparse + 0.05 * rng.standard_normal(n) for _ in range(4)]  # one screened set
+    rows += [sparse, 0.01 * rng.standard_normal(n)]  # noiseless; screened to nothing
+    rows += [design.x0 @ np.full(p, 5.0) + rng.standard_normal(n) for _ in range(2)]
+    rows += [sparse - 0.05 * rng.standard_normal(n)]  # its fit is made uncertified below
+    ys = _center(np.array(rows), design.mode, axis=1)
+    fits = _lasso_block(design, ys, 0.05)
+    fits[-1] = dataclasses.replace(fits[-1], converged=False)
+    alone = assert_rows_are_their_own(design, ys, fits, 0.5, seed=1)
+    errors = [row[2] and row[2][0] for row in alone]
+    assert errors[6] is ScreenTooLarge and errors[-1] is NotConverged
+    assert errors[:6] == [None] * 6
+    assert len({row[0][0] for row in alone[:4]}) == 1  # one shared ordering
+    assert alone[5][0][0] == () and alone[5][1][2] == ModelSet.empty()
+    assert np.isnan(np.frombuffer(alone[4][0][1])).all()  # leave-one-out order
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+def test_select_block_rows_are_their_blocks_of_one_on_the_full_design(mode):
+    rng = np.random.default_rng(2101)
+    n, p = 30, 6
+    x = rng.standard_normal((n, p))
+    design = standardize(Dataset(x=x, y=rng.standard_normal(n)), mode)
+    signal = design.x0[:, [1, 2]] @ np.array([3.0, -2.0])
+    rows = [signal + rng.standard_normal(n) for _ in range(9)] + [signal, signal]
+    ys = _center(np.array(rows), design.mode, axis=1)
+    alone = assert_rows_are_their_own(design, ys, None, 2.0, seed=2)
+    assert all(row[2] is None for row in alone)
+    assert alone[-1] == alone[-2] and np.isnan(np.frombuffer(alone[-1][0][1])).all()
+    sizes = {len(row[1][2]) for row in alone}
+    assert len(sizes) > 1  # the rows cut their orderings at several sizes
+    # a duplicated column makes the one shared ordering fit singular: every
+    # row keeps its error, and none has an ordering or a path
+    dup = standardize(Dataset(x=np.column_stack([x, x[:, 0]]), y=ys[0]), mode)
+    for row in assert_rows_are_their_own(dup, ys[:3], None, 2.0, seed=3):
+        assert row[:2] == (None, None) and row[2][0] is RankDeficient
