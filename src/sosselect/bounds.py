@@ -13,7 +13,7 @@ capped at 1 with the raw value kept alongside. All logarithms are natural.
 import math
 from dataclasses import dataclass, fields
 
-from .design import JsonFields, _check_indices
+from .design import JsonFields, _check_indices, _column_index
 from .errors import DomainError
 from .identify import DEFAULT_RESTARTS, _estimate, _request, _subsets, delta_scaled
 from .schemas import check_field_bounds, read_json_fields
@@ -31,8 +31,7 @@ def chi2_tail_sandwich(k, x):
     [w, w*l]. Raises DomainError outside those ranges. The upper end
     diverges as x -> 0 for k = 1; callers cap where a probability is needed.
     """
-    k = int(k)
-    if k < 1:
+    if (k := _column_index(k, "k")) < 1:
         raise DomainError("degrees of freedom must be a positive integer")
     if not 0.0 < x < math.inf:  # NaN and inf fail each positivity check in this form
         raise DomainError("tail point must be positive and finite")
@@ -59,7 +58,7 @@ def event_a_bound(p, r_l, sigma2):
     complement has probability at most p exp(-q)/sqrt(pi q) with
     q = r_l^2 / (8 sigma^2), capped at 1.
     """
-    if p < 1:
+    if _column_index(p, "p") < 1:
         raise ValueError("p must be at least 1")
     if not (0.0 < r_l < math.inf and 0.0 < sigma2 < math.inf):
         raise ValueError("r_l and sigma2 must be positive and finite")
@@ -113,7 +112,7 @@ def derived_screen_size(t, kappa):
     """Screening-budget size t + floor(sqrt(t)/kappa^2) implied by the
     restricted eigenvalue; must stay within the sample for the screening
     bounds to apply."""
-    if t < 1:
+    if (t := _column_index(t, "t")) < 1:
         raise ValueError("t must be positive")
     if not 0.0 < kappa < math.inf:
         raise ValueError("kappa must be positive and finite to derive the budget")

@@ -69,7 +69,7 @@ def default_penalties(p: int, sigma2: float, a: float) -> PenaltyPair:
     This sits exactly on the lower admissible boundary of the selection
     penalty and couples the Lasso penalty so that ``r_l^2 = 4 r``.
     """
-    if p < 2:
+    if _column_index(p, "p") < 2:
         raise ValueError("need at least two candidate predictors")
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
@@ -345,27 +345,30 @@ def verify_oracle_inequalities(
 ) -> OracleCheckReport:
     """Check the prediction/estimation inequalities realized by ``fit``.
 
-    ``reference_beta`` is a full-length coefficient vector on the original
-    scale whose support J defines the restricted-eigenvalue constant
-    ``kappa(J, 3)``; ``mu0`` is the (standardized-scale) target mean. Any
-    valid lower bound may be passed as ``kappa_sq``; by default the
-    alternating-minimization estimate is used. All comparisons allow the
-    relative fp slack of ``identify._le`` only; the inequalities themselves are
-    supposed to hold exactly on the noise event checked by :func:`event_a`.
+    ``reference_beta`` is a finite length-p coefficient vector on the
+    original scale whose support J defines the restricted-eigenvalue constant
+    ``kappa(J, 3)``; ``mu0`` is the finite length-n (standardized-scale)
+    target mean. By default ``kappa_sq`` is the search's estimate, which lies
+    above the true kappa^2(J, 3), so a False flag may come from the estimate
+    rather than the inequality; passing a finite lower bound keeps the checks
+    one-sided. All comparisons allow the relative fp slack of ``identify._le``
+    only; the inequalities themselves are supposed to hold exactly on the
+    noise event checked by :func:`event_a`.
     """
-    beta_ref = np.asarray(reference_beta, dtype=float).ravel()
-    if beta_ref.shape[0] != design.p:
-        raise ValueError("reference_beta must have length p")
+    r_l = fit.penalty
+    beta_ref = _checked(r_l, reference_beta, design.p, "reference_beta")
+    mu0 = _checked(r_l, mu0, design.n, "mu0")
     j_set = ModelSet.of(np.nonzero(beta_ref != 0.0)[0])
     if not j_set:
         raise ValueError("reference support is empty")
     jj = list(j_set.indices)
-    r_l = fit.penalty
     theta_ref = design.scales * beta_ref
     delta = fit.theta_hat - theta_ref
 
     if kappa_sq is None:
         kappa_sq = kappa(design, j_set, 3.0).value
+    elif not math.isfinite(kappa_sq):
+        raise ValueError(f"kappa_sq must be finite, got {kappa_sq!r}")
     if kappa_sq <= 1e-12:
         raise KappaDegenerate(f"kappa^2({tuple(j_set)}, 3) = {kappa_sq:.3e}")
     k = math.sqrt(kappa_sq)

@@ -282,9 +282,11 @@ def generate_trial(config: ScenarioConfig, index: int):
 @dataclass(frozen=True)
 class TrialRecord(JsonFields):
     """Per-replicate event flags with the exact conditioning structure:
-    each error flag is raised only when every earlier step succeeded, so the
-    five outcomes (screen_fail / order_fail / underfit / overfit / exact)
-    partition the replicates."""
+    screening holds when the screened set holds every true column, ordering
+    when the t top-ranked columns are the truth, and each error flag is
+    raised only when every earlier step succeeded, so the five outcomes
+    (screen_fail / order_fail / underfit / overfit / exact) partition the
+    replicates."""
 
     index: int
     seed: str
@@ -315,26 +317,13 @@ class TrialRecord(JsonFields):
 _TSV_COLUMNS = tuple(f.name for f in fields(TrialRecord))
 
 
-def _order_correct(sequence, true_set) -> bool:
-    """All members of the truth precede every non-member (position check,
-    immune to tied statistics)."""
-    seen_spurious = False
-    for j in sequence:
-        if j in true_set:
-            if seen_spurious:
-                return False
-        else:
-            seen_spurious = True
-    return True
-
-
-def _pivot_block(draw: _DesignDraw, ys: np.ndarray, mode: str, model: ModelSet) -> list:
+def _pivot_block(draw: _DesignDraw, ys: np.ndarray, model: ModelSet) -> list:
     """Post-selection pivot of each response row of ``ys`` on ``model``:
     (distance of the fit from the projected truth per model dimension) over
     (residual mean square). None when the model is empty, saturated, or the
     residual is numerically zero."""
     n = ys.shape[1]
-    d = pivot_dimension(len(model), mode)
+    d = pivot_dimension(len(model), draw.noiseless.mode)
     if len(model) == 0 or d >= n:
         return [None] * len(ys)
     cols = [draw.x[:, j] for j in model.indices]
@@ -369,28 +358,28 @@ def _response_blocks(config: ScenarioConfig, lo: int, hi: int):
         del draw
 
 
-def _outcome(sos: bool, truth: TruthSpec, seq, selected: ModelSet):
-    """The record flags and the selection of a replicate whose ordering
-    ``seq`` was cut to ``selected`` (None and the empty model when its
-    screened set was too large to order, a screening failure). Each error
-    flag is raised only when every earlier step succeeded."""
-    true_set = set(truth.support.indices)
-    screen_ok = seq is not None and (not sos or true_set.issubset(seq))
-    order_ok = screen_ok and _order_correct(seq, true_set)
+def _outcome(truth: TruthSpec, seq, selected: ModelSet) -> dict:
+    """The record flags of a replicate whose ordering ``seq`` was cut to
+    ``selected`` (None and the empty model when its screened set was too
+    large to order, a screening failure). Screening holds when ``seq`` holds
+    every true column, ordering when its first t entries are the truth; each
+    error flag is raised only when every earlier step succeeded."""
+    true_set, t = set(truth.support.indices), truth.t
+    screen_ok = seq is not None and true_set.issubset(seq)
+    order_ok = screen_ok and set(seq[:t]) == true_set
     k = len(selected)
-    exact = order_ok and k == truth.t
+    exact = order_ok and k == t
     recovered = selected == truth.support
-    if exact and not recovered:
-        raise AssertionError("size-t prefix of a correct ordering must be the truth")
-    flags = dict(
+    if exact != recovered:
+        raise AssertionError("the truth must be selected exactly when a correct ordering is cut at t")
+    return dict(
         screen_ok=screen_ok,
         order_ok=order_ok,
-        underfit=order_ok and k < truth.t,
-        overfit=order_ok and k > truth.t,
+        underfit=order_ok and k < t,
+        overfit=order_ok and k > t,
         exact=exact,
         recovered=recovered,
     )
-    return flags, selected
 
 
 def _block_records(
@@ -399,16 +388,16 @@ def _block_records(
     """The records of replicates ``indices`` with noise rows ``eps`` on one
     design ``draw``, their y side computed as one stack (see the module
     docstring)."""
-    design, sos = draw.noiseless, config.algorithm == "sos"
+    design = draw.noiseless
     ys = draw.mu + eps
     y0s = _center(ys, design.mode, axis=1)
     size = len(indices)
     bests = [None] * size
     if config.compare_exhaustive:
         bests = _exhaustive_block(design, y0s, penalties.r)
-    fits = _lasso_block(design, y0s, penalties.r_l) if sos else None
+    fits = _lasso_block(design, y0s, penalties.r_l) if config.algorithm == "sos" else None
     orders, paths, errors = _select_block(design, y0s, fits, penalties.r)
-    outcomes, memo = [], {}
+    selections, outcomes, memo = [], [], {}
     for index, order, path, err in zip(indices, orders, paths, errors):
         if isinstance(err, NotConverged):
             raise NotConverged(f"replicate {index} (seed {_seed(config, index)}): {err}") from err
@@ -417,12 +406,13 @@ def _block_records(
         seq, selected = (order[0], path[2]) if err is None else (None, ModelSet.empty())
         key = seq, selected.indices
         if key not in memo:
-            memo[key] = _outcome(sos, draw.truth, seq, selected)
+            memo[key] = _outcome(draw.truth, seq, selected)
+        selections.append(selected)
         outcomes.append(memo[key])
 
     f_vals = [None] * size
-    for model, rows in _groups(selected for _, selected in outcomes).items():
-        for b, val in zip(rows, _pivot_block(draw, ys[rows], config.mode, model)):
+    for rows in _groups(selected.indices for selected in selections).values():
+        for b, val in zip(rows, _pivot_block(draw, ys[rows], selections[rows[0]])):
             f_vals[b] = val
     event = (_event_a_block(design, eps) <= penalties.r_l).tolist()
     return [
@@ -431,11 +421,11 @@ def _block_records(
             seed=_seed(config, index),
             **flags,
             event_a=event[b],
-            selected=selected.indices,
+            selected=selections[b].indices,
             exhaustive_exact=None if bests[b] is None else bests[b].model == draw.truth.support,
             f_stat=f_vals[b],
         )
-        for b, (index, (flags, selected)) in enumerate(zip(indices, outcomes))
+        for b, (index, flags) in enumerate(zip(indices, outcomes))
     ]
 
 
@@ -625,7 +615,7 @@ def f_pivot_check(config: ScenarioConfig, *, oracle: bool = False, jobs: int = 1
     if oracle:
         vals = []
         for draw, _, eps in _response_blocks(config, 0, config.replicates):
-            vals += _pivot_block(draw, draw.mu + eps, config.mode, draw.truth.support)
+            vals += _pivot_block(draw, draw.mu + eps, draw.truth.support)
             del draw
     else:
         vals = [r.f_stat for r in run_experiment(config, jobs=jobs).records]

@@ -107,7 +107,7 @@ REJECTIONS = {
             d, solve_lasso(d, 1.0), np.ones(P + 1), d.x0 @ t.full_theta(P)
         ),
         ValueError,
-        "length p",
+        f"reference_beta must have length {P}",
     ),
     "oracle_kappa_zero": (
         lambda d, t: verify_oracle_inequalities(
@@ -116,6 +116,40 @@ REJECTIONS = {
         ),
         KappaDegenerate,
         "kappa",
+    ),
+    # a length-1 mu0 broadcast against the fitted mean, a NaN reference
+    # coefficient joined the support, and a NaN or infinite kappa_sq turned
+    # every flag False
+    "oracle_mu0_length_one": (
+        lambda d, t: verify_oracle_inequalities(
+            d, solve_lasso(d, 1.0), t.full_theta(P) / d.scales, np.zeros(1)
+        ),
+        ValueError,
+        f"mu0 must have length {N}",
+    ),
+    "oracle_nan_reference": (
+        lambda d, t: verify_oracle_inequalities(
+            d, solve_lasso(d, 1.0), np.where(t.full_theta(P) != 0.0, 1.0, NAN),
+            d.x0 @ t.full_theta(P),
+        ),
+        ValueError,
+        "reference_beta must be finite",
+    ),
+    "oracle_nan_kappa": (
+        lambda d, t: verify_oracle_inequalities(
+            d, solve_lasso(d, 1.0), t.full_theta(P) / d.scales, d.x0 @ t.full_theta(P),
+            kappa_sq=NAN,
+        ),
+        ValueError,
+        "kappa_sq must be finite",
+    ),
+    "oracle_inf_kappa": (
+        lambda d, t: verify_oracle_inequalities(
+            d, solve_lasso(d, 1.0), t.full_theta(P) / d.scales, d.x0 @ t.full_theta(P),
+            kappa_sq=math.inf,
+        ),
+        ValueError,
+        "kappa_sq must be finite",
     ),
     "gic_path_negative_r": (
         lambda d, t: gic_path(d, Ordering((0, 2)), -1.0),
@@ -147,6 +181,33 @@ REJECTIONS = {
         "positive",
     ),
     "chi2_tail_nan_point": (lambda d, t: chi2_tail_sandwich(1, NAN), DomainError, "tail point"),
+    # counts used to be truncated by int() or used as floats: k = 1.9 and
+    # k = True both gave the k = 1 bracket, t = 2.5 the "size" 8.5
+    "chi2_tail_float_k": (
+        lambda d, t: chi2_tail_sandwich(1.9, 3.0),
+        ValueError,
+        "k must be an integer",
+    ),
+    "chi2_tail_bool_k": (
+        lambda d, t: chi2_tail_sandwich(True, 3.0),
+        ValueError,
+        "k must be an integer",
+    ),
+    "derived_screen_size_float_t": (
+        lambda d, t: derived_screen_size(2.5, 0.5),
+        ValueError,
+        "t must be an integer",
+    ),
+    "event_a_bound_float_p": (
+        lambda d, t: event_a_bound(2.5, 1.0, 1.0),
+        ValueError,
+        "p must be an integer",
+    ),
+    "default_penalties_float_p": (
+        lambda d, t: default_penalties(2.5, 1.0, 0.5),
+        ValueError,
+        "p must be an integer",
+    ),
     "derived_screen_size_nan_kappa": (
         lambda d, t: derived_screen_size(2, NAN),
         ValueError,

@@ -24,13 +24,14 @@ from sosselect.bounds import (
 )
 from sosselect.design import DEGENERATE_RSS, ModelSet
 from sosselect.errors import DegenerateSelection, NotConverged, RankDeficient, ScreenTooLarge
+from sosselect.identify import TruthSpec
 from sosselect.lasso import DEFAULT_MAX_ITER, _lasso_block, event_a
 from sosselect.simlab import (
     ExperimentSummary,
     FPivotReport,
     ScenarioConfig,
     TrialRecord,
-    _order_correct,
+    _outcome,
     _tsv_cell,
     f_pivot_check,
     generate_trial,
@@ -373,13 +374,57 @@ def test_beta_patterns():
 # ------------------------------------------------------------------ events
 
 
-def test_order_correct_positions():
-    true_set = {1, 4}
-    assert _order_correct((4, 1, 0, 2), true_set)
-    assert _order_correct((1, 4), true_set)
-    assert not _order_correct((4, 0, 1), true_set)
-    assert _order_correct((0, 2), true_set)  # no true members present: vacuous
-    assert _order_correct((), true_set)
+def order_correct(sequence, true_set) -> bool:
+    """All members of the truth precede every non-member: a positional
+    scan, the reference the engine's records are checked against."""
+    seen_spurious = False
+    for j in sequence:
+        if j in true_set:
+            if seen_spurious:
+                return False
+        else:
+            seen_spurious = True
+    return True
+
+
+OUTCOME_TRUTH = TruthSpec(ModelSet((1, 4)), np.array([2.0, 3.0]), np.array([2.0, 3.0]))
+FLAGS = ("screen_ok", "order_ok", "underfit", "overfit", "exact", "recovered")
+OUTCOME_ROWS = {
+    # ordering, selected model, bucket, for the truth {1, 4}
+    "sos_set_missing_a_true_column": ((4, 0, 2), (0, 4), "screen_fail"),
+    "screen_too_large": (None, (), "screen_fail"),
+    "empty_screened_set": ((), (), "screen_fail"),
+    "no_true_column_screened": ((0, 2), (0,), "screen_fail"),
+    "os_full_ordering": ((4, 1, 0, 2, 3, 5), (1, 4), "exact"),
+    # columns 0 and 4 tied: position alone decides
+    "tie_spurious_first": ((1, 0, 4, 2), (0, 1), "order_fail"),
+    "tie_true_first": ((1, 4, 0, 2), (1, 4), "exact"),
+    "order_fail_cut_long": ((0, 1, 4), (0, 1, 4), "order_fail"),
+    "underfit": ((4, 1, 0), (4,), "underfit"),
+    "underfit_empty": ((1, 4), (), "underfit"),
+    "overfit": ((1, 4, 0), (0, 1, 4), "overfit"),
+    "exact_screened_set": ((4, 1), (1, 4), "exact"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTCOME_ROWS))
+def test_outcome_reads_each_event_off_the_ordering(name):
+    seq, selected, bucket = OUTCOME_ROWS[name]
+    flags = _outcome(OUTCOME_TRUTH, seq, ModelSet(selected))
+    assert tuple(flags) == FLAGS
+    record = TrialRecord(index=0, seed="0:0:0", **flags, event_a=True, selected=selected)
+    assert record.bucket == bucket
+    assert flags["exact"] == flags["recovered"] == (bucket == "exact")
+    screened = seq is not None and {1, 4} <= set(seq)
+    assert flags["screen_ok"] == screened
+    assert flags["order_ok"] == (screened and order_correct(seq, {1, 4}))
+    assert sum(flags[f] for f in ("underfit", "overfit", "exact")) == flags["order_ok"]
+
+
+def test_outcome_refuses_a_selection_that_is_not_the_cut():
+    # the truth selected from an ordering that does not put it first
+    with pytest.raises(AssertionError):
+        _outcome(OUTCOME_TRUTH, (0, 1, 4), ModelSet((1, 4)))
 
 
 def test_partition_sums_to_one_and_flags_consistent():
@@ -580,7 +625,7 @@ def test_fixed_design_sos_block_equals_each_replicates_own_run_sos():
         size = len(out.selected)
         if not truth_set.issubset(out.ordering.sequence):
             bucket = "screen_fail"
-        elif not _order_correct(out.ordering.sequence, truth_set):
+        elif not order_correct(out.ordering.sequence, truth_set):
             bucket = "order_fail"
         else:
             bucket = "underfit" if size < truth.t else "overfit" if size > truth.t else "exact"
@@ -699,7 +744,7 @@ def single_trial_reference(config, index, branches, max_iter=DEFAULT_MAX_ITER):
         kept = set(outcome.ordering.sequence)
         if config.algorithm == "sos":
             screen_ok = true_set.issubset(kept)
-        order_ok = screen_ok and _order_correct(outcome.ordering.sequence, true_set)
+        order_ok = screen_ok and order_correct(outcome.ordering.sequence, true_set)
         selected = outcome.selected
         if not kept:
             branches.add("empty_s1")
