@@ -314,8 +314,13 @@ class StandardizedDesign(JsonFields):
         return {**super().to_json_dict(), "n": self.n, "p": self.p}
 
 
-def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
+def standardize(data: Dataset, mode="practical", *, out=None) -> StandardizedDesign:
     """Center (practical mode) and scale a dataset to unit column norms.
+
+    ``out`` is None for new arrays, or a pair ``(x0, squares)`` of
+    C-ordered float arrays of ``data.x``'s shape that a caller reuses across
+    designs: ``x0`` becomes the standardized columns and ``squares`` is
+    overwritten. A C-ordered ``data.x`` gives the same bytes either way.
 
     Raises
     ------
@@ -324,8 +329,10 @@ def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
         column in practical mode).
     """
     mode = Parametrization(mode)
-    xc = _center(data.x, mode)  # always a new array, so scaled in place
-    scales = np.sqrt(np.add.reduce(xc * xc, axis=0))  # np.linalg.norm's sum, no conj() copy
+    x0, squares = (None, None) if out is None else out
+    xc = _center(data.x, mode, out=x0)  # never ``data.x``, so scaled in place
+    # np.linalg.norm's sum, no conj() copy
+    scales = np.sqrt(np.add.reduce(np.multiply(xc, xc, out=squares), axis=0))
     bad = np.nonzero(scales < _ZERO_NORM_TOL)[0]
     if bad.size:
         raise ZeroNormColumn(int(bad[0]), float(scales[bad[0]]))
@@ -333,13 +340,17 @@ def standardize(data: Dataset, mode="practical") -> StandardizedDesign:
     return StandardizedDesign(x0=xc, y0=_center(data.y, mode), scales=scales, mode=mode)
 
 
-def _center(a: np.ndarray, mode, axis: int = 0) -> np.ndarray:
+def _center(a: np.ndarray, mode, axis: int = 0, out=None) -> np.ndarray:
     """The centering rule of :func:`standardize`, for X and y alike: ``a``
-    centered along ``axis`` in the practical mode, copied in the formal one.
-    A (B, n) stack of responses is centered along axis 1, row by row."""
+    centered along ``axis`` in the practical mode, copied in the formal one,
+    into ``out`` when given. A (B, n) stack of responses is centered along
+    axis 1, row by row."""
     if Parametrization(mode) is Parametrization.PRACTICAL:
-        return a - a.mean(axis=axis, keepdims=True)
-    return a.copy()
+        return np.subtract(a, a.mean(axis=axis, keepdims=True), out=out)
+    if out is None:
+        return a.copy()
+    np.copyto(out, a)
+    return out
 
 
 def _check_indices(design: StandardizedDesign, model: ModelSet) -> None:

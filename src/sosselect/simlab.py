@@ -20,7 +20,11 @@ A replicate splits into an X side (the design draw, its standardized
 columns, the truth and the noiseless mean) and a y side (noise, response,
 centered response). Replicates come in blocks that share one design draw: a
 fixed design is drawn once and its replicates come ``_RESPONSE_BLOCK`` at a
-time, a fresh design makes a block of one. A block's y side is one (B, n)
+time, a fresh design makes a block of one. Every design of a run (of one
+worker's span of replicates) is drawn and standardized into one workspace:
+the (n, p) design, its standardized copy, the scratch of its column norms
+and the AR(1) factor, made once, so a fresh design's arrays stay valid only
+until the next block's design overwrites them. A block's y side is one (B, n)
 stack, each row's noise drawn from its replicate's own stream. Its screening
 Lassos are one run of the descent driver ``lasso._lasso_block``, which steps
 the whole stack while two or more rows run and the last row on Python floats,
@@ -234,20 +238,49 @@ class _DesignDraw:
     truth: TruthSpec
 
 
-def _draw_design(config: ScenarioConfig, rng: np.random.Generator) -> _DesignDraw:
-    """The X side of a replicate, drawn from its design stream ``rng``."""
-    base_p = config.p - (config.copies if config.design_kind == "duplicated_spurious" else 0)
-    x = rng.standard_normal((config.n, base_p))
+@dataclass(frozen=True, eq=False)
+class _Workspace:
+    """The X-side arrays of one ``_response_blocks`` call, which each design
+    it draws overwrites: the design ``x``, its standardized columns ``x0``,
+    ``scratch`` (the draw before the AR(1) transform or the copies, then
+    standardize's squares), all (n, p) and C-ordered, and the AR(1) factor."""
+
+    x: np.ndarray
+    x0: np.ndarray
+    scratch: np.ndarray
+    ar1_factor: "np.ndarray | None"
+
+
+def _workspace(config: ScenarioConfig) -> _Workspace:
+    shape, factor = (config.n, config.p), None
     if config.design_kind == "ar1" and config.rho > 0.0:
-        cov = config.rho ** np.abs(np.subtract.outer(np.arange(base_p), np.arange(base_p)))
-        x = x @ scipy.linalg.cholesky(cov, lower=False)
+        cov = config.rho ** np.abs(np.subtract.outer(np.arange(config.p), np.arange(config.p)))
+        factor = scipy.linalg.cholesky(cov, lower=False)
+    return _Workspace(np.empty(shape), np.empty(shape), np.empty(shape), factor)
+
+
+def _draw_design(config: ScenarioConfig, rng: np.random.Generator, work: _Workspace) -> _DesignDraw:
+    """The X side of a replicate, drawn from its design stream ``rng`` into
+    ``work``: the bytes of drawing ``(n, p - copies)`` normals, then the
+    AR(1) product or the appended copies, on new arrays."""
+    duplicated = config.design_kind == "duplicated_spurious"
+    base_p = config.p - (config.copies if duplicated else 0)
+    x = work.x
+    if duplicated or work.ar1_factor is not None:
+        base = work.scratch.reshape(-1)[: config.n * base_p].reshape(config.n, base_p)
+        rng.standard_normal(out=base)
+        if work.ar1_factor is not None:
+            np.matmul(base, work.ar1_factor, out=x)
+    else:
+        rng.standard_normal(out=x)
     support = np.sort(rng.permutation(base_p)[: config.t])
-    if config.design_kind == "duplicated_spurious":
+    if duplicated:
         spurious = [j for j in range(base_p) if j not in set(support)]
-        x = np.hstack([x, x[:, spurious[: config.copies]]])
+        x[:, :base_p] = base
+        x[:, base_p:] = base[:, spurious[: config.copies]]
     beta = _beta_values(config)
     mu = x[:, support] @ beta
-    noiseless = standardize(Dataset(x=x, y=mu), config.mode)
+    noiseless = standardize(Dataset(x=x, y=mu), config.mode, out=(work.x0, work.scratch))
     truth = TruthSpec.from_beta(noiseless, support, beta, sigma2=config.sigma2)
     return _DesignDraw(x=x, mu=mu, noiseless=noiseless, truth=truth)
 
@@ -344,15 +377,22 @@ def _response_blocks(config: ScenarioConfig, lo: int, hi: int):
     ``(draw, indices, eps)``, the noise of ``indices`` one row each. A fixed
     design is drawn once and its replicates come ``_RESPONSE_BLOCK`` at a
     time; a fresh design per replicate makes blocks of one. Each stream is
-    seeded over the span, so blocks of one share its array passes. Callers
-    drop a block before asking for the next, so at most one fresh design is
-    held at a time."""
+    seeded over the span, so blocks of one share its array passes.
+
+    Every design of the call is drawn into one ``_Workspace``, so a fresh
+    design's ``x``, ``x0`` and scratch are valid only until the next block
+    is asked for, which overwrites them: callers finish with a block (and
+    keep no array of its draw) before asking for the next. The noise, the
+    mean, the scales, the centered response and the truth are new arrays
+    per block, and each call has its own workspace, so a call over one
+    replicate (``generate_trial``) hands its arrays to the caller."""
     designs = _streams(config, _DESIGN_STREAM, [0] if config.fixed_design else range(lo, hi))
     noises = _streams(config, _NOISE_STREAM, range(lo, hi))
-    shared = _draw_design(config, next(designs)) if config.fixed_design else None
+    work = _workspace(config)
+    shared = _draw_design(config, next(designs), work) if config.fixed_design else None
     step = _RESPONSE_BLOCK if config.fixed_design else 1
     for start in range(lo, hi, step):
-        draw = shared if shared is not None else _draw_design(config, next(designs))
+        draw = shared if shared is not None else _draw_design(config, next(designs), work)
         indices = range(start, min(start + step, hi))
         yield draw, indices, _draw_noise(config, noises, len(indices))
         del draw

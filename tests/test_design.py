@@ -187,6 +187,31 @@ def test_standardize_is_bytewise_the_norm_reference(mode, shape, order):
     assert data.y.tobytes() == y_kept.tobytes()
 
 
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+@pytest.mark.parametrize("shape, order", [((200, 1000), "C"), ((40, 13), "C"), ((45, 12), "F")])
+def test_standardize_into_given_arrays_is_the_allocating_formula(mode, shape, order):
+    # the formula standardize ran on new arrays, written out: center (or
+    # copy), sum the squares of the new array, divide a new array
+    rng = np.random.default_rng(29 + shape[1])
+    a = np.asarray(2.0 * rng.standard_normal(shape) - 0.5, order=order)
+    y = rng.standard_normal(shape[0])
+    xc = a - a.mean(axis=0, keepdims=True) if mode == "practical" else a.copy()
+    scales = np.sqrt(np.add.reduce(xc * xc, axis=0))
+    x0 = xc / scales
+    fresh = standardize(Dataset(x=a, y=y), mode)
+    assert fresh.scales.tobytes() == scales.tobytes()
+    assert fresh.x0.tobytes() == x0.tobytes() and fresh.x0.strides == x0.strides
+    if order == "F":
+        return  # given arrays are C-ordered: the same bytes only for a C-ordered x
+    # the given arrays hold stale values, which must not leak into the result
+    out = np.full(shape, np.nan), np.full(shape, 7.0)
+    into = standardize(Dataset(x=a, y=y), mode, out=out)
+    assert into.x0 is out[0]
+    assert into.scales.tobytes() == scales.tobytes() and into.x0.tobytes() == x0.tobytes()
+    assert into.y0.tobytes() == fresh.y0.tobytes()
+    assert not np.shares_memory(into.x0, a)
+
+
 def test_modelset_normalization_and_set_ops():
     m = ModelSet.of([3, 1, 3, 2])
     assert m.indices == (1, 2, 3)

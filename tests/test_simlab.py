@@ -1,5 +1,6 @@
 """Monte Carlo laboratory: seeding, event decomposition, bounds, pivot."""
 
+import dataclasses
 import functools
 import json
 import math
@@ -11,6 +12,7 @@ from concurrent.futures import Future
 import jsonschema
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 
 import sosselect
@@ -22,7 +24,7 @@ from sosselect.bounds import (
     bound_input_from_design,
     bound_report,
 )
-from sosselect.design import DEGENERATE_RSS, ModelSet
+from sosselect.design import DEGENERATE_RSS, Dataset, ModelSet, standardize
 from sosselect.errors import DegenerateSelection, NotConverged, RankDeficient, ScreenTooLarge
 from sosselect.identify import TruthSpec
 from sosselect.lasso import DEFAULT_MAX_ITER, _lasso_block, event_a
@@ -171,6 +173,46 @@ def test_duplicated_spurious_appends_exact_copies():
     assert np.array_equal(dataset.x[:, 5], dataset.x[:, spurious[0]])
     assert np.array_equal(dataset.x[:, 6], dataset.x[:, spurious[1]])
     assert max(truth.support.indices) < base_p
+
+
+# the extra fields of each design kind in the fresh-design tests below
+FRESH_KINDS = {
+    "iid_gaussian": {},
+    "ar1": {"rho": 0.5},
+    "duplicated_spurious": {"copies": 3},
+}
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+@pytest.mark.parametrize("shape", [(30, 40), (60, 8)])
+@pytest.mark.parametrize("kind", sorted(FRESH_KINDS))
+def test_design_kinds_are_their_allocating_formulas(kind, shape, mode):
+    # each kind's draw as it was computed on new arrays, written out: the
+    # base normals, the AR(1) product with a per-draw factor, the appended
+    # copies; then standardize on new arrays
+    n, p = shape
+    cfg = ScenarioConfig(
+        n=n, p=p, t=2, b=3.0, design_kind=kind, mode=mode, master_seed=5, **FRESH_KINDS[kind]
+    )
+    base_p = p - cfg.copies if kind == "duplicated_spurious" else p
+    for index in (0, 4):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, 1, index)))
+        x = rng.standard_normal((n, base_p))
+        if kind == "ar1":
+            cov = cfg.rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+            x = x @ scipy.linalg.cholesky(cov, lower=False)
+        support = np.sort(rng.permutation(base_p)[: cfg.t])
+        if kind == "duplicated_spurious":
+            spurious = [j for j in range(base_p) if j not in set(support)]
+            x = np.hstack([x, x[:, spurious[: cfg.copies]]])
+        mu = x[:, support] @ np.full(cfg.t, cfg.b)
+        want = standardize(Dataset(x=x, y=mu), mode)
+        dataset, design, truth, eps = generate_trial(cfg, index)
+        assert dataset.x.tobytes() == x.tobytes() and dataset.x.strides == x.strides
+        assert dataset.y.tobytes() == (mu + eps).tobytes()
+        assert design.x0.tobytes() == want.x0.tobytes() and design.x0.strides == want.x0.strides
+        assert design.scales.tobytes() == want.scales.tobytes()
+        assert truth.support.indices == tuple(support.tolist())
 
 
 def test_config_validation():
@@ -686,6 +728,95 @@ def test_engine_replicates_equal_generate_trial(monkeypatch):
             assert np.array_equal(getattr(seen_design[i], attr), getattr(want, attr))
         assert np.array_equal(seen_truth[i].theta_star, want_truth.theta_star)
         assert np.array_equal(seen_eps[i], want_eps)
+
+
+@pytest.mark.parametrize("mode", ["practical", "formal"])
+@pytest.mark.parametrize("kind", sorted(FRESH_KINDS))
+def test_fresh_designs_in_one_workspace_are_each_replicates_own(monkeypatch, kind, mode):
+    # p > n, so the Lasso screens (some replicates miss a true column); a
+    # span's designs are drawn into one workspace, which each next design
+    # overwrites, so the spies copy what they keep. Spans of many and of
+    # one give generate_trial's bytes
+    cfg = ScenarioConfig(
+        n=30, p=40, t=2, b=22.0, design_kind=kind, mode=mode, replicates=7, master_seed=21,
+        **FRESH_KINDS[kind],
+    )
+    select, block_records = simlab._select_block, simlab._block_records
+    seen = []
+
+    def spy_records(config, draw, indices, eps, penalties):
+        (index,) = indices
+        seen.append(dict(index=index, x=draw.x.copy(), theta_star=draw.truth.theta_star.copy(),
+                         eps=eps[0].copy()))
+        return block_records(config, draw, indices, eps, penalties)
+
+    def spy_select(design, y0s, fits, r):
+        seen[-1].update(x0=design.x0.copy(), scales=design.scales.copy(), y0=y0s[0].copy())
+        return select(design, y0s, fits, r)
+
+    monkeypatch.setattr(simlab, "_block_records", spy_records)
+    monkeypatch.setattr(simlab, "_select_block", spy_select)
+    reps = cfg.replicates
+    runs = []
+    for spans in ([(0, reps)], [(i, i + 1) for i in range(reps)], [(0, 3), (3, reps)]):
+        seen.clear()
+        records = [rec for lo, hi in spans for rec in simlab._run_block(cfg, lo, hi, False)[0]]
+        assert [entry["index"] for entry in seen] == list(range(reps))
+        for entry in seen:
+            dataset, design, truth, eps = generate_trial(cfg, entry["index"])
+            want = dict(x=dataset.x, x0=design.x0, scales=design.scales, y0=design.y0,
+                        theta_star=truth.theta_star, eps=eps)
+            for name, array in want.items():
+                assert entry[name].tobytes() == array.tobytes(), (spans, entry["index"], name)
+        runs.append(repr(records))
+    monkeypatch.undo()
+    assert runs[0] == runs[1] == runs[2] == reference_run(cfg, set())
+    assert runs[0] == repr(list(run_experiment(cfg, jobs=3).records))
+
+
+def _arrays_in(value):
+    """Every ndarray reachable from ``value`` through dataclass fields,
+    dict values, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays_in(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays_in(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays_in(item)
+
+
+@pytest.mark.parametrize("kind", sorted(FRESH_KINDS))
+def test_fresh_design_arrays_stay_the_callers(monkeypatch, kind):
+    # p <= 12, so each design draw also builds a bound ledger
+    cfg = ScenarioConfig(
+        n=30, p=8, t=2, b=6.0, design_kind=kind, replicates=6, master_seed=17,
+        **FRESH_KINDS[kind],
+    )
+    dataset, design, truth, eps = generate_trial(cfg, 2)
+    kept = [dataset.x, dataset.y, design.x0, design.y0, design.scales,
+            truth.beta_star, truth.theta_star, eps]
+    before = [array.copy() for array in kept]
+    generate_trial(cfg, 3)
+    workspaces = []
+    make = simlab._workspace
+
+    def spy_workspace(config):
+        workspaces.append(make(config))
+        return workspaces[-1]
+
+    monkeypatch.setattr(simlab, "_workspace", spy_workspace)
+    summary = run_experiment(cfg)
+    assert summary.bound_ledger is not None and len(workspaces) == 1
+    for array, copy in zip(kept, before):
+        assert array.tobytes() == copy.tobytes()
+    owned = [workspaces[0].x, workspaces[0].x0, workspaces[0].scratch]
+    for array in _arrays_in(summary):
+        assert not any(np.shares_memory(array, work) for work in owned)
 
 
 # ------------------------------------------- the per-replicate reference
